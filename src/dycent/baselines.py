@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import Objective
+from .optimizer import run_loop
 from .records import TrajectoryRecord
-from .vecmath import DimensionError, ParamVector
+from .vecmath import DimensionError, ParamVector, ZeroGradientError
 
 METHODS = (
     "sgd",
@@ -92,13 +93,14 @@ def friction_coefficient(prev_grad: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def baseline_step(
-    x: ParamVector, obj: Objective, cfg: BaselineConfig, state: BaselineState
+    x: ParamVector, obj: Objective, cfg: BaselineConfig, state: BaselineState, g: ParamVector | None = None
 ) -> ParamVector:
-    """One canonical update of the configured method; deterministic."""
+    """One canonical update of the configured method; deterministic. g is obj's gradient at x, if known."""
     x = np.asarray(x, dtype=np.float64)
     if state.m.shape != x.shape:
         raise DimensionError(f"state dimension {state.m.shape} != parameter dimension {x.shape}")
-    g = obj.gradient(x)
+    if g is None:
+        g = obj.gradient(x)
     t = state.step_count + 1
 
     if cfg.method == "sgd":
@@ -134,6 +136,22 @@ def baseline_step(
     return x_new
 
 
+def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
+    """baseline_step as a run_loop step that logs a TrajectoryRecord; the
+    gradient of the stop check is the one the update uses."""
+
+    def step(i, x, f):
+        g = obj.gradient(x)
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm == 0.0:
+            raise ZeroGradientError("stationary point: gradient vanished")
+        x_new = baseline_step(x, obj, cfg, state, g)
+        f_new = obj.value(x_new)
+        return x_new, f_new, TrajectoryRecord(iter=i, f=f_new, grad_norm=grad_norm)
+
+    return step
+
+
 def run_baseline(
     x0: ParamVector,
     obj: Objective,
@@ -149,16 +167,8 @@ def run_baseline(
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    x = np.asarray(x0, dtype=np.float64)
-    state = BaselineState.zeros(x.size)
-    records: list[TrajectoryRecord] = []
-    for i in range(max_iters):
-        grad_norm = float(np.linalg.norm(obj.gradient(x)))
-        if grad_norm == 0.0:
-            break
-        x = baseline_step(x, obj, cfg, state)
-        records.append(TrajectoryRecord(iter=i, f=obj.value(x), grad_norm=grad_norm))
-    return records
+    step = baseline_stepper(obj, cfg, BaselineState.zeros(np.size(x0)))
+    return run_loop(x0, obj, [(step, [None] * max_iters)])[0]
 
 
 def angular_coefficient_range(flavor: str) -> tuple[float, float]:

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, mlmodels, objective as objectives, optimizer, theory
-from .objective import BatchContext, Objective
+from .objective import Objective
 from .records import CSV_COLUMNS, TrajectoryRecord
-from .vecmath import ZeroGradientError, as_vector
+from .vecmath import as_vector
 
 X0_PRESETS: dict[str, tuple[float, ...]] = {
     "toy_a_init": (-2.0, 0.0),
@@ -153,37 +153,24 @@ def _resolve_x0(cfg: RunConfig, obj: Objective, extras: dict) -> np.ndarray:
     return as_vector(cfg.x0)
 
 
-def _build_dycent_config(params: dict, h_override: float | None = None) -> optimizer.DycentConfig:
-    known = {f.name for f in dataclasses.fields(optimizer.DycentConfig)}
-    unknown = set(params) - known
+def _build_optimizer_config(cfg: RunConfig) -> optimizer.DycentConfig | baselines.BaselineConfig:
+    """cfg's optimizer settings as the optimizer's own config, defaults filled in."""
+    if cfg.optimizer == "dycent":
+        cls, fixed = optimizer.DycentConfig, {}
+    else:
+        cls, fixed = baselines.BaselineConfig, {"method": cfg.optimizer}
+    known = {f.name for f in dataclasses.fields(cls)} - set(fixed)
+    unknown = set(cfg.optimizer_params) - known
     if unknown:
-        raise ConfigError(f"unknown dycent parameters {sorted(unknown)}; valid: {sorted(known)}")
-    kwargs = dict(params)
-    if h_override is not None:
-        kwargs["h"] = h_override
+        raise ConfigError(f"unknown {cfg.optimizer} parameters {sorted(unknown)}; valid: {sorted(known)}")
     try:
-        return optimizer.DycentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_baseline_config(method: str, params: dict) -> baselines.BaselineConfig:
-    known = {f.name for f in dataclasses.fields(baselines.BaselineConfig)} - {"method"}
-    unknown = set(params) - known
-    if unknown:
-        raise ConfigError(f"unknown {method} parameters {sorted(unknown)}; valid: {sorted(known)}")
-    try:
-        return baselines.BaselineConfig(method=method, **params)
+        return cls(**cfg.optimizer_params, **fixed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """The run's full configuration with every default filled in."""
-    if cfg.optimizer == "dycent":
-        opt_params = dataclasses.asdict(_build_dycent_config(cfg.optimizer_params))
-    else:
-        opt_params = dataclasses.asdict(_build_baseline_config(cfg.optimizer, cfg.optimizer_params))
     obj_defaults = {
         "toy_a": {},
         "toy_b": {},
@@ -204,7 +191,7 @@ def config_echo(cfg: RunConfig) -> dict:
         "objective": cfg.objective,
         "objective_params": obj_params,
         "optimizer": cfg.optimizer,
-        "optimizer_params": opt_params,
+        "optimizer_params": dataclasses.asdict(_build_optimizer_config(cfg)),
         "x0": list(cfg.x0) if not isinstance(cfg.x0, str) else cfg.x0,
         "max_iters": cfg.max_iters,
         "seed": cfg.seed,
@@ -233,74 +220,43 @@ def _trace_to_record(i: int, tr: optimizer.StepTrace) -> TrajectoryRecord:
     )
 
 
-def _run_deterministic(cfg: RunConfig, obj: Objective, x0: np.ndarray) -> tuple[list[TrajectoryRecord], str | None]:
-    if float(np.linalg.norm(obj.gradient(x0))) == 0.0:
-        return [], "zero_gradient_start"
+def _run(cfg: RunConfig, obj: Objective, extras: dict, x0: np.ndarray) -> tuple[list[TrajectoryRecord], str | None]:
+    """Run cfg's optimizer from x0 in the shared loop: max_iters unbatched
+    steps, or epochs of shuffled batches with the accuracy logged per epoch."""
+    opt_seed, shuffle_seed = (cfg.seed, None) if cfg.epochs is None else np.random.SeedSequence(cfg.seed).spawn(2)
+
+    opt_cfg = _build_optimizer_config(cfg)
     if cfg.optimizer == "dycent":
-        dycfg = _build_dycent_config(cfg.optimizer_params)
-        traces = optimizer.run(x0, obj, dycfg, cfg.max_iters, cfg.seed)
-        records = [_trace_to_record(i, tr) for i, tr in enumerate(traces)]
-        reason = "stationary_point" if len(records) < cfg.max_iters else None
-        return records, reason
-    blcfg = _build_baseline_config(cfg.optimizer, cfg.optimizer_params)
-    records = baselines.run_baseline(x0, obj, blcfg, cfg.max_iters, cfg.seed)
-    reason = "stationary_point" if len(records) < cfg.max_iters else None
-    return records, reason
-
-
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(n)
-    return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
-def _run_epochs(cfg: RunConfig, obj, extras: dict, x0: np.ndarray) -> tuple[list[TrajectoryRecord], str | None]:
-    data, spec = extras["dataset"], extras["spec"]
-    opt_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seed))
-
-    if cfg.optimizer == "dycent":
-        dycfg = _build_dycent_config(cfg.optimizer_params)
-        dystate = optimizer.DycentState(rng=np.random.Generator(np.random.PCG64(opt_seed)))
-        scheduled = dycfg.h
+        dystate = optimizer.DycentState(rng=np.random.default_rng(opt_seed))
+        def stepper(divisor):  # divisor: the h schedule's decay factor, or 1
+            scaled = dataclasses.replace(opt_cfg, h=opt_cfg.h / divisor)
+            return optimizer.dycent_stepper(obj, scaled, dystate, _trace_to_record)
     else:
-        blcfg = _build_baseline_config(cfg.optimizer, cfg.optimizer_params)
         blstate = baselines.BaselineState.zeros(x0.size)
-        scheduled = blcfg.lr
+        def stepper(divisor):
+            scaled = dataclasses.replace(opt_cfg, lr=opt_cfg.lr / divisor)
+            return baselines.baseline_stepper(obj, scaled, blstate)
 
-    x = x0
-    step = 0
-    records: list[TrajectoryRecord] = []
-    stop_reason = None
-    for epoch in range(cfg.epochs):
-        if cfg.h_schedule and epoch == cfg.h_schedule.at_epoch:
-            scheduled /= cfg.h_schedule.decay_factor
-        for batch in _epoch_batches(len(data), cfg.batch_size, shuffle_rng):
-            obj.set_batch(BatchContext(batch, epoch=epoch, step=step))
-            if cfg.optimizer == "dycent":
-                try:
-                    x, tr = optimizer.dycent_step(
-                        x, obj, dataclasses.replace(dycfg, h=scheduled), dystate
-                    )
-                except ZeroGradientError:
-                    stop_reason = "stationary_point"
-                    break
-                records.append(_trace_to_record(step, tr))
-            else:
-                grad_norm = float(np.linalg.norm(obj.gradient(x)))
-                if grad_norm == 0.0:
-                    stop_reason = "stationary_point"
-                    break
-                x = baselines.baseline_step(
-                    x, obj, dataclasses.replace(blcfg, lr=scheduled), blstate
-                )
-                records.append(TrajectoryRecord(iter=step, f=obj.value(x), grad_norm=grad_norm))
-            step += 1
+    if cfg.epochs is None:
+        return optimizer.run_loop(x0, obj, [(stepper(1.0), [None] * cfg.max_iters)])
+
+    data, spec = extras["dataset"], extras["spec"]
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+
+    def schedule():
+        step = stepper(1.0)
+        for epoch in range(cfg.epochs):
+            if cfg.h_schedule and epoch == cfg.h_schedule.at_epoch:
+                step = stepper(cfg.h_schedule.decay_factor)
+            perm = shuffle_rng.permutation(len(data))
+            yield step, [perm[i : i + cfg.batch_size] for i in range(0, len(data), cfg.batch_size)]
+
+    def end_epoch(x, records):
         obj.clear_batch()
         if records:
             records[-1].acc_train = mlmodels.accuracy(x, spec, data)
-        if stop_reason:
-            break
-    return records, stop_reason
+
+    return optimizer.run_loop(x0, obj, schedule(), end_epoch)
 
 
 def write_trajectory_csv(path: Path, records: list[TrajectoryRecord]) -> None:
@@ -309,17 +265,17 @@ def write_trajectory_csv(path: Path, records: list[TrajectoryRecord]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_experiment(cfg: RunConfig, out_dir: str | Path = ".") -> dict:
-    """Execute one run; writes <prefix>-<hash>.csv/.json and returns the summary."""
+def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> dict:
+    """Execute one run; writes <prefix>-<hash>.csv/.json and returns the summary.
+
+    annotate(records), if given, returns entries to add to the summary.
+    """
     obj, extras = _build_objective(cfg)
     x0 = _resolve_x0(cfg, obj, extras)
     if x0.shape != (obj.dim,):
         raise ConfigError(f"x0 has dimension {x0.size}, objective needs {obj.dim}")
 
-    if cfg.epochs is not None:
-        records, stop_reason = _run_epochs(cfg, obj, extras, x0)
-    else:
-        records, stop_reason = _run_deterministic(cfg, obj, x0)
+    records, stop_reason = _run(cfg, obj, extras, x0)
 
     echo = config_echo(cfg)
     digest = config_hash(echo)
@@ -344,6 +300,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".") -> dict:
         "stop_reason": stop_reason,
         "files": {"trajectory_csv": str(csv_path), "summary_json": str(json_path)},
     }
+    if annotate is not None:
+        summary.update(annotate(records))
 
     try:
         write_trajectory_csv(csv_path, records)
@@ -524,30 +482,18 @@ def run_angle_experiment(seed: int, out_dir: str | Path = ".", epochs: int = 60)
     """Log per-step probe angles on the two-moons MLP and summarize the
     epoch-10..50 band (degrees), mirroring the angle-progression plots."""
     cfg = angle_run_config(seed, epochs)
-    summary = run_experiment(cfg, out_dir)
+    batches_per_epoch = math.ceil(cfg.objective_params.get("n", 200) / cfg.batch_size)
 
-    n = cfg.objective_params.get("n", 200)
-    batches_per_epoch = math.ceil(n / cfg.batch_size)
-    csv_path = Path(summary["files"]["trajectory_csv"])
-    thetas = []
-    with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-        i_iter, i_theta = header.index("iter"), header.index("theta_deg")
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            epoch = int(cells[i_iter]) // batches_per_epoch
-            if 10 <= epoch <= 50 and cells[i_theta]:
-                thetas.append(float(cells[i_theta]))
+    def angle_band(records: list[TrajectoryRecord]) -> dict:  # every dycent record has theta_deg
+        thetas = [r.theta_deg for r in records if 10 <= r.iter // batches_per_epoch <= 50]
+        return {"angle_band": {
+            "epochs": [10, 50],
+            "median_theta_deg": float(np.median(thetas)) if thetas else None,
+            "steps_in_band": len(thetas),
+            "all_steps_finite": all(math.isfinite(t) for t in thetas),
+        }}
 
-    summary["angle_band"] = {
-        "epochs": [10, 50],
-        "median_theta_deg": float(np.median(thetas)) if thetas else None,
-        "steps_in_band": len(thetas),
-        "all_steps_finite": all(math.isfinite(t) for t in thetas),
-    }
-    json_path = Path(summary["files"]["summary_json"])
-    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return summary
+    return run_experiment(cfg, out_dir, angle_band)
 
 
 # --- config-file parsing -----------------------------------------------

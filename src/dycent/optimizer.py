@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import Objective
+from .objective import BatchContext, Objective
 from .vecmath import (
     ParamVector,
     RngHandle,
@@ -117,19 +117,26 @@ def maybe_double(d: float, d_avg: float, cfg: DycentConfig) -> tuple[float, bool
 
 
 def dycent_step(
-    x: ParamVector, obj: Objective, cfg: DycentConfig, state: DycentState
+    x: ParamVector, obj: Objective, cfg: DycentConfig, state: DycentState, f_before: float | None = None
 ) -> tuple[ParamVector, StepTrace]:
     """One angle-probed step from x; returns the new point and its trace.
 
+    f_before is obj's value at x if the caller knows it; None evaluates it.
     Raises ZeroGradientError at stationary points (the caller decides
-    whether to stop or perturb) and NonFiniteStepError if the step size
-    degenerates.
+    whether to stop or perturb) and NonFiniteStepError, with the trace so
+    far, if the gradient or the step size is not finite.
     """
     x1 = np.asarray(x, dtype=np.float64)
     g1 = -obj.gradient(x1)
     g1_norm = norm(g1)
     if g1_norm == 0.0:
         raise ZeroGradientError("stationary point: gradient vanished")
+    if f_before is None:
+        f_before = obj.value(x1)
+    if not math.isfinite(g1_norm):
+        nan = np.full_like(x1, math.nan)
+        trace = StepTrace(x1, nan, g1, nan, nan, math.nan, math.nan, math.nan, False, f_before, math.nan)
+        raise NonFiniteStepError(f"gradient is not finite (norm {g1_norm})", trace)
 
     p1 = sample_perpendicular(g1, state.rng)
     x2 = x1 - cfg.h * p1
@@ -138,8 +145,7 @@ def dycent_step(
     theta = angle_between(g1, g2) + cfg.epsilon
     d_raw = cfg.h / math.tan(theta)
     if not math.isfinite(d_raw):
-        trace = StepTrace(x1, x2, g1, g2, p1, theta, d_raw, d_raw, False,
-                          obj.value(x1), math.nan)
+        trace = StepTrace(x1, x2, g1, g2, p1, theta, d_raw, d_raw, False, f_before, math.nan)
         raise NonFiniteStepError(f"step size h*cot(theta) is not finite at theta={theta}", trace)
 
     d_avg = update_average(state, cfg, d_raw)
@@ -160,10 +166,52 @@ def dycent_step(
         d_raw=d_raw,
         d_used=d_used,
         doubled=doubled,
-        f_before=obj.value(x1),
+        f_before=f_before,
         f_after=obj.value(x_new),
     )
     return x_new, trace
+
+
+def run_loop(x0: ParamVector, obj: Objective, schedule, end_epoch=None) -> tuple[list, str | None]:
+    """The run loop every driver shares; returns the logged items and the stop reason.
+
+    schedule yields one (step, batches) pair per epoch; a batch is a row
+    index array to pin on obj, or None (a deterministic run is one epoch
+    of None batches). step(i, x, f) returns (x_new, f_new, item); f is the
+    previous f_new, None at the start and after a batch change. end_epoch(x,
+    items) runs after each epoch. A ZeroGradientError ends the run as
+    "zero_gradient_start" before any item, "stationary_point" after.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    f = None
+    items: list = []
+    reason = None
+    for step, batches in schedule:
+        for batch in batches:
+            if batch is not None:
+                obj.set_batch(BatchContext(batch))
+                f = None
+            try:
+                x, f, item = step(len(items), x, f)
+            except ZeroGradientError:
+                reason = "stationary_point" if items else "zero_gradient_start"
+                break
+            items.append(item)
+        if end_epoch is not None:
+            end_epoch(x, items)
+        if reason:
+            break
+    return items, reason
+
+
+def dycent_stepper(obj: Objective, cfg: DycentConfig, state: DycentState, log=lambda i, trace: trace):
+    """dycent_step as a run_loop step; log(i, trace) makes the logged item."""
+
+    def step(i, x, f):
+        x_new, trace = dycent_step(x, obj, cfg, state, f)
+        return x_new, trace.f_after, log(i, trace)
+
+    return step
 
 
 def run(
@@ -180,13 +228,5 @@ def run(
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    state = DycentState.from_seed(seed)
-    x = np.asarray(x0, dtype=np.float64)
-    traces: list[StepTrace] = []
-    for _ in range(max_iters):
-        try:
-            x, trace = dycent_step(x, obj, cfg, state)
-        except ZeroGradientError:
-            break
-        traces.append(trace)
-    return traces
+    step = dycent_stepper(obj, cfg, DycentState.from_seed(seed))
+    return run_loop(x0, obj, [(step, [None] * max_iters)])[0]

@@ -182,6 +182,7 @@ def run_constrained(
         raise ValueError(f"probe_scale must be > 0, got {probe_scale}")
     rng = make_rng(seed)
     x = np.asarray(x0, dtype=np.float64)
+    f = obj.value(x)
     traces: list[StepTrace] = []
     for _ in range(max_iters):
         g1 = -obj.gradient(x)
@@ -208,9 +209,9 @@ def run_constrained(
                 d_raw=h_probe * cot_theta,
                 d_used=d_used,
                 doubled=False,
-                f_before=obj.value(x),
+                f_before=f,
                 f_after=obj.value(x_new),
             )
         )
-        x = x_new
+        x, f = x_new, traces[-1].f_after
     return traces

@@ -61,13 +61,15 @@ def sample_perpendicular(g: ParamVector, rng: RngHandle) -> ParamVector:
 
     Draws a standard-normal vector, projects out the g-component, and
     normalizes; near-parallel draws (residual below RESAMPLE_THRESHOLD of
-    the draw) are resampled.
+    the draw) are resampled. A non-finite g raises ValueError instead.
     """
     if g.size < 2:
         raise DimensionError("no perpendicular direction exists in 1 dimension")
     ng = norm(g)
     if ng == 0.0:
         raise ZeroGradientError("cannot pick a direction perpendicular to the zero vector")
+    if not math.isfinite(ng):
+        raise ValueError(f"cannot pick a direction perpendicular to a vector of norm {ng}")
     g_hat = g / ng
     while True:
         v = rng.standard_normal(g.size)

@@ -7,6 +7,26 @@ def rng():
     return np.random.default_rng(12345)
 
 
+class BoundedRng:
+    """A generator that allows a fixed number of standard-normal draws, so
+    a resampling loop that never ends fails instead of hanging."""
+
+    def __init__(self, draws=100):
+        self._rng = np.random.default_rng(0)
+        self.left = draws
+
+    def standard_normal(self, size):
+        self.left -= 1
+        if self.left < 0:
+            raise AssertionError("standard-normal draws exhausted: resampling did not stop")
+        return self._rng.standard_normal(size)
+
+
+@pytest.fixture
+def bounded_rng():
+    return BoundedRng()
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion at the end of the run."""
     tr = terminalreporter

@@ -1,0 +1,103 @@
+"""Objective evaluations per step, pinned per driver.
+
+Each point is evaluated once: the stop check's gradient feeds the
+baseline update, and a dycent step takes its f_before from the previous
+step's f_after unless the minibatch changed in between. The counts are
+taken by a wrapper defined here, not by package code, so a refactor that
+brings a duplicate evaluation back fails these tests.
+"""
+
+import numpy as np
+import pytest
+
+from dycent import harness
+from dycent.harness import RunConfig, run_experiment
+from dycent.objective import spd_quadratic
+from dycent.theory import run_constrained
+
+
+class CountingObjective:
+    """Delegates to an objective and counts its value and gradient calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.values = 0
+        self.gradients = 0
+
+    def value(self, x):
+        self.values += 1
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.gradients += 1
+        return self.inner.gradient(x)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Run experiments on counting objectives; yields the list of them."""
+    built = []
+    build = harness._build_objective
+
+    def build_counting(cfg):
+        obj, extras = build(cfg)
+        built.append(CountingObjective(obj))
+        return built[-1], extras
+
+    monkeypatch.setattr(harness, "_build_objective", build_counting)
+    return built
+
+
+def run_counted(counted, tmp_path, **kwargs):
+    summary = run_experiment(RunConfig(**kwargs), out_dir=tmp_path)
+    assert summary["stop_reason"] is None  # a full run, no stationary stop
+    (obj,) = counted
+    return summary["iterations"], obj
+
+
+def test_deterministic_baseline_one_gradient_one_value_per_step(counted, tmp_path):
+    steps, obj = run_counted(
+        counted, tmp_path, objective="rosenbrock", optimizer="adam", max_iters=200,
+        optimizer_params={"lr": 1e-3},
+    )
+    assert steps == 200
+    assert (obj.gradients, obj.values) == (steps, steps)
+
+
+def test_deterministic_dycent_two_gradients_one_value_per_step(counted, tmp_path):
+    steps, obj = run_counted(
+        counted, tmp_path, objective="spd_quadratic", optimizer="dycent", max_iters=60,
+        optimizer_params={"h": 1e-3},
+    )
+    assert steps == 60
+    assert (obj.gradients, obj.values) == (2 * steps, steps + 1)
+
+
+def test_epoch_baseline_one_gradient_per_step(counted, tmp_path):
+    steps, obj = run_counted(
+        counted, tmp_path, objective="moons_mlp", optimizer="adam", batch_size=32, epochs=3,
+        objective_params={"n": 100}, optimizer_params={"lr": 1e-2},
+    )
+    assert steps == 3 * 4
+    assert (obj.gradients, obj.values) == (steps, steps)
+
+
+def test_epoch_dycent_evaluates_f_before_on_each_new_batch(counted, tmp_path):
+    steps, obj = run_counted(
+        counted, tmp_path, objective="moons_mlp", optimizer="dycent", batch_size=32, epochs=3,
+        objective_params={"n": 100}, optimizer_params={"h": 2e-3, "epsilon": 0.02},
+    )
+    assert steps == 3 * 4
+    assert (obj.gradients, obj.values) == (2 * steps, 2 * steps)
+
+
+def test_run_constrained_one_value_per_step_plus_one():
+    inner = spd_quadratic(5, seed=3)
+    obj = CountingObjective(inner)
+    traces = run_constrained(np.full(5, 0.5), obj, inner.lipschitz_bound, 15, seed=2)
+    assert len(traces) == 15
+    assert obj.values == len(traces) + 1
+    assert obj.gradients == 2 * len(traces)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,3 +312,17 @@ class TestCli:
         assert code == 0
         summaries = list((tmp_path / "out").glob("*.json"))
         assert all(json.loads(p.read_text())["config"]["seed"] == 99 for p in summaries)
+
+    def test_non_finite_gradient_exits_3(self, tmp_path):
+        # The gradient overflows to +-inf at this start. A subprocess with a
+        # timeout fails, rather than hangs, if the step loops on it again.
+        path = tmp_path / "runs.ini"
+        path.write_text("[r]\nobjective = rosenbrock\noptimizer = dycent\nx0 = 1e160,1\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dycent.cli", "run", "--config", str(path), "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert "error[numerical]: gradient is not finite" in proc.stderr

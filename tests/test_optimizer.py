@@ -9,6 +9,7 @@ from dycent.objective import AnalyticObjective, isotropic_quadratic, toy_a, toy_
 from dycent.optimizer import (
     DycentConfig,
     DycentState,
+    NonFiniteStepError,
     dycent_step,
     maybe_double,
     run,
@@ -118,6 +119,17 @@ class TestDycentStep:
     def test_stationary_point_signalled(self):
         with pytest.raises(ZeroGradientError):
             dycent_step(np.array([-2.0, 0.0]), toy_a(), DycentConfig(), state_with())
+
+    def test_nan_gradient_raises_with_partial_trace(self, bounded_rng):
+        obj = AnalyticObjective(2, lambda x: 1.5, lambda x: np.array([math.nan, 1.0]))
+        x = np.array([0.5, -0.5])
+        with pytest.raises(NonFiniteStepError) as info:
+            dycent_step(x, obj, DycentConfig(), DycentState(rng=bounded_rng))
+        trace = info.value.trace
+        assert np.array_equal(trace.x1, x)
+        assert math.isnan(trace.g1[0]) and trace.g1[1] == -1.0
+        assert trace.f_before == 1.5
+        assert math.isnan(trace.f_after)
 
     def test_trace_geometry(self):
         obj = toy_b()

@@ -75,6 +75,11 @@ class TestSamplePerpendicular:
         with pytest.raises(DimensionError):
             sample_perpendicular(np.array([1.0]), make_rng(0))
 
+    @pytest.mark.parametrize("g", [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, math.inf, 0.0]])
+    def test_non_finite_rejected_without_resampling(self, g, bounded_rng):
+        with pytest.raises(ValueError, match="norm"):
+            sample_perpendicular(np.array(g), bounded_rng)
+
     def test_orthogonality_and_unit_norm_bulk(self):
         # 1000 seeded draws across dimensions and gradient scales
         rng = make_rng(2024)
