@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import Objective
-from .optimizer import run_loop
+from .optimizer import NonFiniteStepError, run_loop
 from .records import TrajectoryRecord
-from .vecmath import DimensionError, ParamVector, ZeroGradientError
+from .vecmath import DimensionError, ParamVector, ZeroGradientError, norm
 
 METHODS = (
     "sgd",
@@ -138,15 +138,20 @@ def baseline_step(
 
 def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
     """baseline_step as a run_loop step that logs a TrajectoryRecord; the
-    gradient of the stop check is the one the update uses."""
+    gradient of the stop check is the one the update uses. A gradient or a
+    new value that is not finite raises NonFiniteStepError."""
 
     def step(i, x, f):
         g = obj.gradient(x)
-        grad_norm = float(np.linalg.norm(g))
+        grad_norm = norm(g)
         if grad_norm == 0.0:
             raise ZeroGradientError("stationary point: gradient vanished")
+        if not math.isfinite(grad_norm):
+            raise NonFiniteStepError(f"gradient is not finite (norm {grad_norm})")
         x_new = baseline_step(x, obj, cfg, state, g)
         f_new = obj.value(x_new)
+        if not math.isfinite(f_new):
+            raise NonFiniteStepError(f"value at the new point is not finite ({f_new})")
         return x_new, f_new, TrajectoryRecord(iter=i, f=f_new, grad_norm=grad_norm)
 
     return step
@@ -161,9 +166,10 @@ def run_baseline(
 ) -> list[TrajectoryRecord]:
     """Iterate baseline_step from x0, logging one record per iteration.
 
-    Stops early at an exactly stationary point. seed is accepted for
-    interface parity with the angle-probed runner; the baselines draw no
-    randomness.
+    Stops early at an exactly stationary point, and raises
+    NonFiniteStepError where a gradient or value is not finite. seed is
+    accepted for interface parity with the angle-probed runner; the
+    baselines draw no randomness.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")

@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines, mlmodels, objective as objectives, optimizer, theory
 from .objective import Objective
 from .records import CSV_COLUMNS, TrajectoryRecord
-from .vecmath import as_vector
+from .vecmath import as_vector, norm
 
 X0_PRESETS: dict[str, tuple[float, ...]] = {
     "toy_a_init": (-2.0, 0.0),
@@ -86,7 +86,11 @@ class RunConfig:
             )
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.epochs is not None:
+            if self.epochs < 1:
+                raise ConfigError("epochs must be >= 1")
             if self.objective != "moons_mlp":
                 raise ConfigError("epochs only apply to dataset-backed objectives")
             if self.batch_size is None or self.batch_size < 1:
@@ -94,8 +98,22 @@ class RunConfig:
 
 
 def _build_objective(cfg: RunConfig) -> tuple[Objective, dict]:
-    """Instantiate the configured objective; returns (objective, extras)."""
+    """Instantiate the configured objective; returns (objective, extras).
+
+    A parameter the objective rejects raises ConfigError.
+    """
     p = dict(cfg.objective_params)
+    try:
+        built = _construct_objective(cfg, p)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.objective}: {exc}") from exc
+    if p:
+        raise ConfigError(f"unknown {cfg.objective} parameters {sorted(p)}")
+    return built
+
+
+def _construct_objective(cfg: RunConfig, p: dict) -> tuple[Objective, dict]:
+    """The objective and extras from cfg, popping the parameters it uses from p."""
     if cfg.objective == "toy_a":
         built = objectives.toy_a(), {}
     elif cfg.objective == "toy_b":
@@ -127,8 +145,6 @@ def _build_objective(cfg: RunConfig) -> tuple[Objective, dict]:
             init_seed=int(p.pop("init_seed", cfg.seed)),
         )
         built = mlmodels.mlp_objective(spec, data), {"dataset": data, "spec": spec}
-    if p:
-        raise ConfigError(f"unknown {cfg.objective} parameters {sorted(p)}")
     return built
 
 
@@ -212,7 +228,7 @@ def _trace_to_record(i: int, tr: optimizer.StepTrace) -> TrajectoryRecord:
     return TrajectoryRecord(
         iter=i,
         f=tr.f_after,
-        grad_norm=float(np.linalg.norm(tr.g1)),
+        grad_norm=norm(tr.g1),
         theta_deg=math.degrees(tr.theta),
         d_raw=tr.d_raw,
         d_used=tr.d_used,
@@ -268,14 +284,25 @@ def write_trajectory_csv(path: Path, records: list[TrajectoryRecord]) -> None:
 def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> dict:
     """Execute one run; writes <prefix>-<hash>.csv/.json and returns the summary.
 
-    annotate(records), if given, returns entries to add to the summary.
+    annotate(records), if given, returns entries to add to the summary. A
+    run stopped by a non-finite value or gradient writes the steps before
+    it, then raises the NonFiniteStepError.
     """
     obj, extras = _build_objective(cfg)
     x0 = _resolve_x0(cfg, obj, extras)
     if x0.shape != (obj.dim,):
         raise ConfigError(f"x0 has dimension {x0.size}, objective needs {obj.dim}")
+    if cfg.optimizer == "dycent" and obj.dim < 2:
+        raise ConfigError(f"dycent needs dimension >= 2 to probe; {cfg.objective} has {obj.dim}")
 
-    records, stop_reason = _run(cfg, obj, extras, x0)
+    # A non-finite value or gradient stops the run as "non_finite"; numpy's
+    # overflow warnings would only repeat that on stderr.
+    error = None
+    with np.errstate(all="ignore"):
+        try:
+            records, stop_reason = _run(cfg, obj, extras, x0)
+        except optimizer.NonFiniteStepError as exc:
+            records, stop_reason, error = exc.logged, "non_finite", exc
 
     echo = config_echo(cfg)
     digest = config_hash(echo)
@@ -305,9 +332,11 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> 
 
     try:
         write_trajectory_csv(csv_path, records)
-        json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        json_path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing results under {out}: {exc}") from exc
+    if error is not None:
+        raise error
     return summary
 
 
@@ -404,6 +433,8 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
     are drawn inside the unit ball, where that c1 is covered by the
     decrease bound. The curvature pass rate is reported, not asserted.
     """
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     suites = [
         ("isotropic_quadratic_5d", objectives.isotropic_quadratic(5), 200, 10),
@@ -459,7 +490,7 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"theory-{seed}.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     report["files"] = {"report_json": str(path)}
     return report
 
@@ -530,9 +561,12 @@ def _parse_value(key: str, raw: str):
     if key in _STR_KEYS:
         return raw.strip()
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config_file(path: str | Path) -> list[RunConfig]:
@@ -541,7 +575,7 @@ def parse_config_file(path: str | Path) -> list[RunConfig]:
     Each section describes one run; the section name becomes the output
     prefix unless output_prefix is set explicitly.
     """
-    parser = ConfigParser()
+    parser = ConfigParser(interpolation=None)  # a '%' in a value is literal
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -556,7 +590,7 @@ def parse_config_file(path: str | Path) -> list[RunConfig]:
                 raw = raw.strip()
                 run_kwargs["x0"] = (
                     raw if raw in X0_PRESETS or raw == "auto"
-                    else tuple(float(c) for c in raw.split(","))
+                    else tuple(_parse_value(key, c) for c in raw.split(","))
                 )
             elif key == "h_decay_factor":
                 h_decay_factor = _parse_value(key, raw)

@@ -29,11 +29,13 @@ D_AVG_INIT_MODES = ("first_step", "zero")
 
 
 class NonFiniteStepError(ArithmeticError):
-    """The computed step size came out NaN/Inf; carries the partial trace."""
+    """A gradient, value or step size came out NaN/Inf; carries the partial
+    trace, and run_loop sets logged to the items logged before the step."""
 
     def __init__(self, message: str, trace: "StepTrace | None" = None):
         super().__init__(message)
         self.trace = trace
+        self.logged: list = []
 
 
 @dataclass
@@ -124,7 +126,7 @@ def dycent_step(
     f_before is obj's value at x if the caller knows it; None evaluates it.
     Raises ZeroGradientError at stationary points (the caller decides
     whether to stop or perturb) and NonFiniteStepError, with the trace so
-    far, if the gradient or the step size is not finite.
+    far, if either gradient, the step size or f_after is not finite.
     """
     x1 = np.asarray(x, dtype=np.float64)
     g1 = -obj.gradient(x1)
@@ -141,6 +143,10 @@ def dycent_step(
     p1 = sample_perpendicular(g1, state.rng)
     x2 = x1 - cfg.h * p1
     g2 = -obj.gradient(x2)
+    g2_norm = norm(g2)
+    if not math.isfinite(g2_norm):
+        trace = StepTrace(x1, x2, g1, g2, p1, math.nan, math.nan, math.nan, False, f_before, math.nan)
+        raise NonFiniteStepError(f"probe gradient is not finite (norm {g2_norm})", trace)
 
     theta = angle_between(g1, g2) + cfg.epsilon
     d_raw = cfg.h / math.tan(theta)
@@ -169,6 +175,8 @@ def dycent_step(
         f_before=f_before,
         f_after=obj.value(x_new),
     )
+    if not math.isfinite(trace.f_after):
+        raise NonFiniteStepError(f"value at the new point is not finite ({trace.f_after})", trace)
     return x_new, trace
 
 
@@ -180,7 +188,8 @@ def run_loop(x0: ParamVector, obj: Objective, schedule, end_epoch=None) -> tuple
     of None batches). step(i, x, f) returns (x_new, f_new, item); f is the
     previous f_new, None at the start and after a batch change. end_epoch(x,
     items) runs after each epoch. A ZeroGradientError ends the run as
-    "zero_gradient_start" before any item, "stationary_point" after.
+    "zero_gradient_start" before any item, "stationary_point" after. A
+    NonFiniteStepError propagates with its logged set to the items so far.
     """
     x = np.asarray(x0, dtype=np.float64)
     f = None
@@ -196,6 +205,9 @@ def run_loop(x0: ParamVector, obj: Objective, schedule, end_epoch=None) -> tuple
             except ZeroGradientError:
                 reason = "stationary_point" if items else "zero_gradient_start"
                 break
+            except NonFiniteStepError as exc:
+                exc.logged = items
+                raise
             items.append(item)
         if end_epoch is not None:
             end_epoch(x, items)

@@ -100,17 +100,26 @@ def check_armijo(trace: StepTrace, c1: float) -> bool:
     return trace.f_after <= trace.f_before - c1 * trace.d_used * grad_sq
 
 
-def check_curvature(trace: StepTrace, c2: float, obj: Objective) -> bool:
+def check_curvature(
+    trace: StepTrace, c2: float, obj: Objective, nxt: StepTrace | None = None
+) -> bool:
     """Curvature condition |grad(x_new)^T p| <= c2 |grad(x1)^T p| with p = -grad(x1).
 
-    Needs the objective to evaluate the gradient at the landing point;
-    used for reporting only.
+    Needs the gradient at the landing point x_new; used for reporting
+    only. nxt, the trajectory's following step, already holds it as -nxt.g1
+    when it starts at x_new bit for bit; otherwise obj evaluates it.
     """
     g1_norm = norm(trace.g1)
     if g1_norm == 0.0:
         raise ZeroGradientError("curvature condition undefined at a stationary point")
     x_new = trace.x1 + trace.d_used * trace.g1 / g1_norm
-    lhs = abs(float(np.dot(obj.gradient(x_new), trace.g1)))
+    # comparing bytes is the exact test and, unlike np.array_equal, cheaper
+    # than an analytic gradient
+    if nxt is not None and nxt.x1.tobytes() == x_new.tobytes():
+        g_new = -nxt.g1
+    else:
+        g_new = obj.gradient(x_new)
+    lhs = abs(float(np.dot(g_new, trace.g1)))
     rhs = c2 * float(np.dot(trace.g1, trace.g1))
     return lhs <= rhs
 
@@ -121,7 +130,9 @@ def wolfe_report(
     """Evaluate both Wolfe conditions on every step of a trajectory.
 
     Both conditions are checked, so the constants must form a valid
-    strong-Wolfe pair 0 < c1 < c2 < 1.
+    strong-Wolfe pair 0 < c1 < c2 < 1. Each landing gradient is taken from
+    the following step where that step starts at the landing point, so a
+    consecutive trajectory costs one gradient evaluation, for its last step.
     """
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
@@ -129,7 +140,10 @@ def wolfe_report(
         c1=c1,
         c2=c2,
         armijo_pass=[check_armijo(tr, c1) for tr in trajectory],
-        curvature_pass=[check_curvature(tr, c2, obj) for tr in trajectory],
+        curvature_pass=[
+            check_curvature(tr, c2, obj, nxt)
+            for tr, nxt in zip(trajectory, trajectory[1:] + [None])
+        ],
     )
 
 

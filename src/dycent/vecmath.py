@@ -52,8 +52,13 @@ def dot(a: ParamVector, b: ParamVector) -> float:
 
 
 def norm(a: ParamVector) -> float:
-    """Euclidean norm; zero only for the zero vector."""
-    return float(np.linalg.norm(a))
+    """Euclidean norm; zero only for the zero vector.
+
+    Bit-identical to np.linalg.norm on a flat float vector, which also
+    takes the correctly rounded square root of a.dot(a), without its
+    Python-level dispatch.
+    """
+    return math.sqrt(float(np.dot(a, a)))
 
 
 def sample_perpendicular(g: ParamVector, rng: RngHandle) -> ParamVector:
@@ -74,8 +79,8 @@ def sample_perpendicular(g: ParamVector, rng: RngHandle) -> ParamVector:
     while True:
         v = rng.standard_normal(g.size)
         w = v - np.dot(v, g_hat) * g_hat
-        nw = float(np.linalg.norm(w))
-        if nw > RESAMPLE_THRESHOLD * float(np.linalg.norm(v)):
+        nw = norm(w)
+        if nw > RESAMPLE_THRESHOLD * norm(v):
             return w / nw
 
 
@@ -84,7 +89,8 @@ def angle_between(a: ParamVector, b: ParamVector) -> float:
 
     The cosine is formed from raw inner products and clamped to [-1, 1]
     before arccos, so exact parallels (including a vs a) come out as
-    exactly 0 or pi.
+    exactly 0 or pi. A vector with a NaN or Inf entry has no angle and
+    raises ValueError.
     """
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
@@ -100,5 +106,8 @@ def angle_between(a: ParamVector, b: ParamVector) -> float:
         cos = float(np.dot(a, b)) / math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
     else:
         cos = float(np.dot(a, b)) / denom
+    if not math.isfinite(cos):
+        # the clamp below would turn NaN into 1, an angle of 0
+        raise ValueError("angle with a non-finite vector is undefined")
     cos = max(-1.0, min(1.0, cos))
     return math.acos(cos)

@@ -2,7 +2,8 @@
 
 Each point is evaluated once: the stop check's gradient feeds the
 baseline update, and a dycent step takes its f_before from the previous
-step's f_after unless the minibatch changed in between. The counts are
+step's f_after unless the minibatch changed in between, and the Wolfe
+report takes each landing gradient from the step that starts there. The counts are
 taken by a wrapper defined here, not by package code, so a refactor that
 brings a duplicate evaluation back fails these tests.
 """
@@ -13,7 +14,7 @@ import pytest
 from dycent import harness
 from dycent.harness import RunConfig, run_experiment
 from dycent.objective import spd_quadratic
-from dycent.theory import run_constrained
+from dycent.theory import check_curvature, run_constrained, wolfe_report
 
 
 class CountingObjective:
@@ -101,3 +102,34 @@ def test_run_constrained_one_value_per_step_plus_one():
     assert len(traces) == 15
     assert obj.values == len(traces) + 1
     assert obj.gradients == 2 * len(traces)
+
+
+@pytest.fixture(scope="module")
+def constrained_run():
+    obj = spd_quadratic(5, seed=3)
+    return obj, run_constrained(np.full(5, 0.5), obj, obj.lipschitz_bound, 15, seed=2)
+
+
+def test_wolfe_report_evaluates_only_the_last_landing_gradient(constrained_run):
+    inner, traces = constrained_run
+    obj = CountingObjective(inner)
+    wolfe_report(traces, obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
+    assert (obj.gradients, obj.values) == (1, 0)
+
+
+def test_wolfe_report_evaluates_across_a_gap(constrained_run):
+    inner, traces = constrained_run
+    obj = CountingObjective(inner)
+    wolfe_report(traces[:7] + traces[8:], obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
+    assert (obj.gradients, obj.values) == (2, 0)
+
+
+def test_check_curvature_same_verdict_with_and_without_next(constrained_run):
+    obj, traces = constrained_run
+    verdicts = []
+    for c2 in np.linspace(0.02, 0.98, 49):  # brackets each step's ratio
+        for tr, nxt in zip(traces, traces[1:]):
+            with_next = check_curvature(tr, c2, obj, nxt)
+            assert with_next == check_curvature(tr, c2, obj)
+            verdicts.append(with_next)
+    assert any(verdicts) and not all(verdicts)

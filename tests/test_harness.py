@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -316,13 +318,62 @@ class TestCli:
     def test_non_finite_gradient_exits_3(self, tmp_path):
         # The gradient overflows to +-inf at this start. A subprocess with a
         # timeout fails, rather than hangs, if the step loops on it again.
-        path = tmp_path / "runs.ini"
-        path.write_text("[r]\nobjective = rosenbrock\noptimizer = dycent\nx0 = 1e160,1\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "dycent.cli", "run", "--config", str(path), "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=30,
-        )
+        proc = run_cli(tmp_path, "objective = rosenbrock\noptimizer = dycent\nx0 = 1e160,1\n")
         assert proc.returncode == cli.EXIT_NUMERICAL
         assert "error[numerical]: gradient is not finite" in proc.stderr
+        assert "Warning" not in proc.stderr
+        summary, rows = partial_outputs(tmp_path)
+        assert (summary["iterations"], summary["stop_reason"], summary["final_f"]) == (0, "non_finite", None)
+        assert rows == []
+
+    def test_diverging_baseline_exits_3_with_finite_records(self, tmp_path):
+        proc = run_cli(tmp_path, "objective = rosenbrock\noptimizer = sgd\nlr = 1\nmax_iters = 50\n")
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert "error[numerical]" in proc.stderr and "Warning" not in proc.stderr
+        summary, rows = partial_outputs(tmp_path)
+        assert summary["stop_reason"] == "non_finite" and summary["stopped_early"]
+        assert 0 < summary["iterations"] == len(rows) < 50
+        assert all(math.isfinite(float(r["f"])) and math.isfinite(float(r["grad_norm"])) for r in rows)
+        assert summary["final_f"] == float(rows[-1]["f"])
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "objective = toy_b\noptimizer = sgd\nx0 = 1,zz\n",
+            "objective = toy_b\noptimizer = sgd\nx0 = nan,1\n",
+            "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nlr = 1%\n",
+            "objective = moons_mlp\noptimizer = sgd\nactivation = gelu\n",
+            "objective = quadratic\noptimizer = dycent\ndim = 1\n",
+        ],
+        ids=["x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d"],
+    )
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, section):
+        proc = run_cli(tmp_path, section)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "error[config]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+def run_cli(tmp_path, section: str) -> subprocess.CompletedProcess:
+    """`dycent run` on a one-section config in a fresh interpreter, writing to tmp_path/out."""
+    path = tmp_path / "runs.ini"
+    path.write_text("[r]\n" + section)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "dycent.cli", "run", "--config", str(path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+
+
+def partial_outputs(tmp_path) -> tuple[dict, list[dict]]:
+    """The summary, parsed as strict JSON (no NaN/Infinity), and the CSV rows of one run."""
+    (json_path,) = (tmp_path / "out").glob("r-*.json")
+    (csv_path,) = (tmp_path / "out").glob("r-*.csv")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads(json_path.read_text(), parse_constant=reject)
+    return summary, list(csv.DictReader(csv_path.read_text().splitlines()))

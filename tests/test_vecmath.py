@@ -55,6 +55,15 @@ class TestNorm:
         v = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
         assert abs(norm(v) - 1.0) <= 1e-15
 
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=12))
+    @settings(max_examples=300)
+    def test_bit_identical_to_linalg_norm(self, values):
+        # any float, including NaN, Inf and squares that overflow or underflow
+        a = np.asarray(values, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            got, expected = norm(a), float(np.linalg.norm(a))
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
 
 class TestSamplePerpendicular:
     def test_2d_orthogonal_complement(self):
@@ -120,6 +129,16 @@ class TestAngleBetween:
     def test_zero_norm_rejected(self):
         with pytest.raises(ZeroGradientError):
             angle_between(np.zeros(2), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("b", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+    def test_non_finite_vector_rejected(self, b):
+        # clamping a NaN cosine would report an angle of 0; an Inf entry
+        # takes the renormalizing path, whose inf/inf numpy warns about
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                angle_between(np.array([1.0, 0.0]), np.array(b))
+            with pytest.raises(ValueError, match="non-finite"):
+                angle_between(np.array(b), np.array([1.0, 0.0]))
 
     @given(nonzero_vectors(), nonzero_vectors())
     @settings(max_examples=200)
