@@ -15,7 +15,6 @@ from .objective import (
     Objective,
     isotropic_quadratic,
     rosenbrock,
-    set_batch,
     spd_quadratic,
     toy_a,
     toy_b,
@@ -72,7 +71,6 @@ __all__ = [
     "run",
     "run_baseline",
     "sample_perpendicular",
-    "set_batch",
     "spd_quadratic",
     "toy_a",
     "toy_b",

@@ -89,15 +89,16 @@ def make_two_moons(n: int, noise: float, seed: int) -> Dataset:
     return Dataset(features=features, labels=labels, num_classes=2)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 class MlpObjective(Objective):
     """Mean cross-entropy of the MLP over the pinned batch (default: all rows),
-    as a function of the flattened parameter vector."""
+    as a function of the flattened parameter vector.
+
+    set_batch and clear_batch copy the rows they pin: the pinned rows are a
+    snapshot of the dataset taken then, and a later edit of the dataset is
+    seen only after the next pin. value and gradient share one memoized
+    forward pass, keyed by the bytes of x and dropped at every pin, so a
+    value at the point of the previous gradient reuses its forward pass.
+    """
 
     def __init__(self, spec: MlpSpec, data: Dataset):
         if data.features.shape[1] != spec.input_dim:
@@ -115,25 +116,25 @@ class MlpObjective(Objective):
         self.dim = spec.param_count
         self.lipschitz_bound = None
         self.name = "mlp_cross_entropy"
-        self._batch: np.ndarray | None = None
+        self.clear_batch()
 
     def set_batch(self, ctx: BatchContext) -> None:
         idx = ctx.batch_indices
         if idx.min() < 0 or idx.max() >= len(self.data):
             raise ValueError("batch indices out of dataset bounds")
-        self._batch = idx
+        self._pin(self.data.features[idx], self.data.labels[idx])
 
     def clear_batch(self) -> None:
-        self._batch = None
+        self._pin(np.copy(self.data.features), np.copy(self.data.labels))
 
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._batch is None:
-            return self.data.features, self.data.labels
-        return self.data.features[self._batch], self.data.labels[self._batch]
+    def _pin(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        self._rows = rows
+        self._pick = (np.arange(len(labels)), labels)  # each row's own-label entry
+        self._memo_key = None
+        self._memo = ()
 
-    def _unpack(self, params: ParamVector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _unpack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         s = self.spec
-        params = self._check_dim(params)
         i = 0
         w1 = params[i : i + s.input_dim * s.hidden_dim].reshape(s.input_dim, s.hidden_dim)
         i += s.input_dim * s.hidden_dim
@@ -144,43 +145,52 @@ class MlpObjective(Objective):
         b2 = params[i : i + s.num_classes]
         return w1, b1, w2, b2
 
-    def _forward(self, params: ParamVector, x: np.ndarray):
-        w1, b1, w2, b2 = self._unpack(params)
+    def _forward(self, unpacked, x: np.ndarray):
+        w1, b1, w2, b2 = unpacked
         z1 = x @ w1 + b1
         a1 = np.maximum(z1, 0.0) if self.spec.activation == "relu" else np.tanh(z1)
         logits = a1 @ w2 + b2
         return z1, a1, logits
 
+    def _pinned_pass(self, x: np.ndarray, unpacked=None):
+        """z1, a1, the max-shifted logits, their exp and its row sums on the
+        pinned rows; reused while x keeps the same bytes and the pin holds."""
+        key = x.tobytes()
+        if key != self._memo_key:
+            z1, a1, logits = self._forward(unpacked or self._unpack(x), self._rows)
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            self._memo = z1, a1, shifted, e, e.sum(axis=1, keepdims=True)
+            self._memo_key = key
+        return self._memo
+
     def value(self, x: ParamVector) -> float:
-        rows, labels = self._rows()
-        _, _, logits = self._forward(x, rows)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return float(-np.mean(log_probs[np.arange(len(labels)), labels]))
+        _, _, shifted, _, sums = self._pinned_pass(self._check_dim(x))
+        picked = shifted[self._pick] - np.log(sums[:, 0])
+        return float(-(picked.sum() / picked.size))
 
     def gradient(self, x: ParamVector) -> ParamVector:
-        rows, labels = self._rows()
-        w1, b1, w2, b2 = self._unpack(x)
-        z1, a1, logits = self._forward(x, rows)
-        probs = _softmax(logits)
-        dlogits = probs
-        dlogits[np.arange(len(labels)), labels] -= 1.0
-        dlogits /= len(labels)
+        x = self._check_dim(x)
+        unpacked = self._unpack(x)
+        z1, a1, _, e, sums = self._pinned_pass(x, unpacked)
+        dlogits = e / sums
+        dlogits[self._pick] -= 1.0
+        dlogits /= len(dlogits)
 
         gw2 = a1.T @ dlogits
         gb2 = dlogits.sum(axis=0)
-        da1 = dlogits @ w2.T
+        da1 = dlogits @ unpacked[2].T
         if self.spec.activation == "relu":
             dz1 = da1 * (z1 > 0.0)
         else:
             dz1 = da1 * (1.0 - a1 * a1)
-        gw1 = rows.T @ dz1
+        gw1 = self._rows.T @ dz1
         gb1 = dz1.sum(axis=0)
         return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 
     def predict(self, params: ParamVector, features: np.ndarray) -> np.ndarray:
         """Argmax class per row; ties break toward the lowest class index."""
-        _, _, logits = self._forward(params, features)
+        _, _, logits = self._forward(self._unpack(self._check_dim(params)), features)
         return np.argmax(logits, axis=1)
 
 

@@ -16,8 +16,6 @@ class BatchContext:
     """Pin of a minibatch: which dataset rows the objective evaluates on."""
 
     batch_indices: np.ndarray
-    epoch: int = 0
-    step: int = 0
 
     def __post_init__(self):
         idx = np.asarray(self.batch_indices, dtype=np.int64)
@@ -182,8 +180,3 @@ def rosenbrock(n: int) -> Objective:
         return g
 
     return AnalyticObjective(n, value, grad, name="rosenbrock")
-
-
-def set_batch(obj: Objective, ctx: BatchContext) -> None:
-    """Functional spelling of obj.set_batch(ctx)."""
-    obj.set_batch(ctx)

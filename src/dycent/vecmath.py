@@ -89,15 +89,27 @@ def angle_between(a: ParamVector, b: ParamVector) -> float:
 
     The cosine is formed from raw inner products and clamped to [-1, 1]
     before arccos, so exact parallels (including a vs a) come out as
-    exactly 0 or pi. A vector with a NaN or Inf entry has no angle and
-    raises ValueError.
+    exactly 0 or pi. Where a squared norm would under- or overflow, the
+    cosine comes from the vectors scaled to a largest |entry| of 1, so any
+    finite nonzero vectors have an angle. A vector with a NaN or Inf entry
+    has no angle and raises ValueError.
     """
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
-    daa = float(np.dot(a, a))
-    dbb = float(np.dot(b, b))
-    if daa == 0.0 or dbb == 0.0:
-        raise ZeroGradientError("angle with the zero vector is undefined")
+    # vdot runs np.dot's kernel, bit for bit, without np.dot's overflow warning
+    daa = float(np.vdot(a, a))
+    dbb = float(np.vdot(b, b))
+    if not (0.0 < daa < math.inf and 0.0 < dbb < math.inf):
+        # a squared norm under- or overflowed (or is NaN): scaling each
+        # vector to a largest |entry| of 1 keeps the angle
+        sa = float(np.max(np.abs(a), initial=0.0))
+        sb = float(np.max(np.abs(b), initial=0.0))
+        if sa == 0.0 or sb == 0.0:
+            raise ZeroGradientError("angle with the zero vector is undefined")
+        a = a / sa
+        b = b / sb
+        daa = float(np.dot(a, a))
+        dbb = float(np.dot(b, b))
     denom = math.sqrt(daa * dbb)
     if denom == 0.0 or not math.isfinite(denom):
         # product under/overflowed; renormalize and retry on unit vectors

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dycent.baselines import BaselineConfig, BaselineState, baseline_step
 from dycent.mlmodels import (
@@ -150,6 +152,131 @@ class TestBatching:
     def test_out_of_bounds_batch_rejected(self):
         with pytest.raises(ValueError):
             self.obj.set_batch(BatchContext(np.array([60])))
+
+
+def oracle_loss_and_gradient(spec, data, x, batch=None):
+    """Loss and gradient by the reference formulas: the batch gathered on
+    the call, one forward pass each, np.mean and np.concatenate."""
+    rows, labels = data.features, data.labels
+    if batch is not None:
+        rows, labels = rows[batch], labels[batch]
+    sizes = [spec.input_dim * spec.hidden_dim, spec.hidden_dim, spec.hidden_dim * spec.num_classes]
+    w1, b1, w2, b2 = np.split(x, np.cumsum(sizes))
+    w1 = w1.reshape(spec.input_dim, spec.hidden_dim)
+    w2 = w2.reshape(spec.hidden_dim, spec.num_classes)
+
+    def forward():
+        z1 = rows @ w1 + b1
+        a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
+        return z1, a1, a1 @ w2 + b2
+
+    _, _, logits = forward()
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-np.mean(log_probs[np.arange(len(labels)), labels]))
+
+    z1, a1, logits = forward()
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    dlogits = e / e.sum(axis=1, keepdims=True)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits /= len(labels)
+    gw2 = a1.T @ dlogits
+    gb2 = dlogits.sum(axis=0)
+    da1 = dlogits @ w2.T
+    dz1 = da1 * (z1 > 0.0) if spec.activation == "relu" else da1 * (1.0 - a1 * a1)
+    gw1 = rows.T @ dz1
+    gb1 = dz1.sum(axis=0)
+    return loss, np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+MEMO_DATA = make_two_moons(40, 0.1, seed=8)
+MEMO_SPEC = MlpSpec(2, 8, 2, "tanh", init_seed=3)
+
+
+class TestPinnedPass:
+    """value and gradient on pinned rows with a shared forward pass give the
+    bits of the reference formulas, and no pin or edit leaves them stale."""
+
+    @given(
+        activation=st.sampled_from(["relu", "tanh"]),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([0.3, 1.0, 3.0]),
+        batch=st.none() | st.lists(st.integers(0, len(MEMO_DATA) - 1), min_size=1, max_size=40),
+        value_first=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bits_match_reference_formulas(self, activation, seed, scale, batch, value_first):
+        spec = MlpSpec(2, 8, 2, activation, init_seed=0)
+        obj = mlp_objective(spec, MEMO_DATA)
+        x = scale * np.random.default_rng(seed).standard_normal(spec.param_count)
+        if batch is not None:
+            batch = np.array(batch)
+            obj.set_batch(BatchContext(batch))
+        loss, grad = oracle_loss_and_gradient(spec, MEMO_DATA, x, batch)
+        if value_first:
+            got_loss, got_grad = obj.value(x), obj.gradient(x)
+        else:
+            got_grad, got_loss = obj.gradient(x), obj.value(x)
+        assert same_bits(got_loss, loss)
+        assert same_bits(got_grad, grad)
+
+    def fresh(self, batch=None):
+        obj = mlp_objective(MEMO_SPEC, MEMO_DATA)
+        if batch is not None:
+            obj.set_batch(BatchContext(batch))
+        return obj
+
+    def assert_matches_fresh(self, obj, x, batch=None):
+        ref = self.fresh(batch)
+        assert same_bits(obj.value(x), ref.value(x))
+        assert same_bits(obj.gradient(x), ref.gradient(x))
+
+    def setup_method(self):
+        self.x = np.random.default_rng(21).standard_normal(MEMO_SPEC.param_count)
+        self.a, self.b = np.arange(0, 16), np.arange(16, 32)
+
+    def test_same_x_after_another_batch(self):
+        obj = self.fresh(self.a)
+        obj.gradient(self.x)
+        obj.set_batch(BatchContext(self.b))
+        self.assert_matches_fresh(obj, self.x, self.b)
+
+    def test_x_changed_in_place_between_gradient_and_value(self):
+        obj = self.fresh(self.a)
+        x = self.x.copy()
+        obj.gradient(x)
+        x[0] += 0.5
+        self.assert_matches_fresh(obj, x, self.a)
+
+    def test_clear_batch_after_set_batch(self):
+        obj = self.fresh(self.a)
+        obj.gradient(self.x)
+        obj.clear_batch()
+        self.assert_matches_fresh(obj, self.x)
+
+    def test_mutating_a_returned_gradient(self):
+        obj = self.fresh(self.a)
+        obj.gradient(self.x)[:] = 7.0
+        self.assert_matches_fresh(obj, self.x, self.a)
+
+    def test_two_objectives_over_one_dataset(self):
+        one, two = self.fresh(self.a), self.fresh(self.b)
+        one.gradient(self.x)
+        two.gradient(self.x)
+        self.assert_matches_fresh(one, self.x, self.a)
+        self.assert_matches_fresh(two, self.x, self.b)
+
+    def test_pinned_rows_are_a_snapshot(self):
+        data = make_two_moons(40, 0.1, seed=8)
+        obj = mlp_objective(MEMO_SPEC, data)
+        obj.set_batch(BatchContext(self.a))
+        data.features[self.a] += 1.0
+        self.assert_matches_fresh(obj, self.x, self.a)
 
 
 class TestAccuracy:

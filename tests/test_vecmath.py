@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,17 @@ class TestAngleBetween:
                 angle_between(np.array([1.0, 0.0]), np.array(b))
             with pytest.raises(ValueError, match="non-finite"):
                 angle_between(np.array(b), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([1e200, 0.0], [1.0, 1.0]), ([1e-200, 0.0], [1e-200, 1e-200])],
+        ids=["squared-norm-overflows", "squared-norm-underflows"],
+    )
+    def test_finite_nonzero_vectors_out_of_square_range(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = angle_between(np.array(a), np.array(b))
+        assert got == pytest.approx(math.pi / 4, rel=1e-15)
 
     @given(nonzero_vectors(), nonzero_vectors())
     @settings(max_examples=200)
