@@ -14,7 +14,7 @@ from dycent.theory import (
     run_constrained,
     wolfe_report,
 )
-from dycent.vecmath import make_rng
+from dycent.vecmath import angle_between, make_rng, norm, sample_perpendicular
 
 
 def fabricate_trace(f_before, f_after, d_used, grad=np.array([1.0, 0.0])):
@@ -76,6 +76,68 @@ class TestRunConstrained:
         obj = spd_quadratic(5, seed=8, condition=50.0)
         traces = run_constrained(np.full(5, 0.3), obj, obj.lipschitz_bound, 25, seed=1)
         assert all(tr.theta < math.pi / 2 for tr in traces)
+
+
+def reference_run_constrained(x0, obj, L, max_iters, seed):
+    """The constrained run written out as its own loop: probe at 0.01 * ||g|| / L,
+    then step h_max * cot(theta) with h_max = ||g|| * tan(theta) / L."""
+    rng = make_rng(seed)
+    x = np.asarray(x0, dtype=np.float64)
+    f = obj.value(x)
+    traces = []
+    for _ in range(max_iters):
+        g1 = -obj.gradient(x)
+        grad_norm = norm(g1)
+        if grad_norm == 0.0:
+            break
+        p1 = sample_perpendicular(g1, rng)
+        h_probe = 0.01 * grad_norm / L
+        x2 = x - h_probe * p1
+        g2 = -obj.gradient(x2)
+        theta = angle_between(g1, g2) + 1e-12
+        h_max = grad_norm * math.tan(theta) / L
+        cot_theta = 1.0 / math.tan(theta)
+        d_used = h_max * cot_theta
+        x_new = x + d_used * g1 / grad_norm
+        f_after = obj.value(x_new)
+        traces.append(StepTrace(x.copy(), x2, g1, g2, p1, theta, h_probe * cot_theta, d_used, False, f, f_after))
+        x, f = x_new, f_after
+    return traces
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestConstrainedOracle:
+    """run_constrained gives the bits of the reference loop on the theory
+    suite's quadratics, from starts drawn as the suite draws them."""
+
+    @pytest.mark.parametrize(
+        "obj,n_steps",
+        [
+            (isotropic_quadratic(5), 10),
+            (spd_quadratic(8, seed=101, condition=10.0), 20),
+            (spd_quadratic(8, seed=202, condition=40.0), 20),
+        ],
+        ids=["isotropic_5d", "spd_8d_a", "spd_8d_b"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12])
+    def test_bits_match_reference_loop(self, obj, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        lengths = []
+        for k in range(25):
+            direction = rng.standard_normal(obj.dim)
+            x0 = direction / np.linalg.norm(direction) * rng.uniform(0.1, 0.95)
+            got = run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=seed + 1000 + k)
+            ref = reference_run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed + 1000 + k)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                for name in ("x1", "x2", "g1", "g2", "p1", "theta", "d_used", "doubled", "f_before", "f_after"):
+                    assert same_bits(getattr(g, name), getattr(r, name)), name
+                assert g.d_raw == pytest.approx(r.d_raw, rel=1e-15, abs=0.0)
+            lengths.append(len(got))
+        assert min(lengths) >= 1
 
 
 class TestCheckDescent:
