@@ -162,23 +162,14 @@ def run_baseline(
     obj: Objective,
     cfg: BaselineConfig,
     max_iters: int,
-    seed: int = 0,
 ) -> list[TrajectoryRecord]:
     """Iterate baseline_step from x0, logging one record per iteration.
 
     Stops early at an exactly stationary point, and raises
-    NonFiniteStepError where a gradient or value is not finite. seed is
-    accepted for interface parity with the angle-probed runner; the
-    baselines draw no randomness.
+    NonFiniteStepError where a gradient or value is not finite.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     step = baseline_stepper(obj, cfg, BaselineState.zeros(np.size(x0)))
     return run_loop(x0, obj, [(step, [None] * max_iters)])[0]
 
-
-def angular_coefficient_range(flavor: str) -> tuple[float, float]:
-    """Closed bounds the tanh-derived angular coefficient can never leave."""
-    if flavor == "cos":
-        return 0.5, 0.5 * math.tanh(1.0) + 0.5
-    return 0.5, 1.0

@@ -28,7 +28,35 @@ X0_PRESETS: dict[str, tuple[float, ...]] = {
     "toy_b_init": (3.0, 3.0),
 }
 
-OBJECTIVES = ("toy_a", "toy_b", "quadratic", "spd_quadratic", "rosenbrock", "moons_mlp")
+
+def _two_moons_mlp(n, noise, data_seed, hidden_dim, activation, init_seed):
+    data = mlmodels.make_two_moons(n=n, noise=noise, seed=data_seed)
+    spec = mlmodels.MlpSpec(
+        input_dim=2, hidden_dim=hidden_dim, num_classes=2, activation=activation, init_seed=init_seed
+    )
+    return mlmodels.mlp_objective(spec, data), {"dataset": data, "spec": spec}
+
+
+# Each objective's builder and its parameters with their defaults: the one
+# description of an objective that building, config_echo and the config-file
+# parser all read. A builder takes every parameter by name, each converted
+# to its default's type, and returns (objective, extras). The None default
+# of moons_mlp's init_seed stands for the run seed.
+_OBJECTIVE_TABLE = {
+    "toy_a": (lambda: (objectives.toy_a(), {}), {}),
+    "toy_b": (lambda: (objectives.toy_b(), {}), {}),
+    "quadratic": (lambda dim: (objectives.isotropic_quadratic(dim), {}), {"dim": 2}),
+    "spd_quadratic": (
+        lambda dim, data_seed, condition: (objectives.spd_quadratic(dim, seed=data_seed, condition=condition), {}),
+        {"dim": 5, "data_seed": 0, "condition": 10.0},
+    ),
+    "rosenbrock": (lambda dim: (objectives.rosenbrock(dim), {}), {"dim": 2}),
+    "moons_mlp": (
+        _two_moons_mlp,
+        {"n": 200, "noise": 0.1, "data_seed": 0, "hidden_dim": 16, "activation": "relu", "init_seed": None},
+    ),
+}
+OBJECTIVES = tuple(_OBJECTIVE_TABLE)
 OPTIMIZERS = ("dycent",) + baselines.METHODS
 
 # Tuned probe settings for the two-moons MLP runs. On this surface the raw
@@ -97,55 +125,29 @@ class RunConfig:
                 raise ConfigError("epoch mode needs batch_size >= 1")
 
 
+def _param_type(default) -> type:
+    return int if default is None else type(default)  # None: the run seed
+
+
+def _objective_params(cfg: RunConfig) -> dict:
+    """cfg's objective parameters with every default filled in."""
+    defaults = _OBJECTIVE_TABLE[cfg.objective][1]
+    return {**{k: cfg.seed if d is None else d for k, d in defaults.items()}, **cfg.objective_params}
+
+
 def _build_objective(cfg: RunConfig) -> tuple[Objective, dict]:
     """Instantiate the configured objective; returns (objective, extras).
 
-    A parameter the objective rejects raises ConfigError.
+    An unknown parameter, or one the objective rejects, raises ConfigError.
     """
-    p = dict(cfg.objective_params)
+    build, defaults = _OBJECTIVE_TABLE[cfg.objective]
+    unknown = set(cfg.objective_params) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {cfg.objective} parameters {sorted(unknown)}")
     try:
-        built = _construct_objective(cfg, p)
+        return build(**{k: _param_type(defaults[k])(v) for k, v in _objective_params(cfg).items()})
     except ValueError as exc:
         raise ConfigError(f"{cfg.objective}: {exc}") from exc
-    if p:
-        raise ConfigError(f"unknown {cfg.objective} parameters {sorted(p)}")
-    return built
-
-
-def _construct_objective(cfg: RunConfig, p: dict) -> tuple[Objective, dict]:
-    """The objective and extras from cfg, popping the parameters it uses from p."""
-    if cfg.objective == "toy_a":
-        built = objectives.toy_a(), {}
-    elif cfg.objective == "toy_b":
-        built = objectives.toy_b(), {}
-    elif cfg.objective == "quadratic":
-        built = objectives.isotropic_quadratic(int(p.pop("dim", 2))), {}
-    elif cfg.objective == "spd_quadratic":
-        built = (
-            objectives.spd_quadratic(
-                int(p.pop("dim", 5)),
-                seed=int(p.pop("data_seed", 0)),
-                condition=float(p.pop("condition", 10.0)),
-            ),
-            {},
-        )
-    elif cfg.objective == "rosenbrock":
-        built = objectives.rosenbrock(int(p.pop("dim", 2))), {}
-    else:  # moons_mlp
-        data = mlmodels.make_two_moons(
-            n=int(p.pop("n", 200)),
-            noise=float(p.pop("noise", 0.1)),
-            seed=int(p.pop("data_seed", 0)),
-        )
-        spec = mlmodels.MlpSpec(
-            input_dim=2,
-            hidden_dim=int(p.pop("hidden_dim", 16)),
-            num_classes=2,
-            activation=str(p.pop("activation", "relu")),
-            init_seed=int(p.pop("init_seed", cfg.seed)),
-        )
-        built = mlmodels.mlp_objective(spec, data), {"dataset": data, "spec": spec}
-    return built
 
 
 def _resolve_x0(cfg: RunConfig, obj: Objective, extras: dict) -> np.ndarray:
@@ -187,25 +189,9 @@ def _build_optimizer_config(cfg: RunConfig) -> optimizer.DycentConfig | baseline
 
 def config_echo(cfg: RunConfig) -> dict:
     """The run's full configuration with every default filled in."""
-    obj_defaults = {
-        "toy_a": {},
-        "toy_b": {},
-        "quadratic": {"dim": 2},
-        "spd_quadratic": {"dim": 5, "data_seed": 0, "condition": 10.0},
-        "rosenbrock": {"dim": 2},
-        "moons_mlp": {
-            "n": 200,
-            "noise": 0.1,
-            "data_seed": 0,
-            "hidden_dim": 16,
-            "activation": "relu",
-            "init_seed": cfg.seed,
-        },
-    }[cfg.objective]
-    obj_params = {**obj_defaults, **cfg.objective_params}
     return {
         "objective": cfg.objective,
-        "objective_params": obj_params,
+        "objective_params": _objective_params(cfg),
         "optimizer": cfg.optimizer,
         "optimizer_params": dataclasses.asdict(_build_optimizer_config(cfg)),
         "x0": list(cfg.x0) if not isinstance(cfg.x0, str) else cfg.x0,
@@ -513,7 +499,7 @@ def run_angle_experiment(seed: int, out_dir: str | Path = ".", epochs: int = 60)
     """Log per-step probe angles on the two-moons MLP and summarize the
     epoch-10..50 band (degrees), mirroring the angle-progression plots."""
     cfg = angle_run_config(seed, epochs)
-    batches_per_epoch = math.ceil(cfg.objective_params.get("n", 200) / cfg.batch_size)
+    batches_per_epoch = math.ceil(_objective_params(cfg)["n"] / cfg.batch_size)
 
     def angle_band(records: list[TrajectoryRecord]) -> dict:  # every dycent record has theta_deg
         thetas = [r.theta_deg for r in records if 10 <= r.iter // batches_per_epoch <= 50]
@@ -529,36 +515,35 @@ def run_angle_experiment(seed: int, out_dir: str | Path = ".", epochs: int = 60)
 
 # --- config-file parsing -----------------------------------------------
 
+# Every config-file key, by the part of RunConfig it sets, with the type its
+# value parses to. x0 is a preset name or comma-separated floats.
 _RUN_KEYS = {
-    "objective", "optimizer", "x0", "max_iters", "seed", "batch_size",
-    "epochs", "h_decay_factor", "h_decay_at_epoch", "output_prefix",
+    "objective": str, "optimizer": str, "x0": float, "max_iters": int, "seed": int, "batch_size": int,
+    "epochs": int, "h_decay_factor": float, "h_decay_at_epoch": int, "output_prefix": str,
 }
 _OPT_KEYS = {
-    "h", "beta", "epsilon", "enable_doubling", "clamp_nonnegative_step",
-    "d_avg_init_mode", "lr", "momentum", "beta1", "beta2", "eps",
+    f.name: f.type
+    for cls in (optimizer.DycentConfig, baselines.BaselineConfig)
+    for f in dataclasses.fields(cls)
+    if f.name != "method"  # set by the optimizer key
 }
-_OBJ_KEYS = {"dim", "n", "noise", "data_seed", "condition", "hidden_dim", "activation", "init_seed"}
-
-_BOOL_KEYS = {"enable_doubling", "clamp_nonnegative_step"}
-_INT_KEYS = {"max_iters", "seed", "batch_size", "epochs", "h_decay_at_epoch",
-             "dim", "n", "data_seed", "hidden_dim", "init_seed"}
-_STR_KEYS = {"objective", "optimizer", "output_prefix", "d_avg_init_mode", "activation"}
+_OBJ_KEYS = {k: _param_type(d) for _, defaults in _OBJECTIVE_TABLE.values() for k, d in defaults.items()}
 
 
-def _parse_value(key: str, raw: str):
-    if key in _BOOL_KEYS:
+def _parse_value(key: str, raw: str, kind: type):
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("true", "yes", "1", "on"):
             return True
         if low in ("false", "no", "0", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if key in _STR_KEYS:
+    if kind is str:
         return raw.strip()
     try:
         value = float(raw)
@@ -584,27 +569,23 @@ def parse_config_file(path: str | Path) -> list[RunConfig]:
         run_kwargs: dict = {"output_prefix": section}
         opt_params: dict = {}
         obj_params: dict = {}
-        h_decay_factor = h_decay_at_epoch = None
         for key, raw in parser.items(section):
             if key == "x0":
                 raw = raw.strip()
                 run_kwargs["x0"] = (
                     raw if raw in X0_PRESETS or raw == "auto"
-                    else tuple(_parse_value(key, c) for c in raw.split(","))
+                    else tuple(_parse_value(key, c, float) for c in raw.split(","))
                 )
-            elif key == "h_decay_factor":
-                h_decay_factor = _parse_value(key, raw)
-            elif key == "h_decay_at_epoch":
-                h_decay_at_epoch = _parse_value(key, raw)
-            elif key in _RUN_KEYS:
-                run_kwargs[key] = _parse_value(key, raw)
-            elif key in _OPT_KEYS:
-                opt_params[key] = _parse_value(key, raw)
-            elif key in _OBJ_KEYS:
-                obj_params[key] = _parse_value(key, raw)
+                continue
+            for params, types in ((run_kwargs, _RUN_KEYS), (opt_params, _OPT_KEYS), (obj_params, _OBJ_KEYS)):
+                if key in types:
+                    params[key] = _parse_value(key, raw, types[key])
+                    break
             else:
-                valid = sorted(_RUN_KEYS | _OPT_KEYS | _OBJ_KEYS)
+                valid = sorted(_RUN_KEYS.keys() | _OPT_KEYS.keys() | _OBJ_KEYS.keys())
                 raise ConfigError(f"[{section}] unknown key {key!r}; valid keys: {valid}")
+        h_decay_factor = run_kwargs.pop("h_decay_factor", None)
+        h_decay_at_epoch = run_kwargs.pop("h_decay_at_epoch", None)
         if (h_decay_factor is None) != (h_decay_at_epoch is None):
             raise ConfigError(f"[{section}] h_decay_factor and h_decay_at_epoch go together")
         if h_decay_factor is not None:

@@ -7,7 +7,6 @@ The model is a single-hidden-layer MLP over a flattened parameter vector
 backpropagation, which keeps finite-difference checks meaningful.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,42 +216,3 @@ def accuracy(params: ParamVector, spec: MlpSpec, data: Dataset) -> float:
     predictions = obj.predict(np.asarray(params, dtype=np.float64), data.features)
     return float(np.mean(predictions == data.labels))
 
-
-def load_csv_dataset(path: str) -> Dataset:
-    """Read a dataset from CSV with header f0,...,fk,label.
-
-    Non-numeric cells are rejected with the offending row number.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if not header or header[-1] != "label":
-            raise ValueError(f"{path}: last header column must be 'label', got {header}")
-        expected = [f"f{i}" for i in range(len(header) - 1)] + ["label"]
-        if header != expected:
-            raise ValueError(f"{path}: header must be {expected}, got {header}")
-        features, labels = [], []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {row_num}: expected {len(header)} cells, got {len(row)}")
-            try:
-                features.append([float(c) for c in row[:-1]])
-            except ValueError:
-                raise ValueError(f"{path}: row {row_num}: non-numeric feature cell") from None
-            try:
-                labels.append(int(row[-1]))
-            except ValueError:
-                raise ValueError(f"{path}: row {row_num}: non-integer label cell") from None
-    if not features:
-        raise ValueError(f"{path}: no data rows")
-    label_arr = np.asarray(labels, dtype=np.int64)
-    if label_arr.min() < 0:
-        raise ValueError(f"{path}: labels must be non-negative")
-    return Dataset(
-        features=np.asarray(features, dtype=np.float64),
-        labels=label_arr,
-        num_classes=int(label_arr.max()) + 1,
-    )

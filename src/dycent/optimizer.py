@@ -7,6 +7,12 @@ g2 at the probe point, and step d = h * cot(theta) along normalized g1 —
 the estimated distance to the point where the two gradient lines meet.
 A small epsilon is added to theta so cot stays bounded, and an EMA of past
 step sizes doubles any step that falls below its running average.
+
+Given a Lipschitz constant L of the gradient, the same step runs in the
+constrained mode the descent bound is proved for: the probe distance is
+0.01 * ||g1|| / L and the step is h * cot(theta) with h at its cap
+||g1|| * tan(theta) / L, so every step is ||g1|| / L long, with no EMA or
+doubling.
 """
 
 import math
@@ -118,12 +124,34 @@ def maybe_double(d: float, d_avg: float, cfg: DycentConfig) -> tuple[float, bool
     return d, False
 
 
+def constrained_h(grad_norm: float, L: float, theta: float) -> float:
+    """Largest probe distance admitted by the decrease bound: grad_norm * tan(theta) / L.
+
+    Only meaningful for 0 < theta < pi/2; beyond that cot is nonpositive
+    and the constraint is vacuous, which is flagged as an error.
+    """
+    if not L > 0:
+        raise ValueError(f"L must be > 0, got {L}")
+    if not 0.0 < theta < math.pi / 2.0:
+        raise ValueError(
+            f"constraint needs 0 < theta < pi/2 (cot > 0); got theta={theta}"
+        )
+    return grad_norm * math.tan(theta) / L
+
+
 def dycent_step(
-    x: ParamVector, obj: Objective, cfg: DycentConfig, state: DycentState, f_before: float | None = None
+    x: ParamVector,
+    obj: Objective,
+    cfg: DycentConfig,
+    state: DycentState,
+    f_before: float | None = None,
+    lipschitz: float | None = None,
 ) -> tuple[ParamVector, StepTrace]:
     """One angle-probed step from x; returns the new point and its trace.
 
     f_before is obj's value at x if the caller knows it; None evaluates it.
+    With lipschitz set the step runs in constrained mode (module docstring)
+    and cfg.h and the EMA and doubling settings go unused.
     Raises ZeroGradientError at stationary points (the caller decides
     whether to stop or perturb) and NonFiniteStepError, with the trace so
     far, if either gradient, the step size or f_after is not finite.
@@ -140,8 +168,9 @@ def dycent_step(
         trace = StepTrace(x1, nan, g1, nan, nan, math.nan, math.nan, math.nan, False, f_before, math.nan)
         raise NonFiniteStepError(f"gradient is not finite (norm {g1_norm})", trace)
 
+    h = cfg.h if lipschitz is None else 0.01 * g1_norm / lipschitz
     p1 = sample_perpendicular(g1, state.rng)
-    x2 = x1 - cfg.h * p1
+    x2 = x1 - h * p1
     g2 = -obj.gradient(x2)
     g2_norm = norm(g2)
     if not math.isfinite(g2_norm):
@@ -149,13 +178,16 @@ def dycent_step(
         raise NonFiniteStepError(f"probe gradient is not finite (norm {g2_norm})", trace)
 
     theta = angle_between(g1, g2) + cfg.epsilon
-    d_raw = cfg.h / math.tan(theta)
+    d_raw = h / math.tan(theta)
     if not math.isfinite(d_raw):
         trace = StepTrace(x1, x2, g1, g2, p1, theta, d_raw, d_raw, False, f_before, math.nan)
         raise NonFiniteStepError(f"step size h*cot(theta) is not finite at theta={theta}", trace)
 
-    d_avg = update_average(state, cfg, d_raw)
-    d_used, doubled = maybe_double(d_raw, d_avg, cfg)
+    if lipschitz is None:
+        d_avg = update_average(state, cfg, d_raw)
+        d_used, doubled = maybe_double(d_raw, d_avg, cfg)
+    else:
+        d_used, doubled = constrained_h(g1_norm, lipschitz, theta) * (1.0 / math.tan(theta)), False
     if cfg.clamp_nonnegative_step:
         d_used = max(d_used, 0.0)
 
@@ -216,11 +248,13 @@ def run_loop(x0: ParamVector, obj: Objective, schedule, end_epoch=None) -> tuple
     return items, reason
 
 
-def dycent_stepper(obj: Objective, cfg: DycentConfig, state: DycentState, log=lambda i, trace: trace):
+def dycent_stepper(
+    obj: Objective, cfg: DycentConfig, state: DycentState, log=lambda i, trace: trace, lipschitz: float | None = None
+):
     """dycent_step as a run_loop step; log(i, trace) makes the logged item."""
 
     def step(i, x, f):
-        x_new, trace = dycent_step(x, obj, cfg, state, f)
+        x_new, trace = dycent_step(x, obj, cfg, state, f, lipschitz)
         return x_new, trace.f_after, log(i, trace)
 
     return step
@@ -232,6 +266,7 @@ def run(
     cfg: DycentConfig,
     max_iters: int,
     seed: int,
+    lipschitz: float | None = None,
 ) -> list[StepTrace]:
     """Iterate dycent_step up to max_iters times from x0.
 
@@ -240,5 +275,5 @@ def run(
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    step = dycent_stepper(obj, cfg, DycentState.from_seed(seed))
+    step = dycent_stepper(obj, cfg, DycentState.from_seed(seed), lipschitz=lipschitz)
     return run_loop(x0, obj, [(step, [None] * max_iters)])[0]

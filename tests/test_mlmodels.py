@@ -11,7 +11,6 @@ from dycent.mlmodels import (
     MlpSpec,
     accuracy,
     initial_params,
-    load_csv_dataset,
     make_two_moons,
     mlp_objective,
 )
@@ -301,31 +300,3 @@ class TestInitialParams:
     def test_param_count(self):
         spec = MlpSpec(3, 5, 4)
         assert initial_params(spec).size == spec.param_count == 3 * 5 + 5 + 5 * 4 + 4
-
-
-class TestCsvIngestion:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("f0,f1,label\n0.5,1.5,0\n-1.0,2.0,1\n")
-        data = load_csv_dataset(str(path))
-        assert np.array_equal(data.features, np.array([[0.5, 1.5], [-1.0, 2.0]]))
-        assert np.array_equal(data.labels, np.array([0, 1]))
-        assert data.num_classes == 2
-
-    def test_non_numeric_cell_reports_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("f0,f1,label\n0.5,1.5,0\n0.1,oops,1\n")
-        with pytest.raises(ValueError, match="row 3"):
-            load_csv_dataset(str(path))
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "hdr.csv"
-        path.write_text("a,b,c\n1,2,0\n")
-        with pytest.raises(ValueError, match="header"):
-            load_csv_dataset(str(path))
-
-    def test_non_integer_label_reports_row(self, tmp_path):
-        path = tmp_path / "lbl.csv"
-        path.write_text("f0,label\n1.0,0\n2.0,1.5\n")
-        with pytest.raises(ValueError, match="row 3"):
-            load_csv_dataset(str(path))

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dycent.objective import AnalyticObjective, isotropic_quadratic, spd_quadratic, toy_a, toy_b
+from dycent.objective import isotropic_quadratic, spd_quadratic, toy_b
 from dycent.optimizer import DycentConfig, StepTrace, run
 from dycent.theory import (
     check_armijo,
     check_curvature,
     check_descent,
     constrained_h,
-    estimate_lipschitz,
     run_constrained,
     wolfe_report,
 )
@@ -166,14 +165,6 @@ class TestCheckDescent:
         assert report.violations >= 1
         assert report.min_decrease_margin < 0
 
-    def test_reports_h_used(self):
-        obj = isotropic_quadratic(2)
-        traces = run_constrained(np.array([0.5, 0.2]), obj, 1.0, 3, seed=2)
-        report = check_descent(traces, 1.0)
-        assert len(report.constrained_h_used) == report.steps_checked
-        for tr, h in zip(traces, report.constrained_h_used):
-            assert h == pytest.approx(tr.d_used * math.tan(tr.theta), rel=1e-12)
-
 
 class TestCheckArmijo:
     def test_constrained_quadratic_step_passes(self):
@@ -210,33 +201,6 @@ class TestCheckCurvature:
         report = wolfe_report(traces, obj, c1=1e-4, c2=0.9)
         assert 0.0 <= report.curvature_rate <= 1.0
         assert len(report.curvature_pass) == len(traces)
-
-
-class TestEstimateLipschitz:
-    def test_isotropic_ratio_is_one(self):
-        obj = isotropic_quadratic(3)
-        est = estimate_lipschitz(obj, 100, make_rng(0))
-        assert est == pytest.approx(1.0, abs=1e-9)
-
-    def test_linear_objective_is_zero(self):
-        c = np.array([1.0, -2.0])
-        obj = AnalyticObjective(2, lambda x: float(c @ x), lambda x: c.copy())
-        assert estimate_lipschitz(obj, 100, make_rng(1)) == 0.0
-
-    def test_toy_a_stable_across_seeds(self):
-        obj = toy_a()
-        estimates = [
-            estimate_lipschitz(obj, 2000, make_rng(s), bounds=(-math.pi, math.pi))
-            for s in range(4)
-        ]
-        assert all(math.isfinite(e) and e > 0 for e in estimates)
-        assert max(estimates) <= 1.2 * min(estimates)
-        # lower bound on the true constant (max curvature ~ pi^2 on the box)
-        assert max(estimates) <= math.pi**2 * 1.01
-
-    def test_rejects_too_few_samples(self):
-        with pytest.raises(ValueError):
-            estimate_lipschitz(isotropic_quadratic(2), 1, make_rng(0))
 
 
 class TestWolfeReport:
