@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dycent import optimizer
 from dycent.harness import (
     MOONS_TUNED_EPSILON,
     MOONS_TUNED_H,
@@ -22,6 +24,7 @@ from dycent.harness import (
     run_experiment,
     run_theory_suite,
 )
+from dycent.mlmodels import MlpSpec, initial_params
 from dycent.records import CSV_COLUMNS
 from dycent import cli
 
@@ -139,6 +142,50 @@ class TestRunExperiment:
         cfg = toy_b_cfg("dycent")
         summary = run_experiment(cfg, out_dir=tmp_path)
         assert config_hash(config_echo(cfg)) in summary["files"]["trajectory_csv"]
+
+
+class TestAutomaticStart:
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """Every x0 that run_experiment hands to the run loop."""
+        seen = []
+        real = optimizer.run_loop
+
+        def run_loop(x0, *args, **kwargs):
+            seen.append(np.array(x0))
+            return real(x0, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "run_loop", run_loop)
+        return seen
+
+    @pytest.mark.parametrize(
+        "objective,params,expected",
+        [
+            ("quadratic", {}, [1.0, 1.0]),
+            ("quadratic", {"dim": 4}, [1.0] * 4),
+            ("spd_quadratic", {}, [1.0] * 5),
+            ("rosenbrock", {}, [-1.2, 1.0]),
+            ("rosenbrock", {"dim": 3}, [-1.2, 1.0, -1.2]),
+        ],
+    )
+    def test_analytic_start(self, starts, tmp_path, objective, params, expected):
+        cfg = RunConfig(objective=objective, optimizer="sgd", max_iters=1, objective_params=params)
+        run_experiment(cfg, out_dir=tmp_path)
+        (x0,) = starts
+        assert x0.tolist() == expected
+
+    def test_moons_start_is_initial_params_at_run_seed(self, starts, tmp_path):
+        cfg = RunConfig(objective="moons_mlp", optimizer="sgd", max_iters=1, seed=3)
+        run_experiment(cfg, out_dir=tmp_path)
+        (x0,) = starts
+        spec = MlpSpec(input_dim=2, hidden_dim=16, num_classes=2, activation="relu", init_seed=3)
+        assert x0.tobytes() == initial_params(spec).tobytes()
+
+    @pytest.mark.parametrize("objective", ["toy_a", "toy_b"])
+    def test_toy_surfaces_have_no_automatic_start(self, starts, tmp_path, objective):
+        with pytest.raises(ConfigError, match="no automatic start"):
+            run_experiment(RunConfig(objective=objective, optimizer="sgd"), out_dir=tmp_path)
+        assert starts == []
 
 
 class TestHSchedule:
