@@ -80,7 +80,8 @@ class BaselineState:
 def angular_coefficient(prev_grad: np.ndarray, grad: np.ndarray, flavor: str) -> np.ndarray:
     """Elementwise tanh-squashed coefficient from the angle between
     successive gradient components, treated as slopes of two lines."""
-    tan_theta = np.abs((prev_grad - grad) / (1.0 + prev_grad * grad))
+    with np.errstate(divide="ignore"):  # 1 + prev*g == 0: perpendicular lines, tan = inf, theta = 90 deg
+        tan_theta = np.abs((prev_grad - grad) / (1.0 + prev_grad * grad))
     theta = np.arctan(tan_theta)
     if flavor == "cos":
         return 0.5 * np.tanh(np.abs(np.cos(theta))) + 0.5

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines, mlmodels, objective as objectives, optimizer, theory
 from .objective import Objective
-from .records import CSV_COLUMNS, TrajectoryRecord
+from .records import CSV_COLUMNS, TrajectoryRecord, csv_cell
 from .vecmath import as_vector, norm
 
 X0_PRESETS: dict[str, tuple[float, ...]] = {
@@ -34,26 +34,33 @@ def _two_moons_mlp(n, noise, data_seed, hidden_dim, activation, init_seed):
     spec = mlmodels.MlpSpec(
         input_dim=2, hidden_dim=hidden_dim, num_classes=2, activation=activation, init_seed=init_seed
     )
-    return mlmodels.mlp_objective(spec, data), {"dataset": data, "spec": spec}
+    return mlmodels.mlp_objective(spec, data), mlmodels.initial_params(spec)
 
 
-# Each objective's builder and its parameters with their defaults: the one
-# description of an objective that building, config_echo and the config-file
-# parser all read. A builder takes every parameter by name, each converted
-# to its default's type, and returns (objective, extras). The None default
-# of moons_mlp's init_seed stands for the run seed.
+# Each objective's builder, its parameters with their defaults, and whether
+# it takes epochs: the one description of an objective that building, the
+# automatic start, RunConfig's checks, config_echo and the config-file parser
+# all read. A builder takes every parameter by name, each converted to its
+# default's type, and returns (objective, automatic start or None). The None
+# default of moons_mlp's init_seed stands for the run seed.
 _OBJECTIVE_TABLE = {
-    "toy_a": (lambda: (objectives.toy_a(), {}), {}),
-    "toy_b": (lambda: (objectives.toy_b(), {}), {}),
-    "quadratic": (lambda dim: (objectives.isotropic_quadratic(dim), {}), {"dim": 2}),
+    "toy_a": (lambda: (objectives.toy_a(), None), {}, False),
+    "toy_b": (lambda: (objectives.toy_b(), None), {}, False),
+    "quadratic": (lambda dim: (objectives.isotropic_quadratic(dim), np.full(dim, 1.0)), {"dim": 2}, False),
     "spd_quadratic": (
-        lambda dim, data_seed, condition: (objectives.spd_quadratic(dim, seed=data_seed, condition=condition), {}),
+        lambda dim, data_seed, condition: (
+            objectives.spd_quadratic(dim, seed=data_seed, condition=condition), np.full(dim, 1.0)
+        ),
         {"dim": 5, "data_seed": 0, "condition": 10.0},
+        False,
     ),
-    "rosenbrock": (lambda dim: (objectives.rosenbrock(dim), {}), {"dim": 2}),
+    "rosenbrock": (
+        lambda dim: (objectives.rosenbrock(dim), np.tile([-1.2, 1.0], (dim + 1) // 2)[:dim]), {"dim": 2}, False
+    ),
     "moons_mlp": (
         _two_moons_mlp,
         {"n": 200, "noise": 0.1, "data_seed": 0, "hidden_dim": 16, "activation": "relu", "init_seed": None},
+        True,
     ),
 }
 OBJECTIVES = tuple(_OBJECTIVE_TABLE)
@@ -119,7 +126,7 @@ class RunConfig:
         if self.epochs is not None:
             if self.epochs < 1:
                 raise ConfigError("epochs must be >= 1")
-            if self.objective != "moons_mlp":
+            if not _OBJECTIVE_TABLE[self.objective][2]:
                 raise ConfigError("epochs only apply to dataset-backed objectives")
             if self.batch_size is None or self.batch_size < 1:
                 raise ConfigError("epoch mode needs batch_size >= 1")
@@ -135,12 +142,12 @@ def _objective_params(cfg: RunConfig) -> dict:
     return {**{k: cfg.seed if d is None else d for k, d in defaults.items()}, **cfg.objective_params}
 
 
-def _build_objective(cfg: RunConfig) -> tuple[Objective, dict]:
-    """Instantiate the configured objective; returns (objective, extras).
+def _build_objective(cfg: RunConfig) -> tuple[Objective, np.ndarray | None]:
+    """Instantiate the configured objective; returns (objective, automatic start or None).
 
     An unknown parameter, or one the objective rejects, raises ConfigError.
     """
-    build, defaults = _OBJECTIVE_TABLE[cfg.objective]
+    build, defaults, _ = _OBJECTIVE_TABLE[cfg.objective]
     unknown = set(cfg.objective_params) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {cfg.objective} parameters {sorted(unknown)}")
@@ -150,15 +157,11 @@ def _build_objective(cfg: RunConfig) -> tuple[Objective, dict]:
         raise ConfigError(f"{cfg.objective}: {exc}") from exc
 
 
-def _resolve_x0(cfg: RunConfig, obj: Objective, extras: dict) -> np.ndarray:
+def _resolve_x0(cfg: RunConfig, auto_start: np.ndarray | None) -> np.ndarray:
     if isinstance(cfg.x0, str):
         if cfg.x0 == "auto":
-            if "spec" in extras:
-                return mlmodels.initial_params(extras["spec"])
-            if cfg.objective in ("quadratic", "spd_quadratic"):
-                return np.full(obj.dim, 1.0)
-            if cfg.objective == "rosenbrock":
-                return np.tile([-1.2, 1.0], (obj.dim + 1) // 2)[: obj.dim]
+            if auto_start is not None:
+                return auto_start
             raise ConfigError(
                 f"{cfg.objective} has no automatic start; give x0 explicitly "
                 f"or use a preset from {sorted(X0_PRESETS)}"
@@ -222,7 +225,7 @@ def _trace_to_record(i: int, tr: optimizer.StepTrace) -> TrajectoryRecord:
     )
 
 
-def _run(cfg: RunConfig, obj: Objective, extras: dict, x0: np.ndarray) -> tuple[list[TrajectoryRecord], str | None]:
+def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray) -> tuple[list[TrajectoryRecord], str | None]:
     """Run cfg's optimizer from x0 in the shared loop: max_iters unbatched
     steps, or epochs of shuffled batches with the accuracy logged per epoch."""
     opt_seed, shuffle_seed = (cfg.seed, None) if cfg.epochs is None else np.random.SeedSequence(cfg.seed).spawn(2)
@@ -242,7 +245,7 @@ def _run(cfg: RunConfig, obj: Objective, extras: dict, x0: np.ndarray) -> tuple[
     if cfg.epochs is None:
         return optimizer.run_loop(x0, obj, [(stepper(1.0), [None] * cfg.max_iters)])
 
-    data, spec = extras["dataset"], extras["spec"]
+    data, spec = obj.data, obj.spec
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     def schedule():
@@ -254,7 +257,6 @@ def _run(cfg: RunConfig, obj: Objective, extras: dict, x0: np.ndarray) -> tuple[
             yield step, [perm[i : i + cfg.batch_size] for i in range(0, len(data), cfg.batch_size)]
 
     def end_epoch(x, records):
-        obj.clear_batch()
         if records:
             records[-1].acc_train = mlmodels.accuracy(x, spec, data)
 
@@ -274,8 +276,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> 
     run stopped by a non-finite value or gradient writes the steps before
     it, then raises the NonFiniteStepError.
     """
-    obj, extras = _build_objective(cfg)
-    x0 = _resolve_x0(cfg, obj, extras)
+    obj, auto_start = _build_objective(cfg)
+    x0 = _resolve_x0(cfg, auto_start)
     if x0.shape != (obj.dim,):
         raise ConfigError(f"x0 has dimension {x0.size}, objective needs {obj.dim}")
     if cfg.optimizer == "dycent" and obj.dim < 2:
@@ -286,7 +288,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> 
     error = None
     with np.errstate(all="ignore"):
         try:
-            records, stop_reason = _run(cfg, obj, extras, x0)
+            records, stop_reason = _run(cfg, obj, x0)
         except optimizer.NonFiniteStepError as exc:
             records, stop_reason, error = exc.logged, "non_finite", exc
 
@@ -383,10 +385,7 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".", repeats: in
 
     cols = ("optimizer", "final_f", "best_f", "iters_to_best", "final_accuracy")
     csv_lines = [",".join(cols)]
-    for row in rows:
-        csv_lines.append(
-            ",".join("" if row[c] is None else (repr(row[c]) if isinstance(row[c], float) else str(row[c])) for c in cols)
-        )
+    csv_lines += [",".join(csv_cell(row[c]) for c in cols) for row in rows]
     csv_path.write_text("\n".join(csv_lines) + "\n")
 
     widths = {c: max(len(c), *(len(_fmt(row[c])) for row in rows)) for c in cols}
@@ -427,11 +426,8 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
         ("spd_quadratic_8d_a", objectives.spd_quadratic(8, seed=101, condition=10.0), 250, 20),
         ("spd_quadratic_8d_b", objectives.spd_quadratic(8, seed=202, condition=40.0), 250, 20),
     ]
-    total_steps = 0
-    total_violations = 0
     min_margin = math.inf
-    armijo_true = armijo_all = 0
-    curvature_true = curvature_all = 0
+    armijo, curvature = [], []  # every step's pass/fail over all objectives
     per_objective = []
     for name, obj, n_starts, n_steps in suites:
         L = obj.lipschitz_bound
@@ -446,12 +442,8 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
             obj_steps += report.steps_checked
             obj_viol += report.violations
             min_margin = min(min_margin, report.min_decrease_margin)
-            armijo_true += sum(wolfe.armijo_pass)
-            armijo_all += len(wolfe.armijo_pass)
-            curvature_true += sum(wolfe.curvature_pass)
-            curvature_all += len(wolfe.curvature_pass)
-        total_steps += obj_steps
-        total_violations += obj_viol
+            armijo += wolfe.armijo_pass
+            curvature += wolfe.curvature_pass
         per_objective.append(
             {"objective": name, "lipschitz": L, "steps": obj_steps, "violations": obj_viol}
         )
@@ -459,16 +451,16 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
     report = {
         "seed": seed,
         "descent": {
-            "steps_checked": total_steps,
-            "violations": total_violations,
+            "steps_checked": sum(p["steps"] for p in per_objective),
+            "violations": sum(p["violations"] for p in per_objective),
             "min_decrease_margin": min_margin,
             "tolerance": 1e-10,
         },
         "wolfe": {
             "c1": "1/(2L) per objective",
             "c2": 0.9,
-            "armijo_pass_rate": armijo_true / armijo_all if armijo_all else 1.0,
-            "curvature_pass_rate": curvature_true / curvature_all if curvature_all else 1.0,
+            "armijo_pass_rate": sum(armijo) / len(armijo) if armijo else 1.0,
+            "curvature_pass_rate": sum(curvature) / len(curvature) if curvature else 1.0,
             "curvature_note": "measured only; no guarantee is claimed for the curvature condition",
         },
         "per_objective": per_objective,
@@ -527,17 +519,15 @@ _OPT_KEYS = {
     for f in dataclasses.fields(cls)
     if f.name != "method"  # set by the optimizer key
 }
-_OBJ_KEYS = {k: _param_type(d) for _, defaults in _OBJECTIVE_TABLE.values() for k, d in defaults.items()}
+_OBJ_KEYS = {k: _param_type(d) for _, defaults, _ in _OBJECTIVE_TABLE.values() for k, d in defaults.items()}
 
 
 def _parse_value(key: str, raw: str, kind: type):
     if kind is bool:
-        low = raw.strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+        try:
+            return ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
     if kind is int:
         try:
             return int(raw)

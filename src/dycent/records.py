@@ -20,11 +20,13 @@ class TrajectoryRecord:
     acc_train: float | None = None
 
     def csv_row(self) -> list[str]:
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            return repr(v) if isinstance(v, float) else str(v)
+        return [csv_cell(getattr(self, c)) for c in CSV_COLUMNS]
 
-        return [cell(getattr(self, c)) for c in CSV_COLUMNS]
+
+def csv_cell(v) -> str:
+    """One CSV cell: empty for None, true/false for a bool, repr for a float."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else str(v)

@@ -5,6 +5,7 @@ line per criterion (see conftest).
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def test_criterion_5_angle_regime(tmp_path):
     assert band["all_steps_finite"]
     # every logged step size over the whole run must be finite
     csv_path = summary["files"]["trajectory_csv"]
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     i_d = CSV_COLUMNS.index("d_used")
     d_values = [float(line.split(",")[i_d]) for line in lines[1:]]
     assert all(math.isfinite(d) for d in d_values)
@@ -243,8 +244,8 @@ def test_criterion_8_determinism_and_equivariance(tmp_path):
     s1 = harness.run_experiment(run_cfg, out_dir=tmp_path / "a")
     s2 = harness.run_experiment(run_cfg, out_dir=tmp_path / "b")
     assert (
-        open(s1["files"]["trajectory_csv"], "rb").read()
-        == open(s2["files"]["trajectory_csv"], "rb").read()
+        Path(s1["files"]["trajectory_csv"]).read_bytes()
+        == Path(s2["files"]["trajectory_csv"]).read_bytes()
     )
 
     for dim, seed in ((3, 42), (6, 7)):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dycent.baselines import (
@@ -129,6 +129,7 @@ class TestCoefficients:
         "flavor,lo,hi", [("cos", 0.5, 0.5 * math.tanh(1.0) + 0.5), ("tan", 0.5, 1.0)], ids=["cos", "tan"]
     )
     @given(prev=bounded_arrays, g=bounded_arrays)
+    @example(prev=np.array([0.0, 1.0]), g=np.array([0.0, -1.0]))  # 1 + prev*g == 0: theta = 90 deg
     @settings(max_examples=200)
     def test_angular_coefficient_range(self, flavor, lo, hi, prev, g):
         n = min(prev.size, g.size)

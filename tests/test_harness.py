@@ -76,7 +76,7 @@ class TestRunExperiment:
     def test_csv_structure(self, tmp_path):
         summary = run_experiment(toy_b_cfg("sgd"), out_dir=tmp_path)
         csv_path = summary["files"]["trajectory_csv"]
-        lines = open(csv_path).read().splitlines()
+        lines = Path(csv_path).read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 200
         iters = [int(line.split(",")[0]) for line in lines[1:]]
@@ -84,7 +84,7 @@ class TestRunExperiment:
 
     def test_dycent_angle_columns_filled(self, tmp_path):
         summary = run_experiment(toy_b_cfg("dycent"), out_dir=tmp_path)
-        lines = open(summary["files"]["trajectory_csv"]).read().splitlines()
+        lines = Path(summary["files"]["trajectory_csv"]).read_text().splitlines()
         first = dict(zip(CSV_COLUMNS, lines[1].split(",")))
         assert first["theta_deg"] != ""
         assert first["d_used"] != ""
@@ -92,7 +92,7 @@ class TestRunExperiment:
 
     def test_baseline_angle_columns_empty(self, tmp_path):
         summary = run_experiment(toy_b_cfg("sgd"), out_dir=tmp_path)
-        lines = open(summary["files"]["trajectory_csv"]).read().splitlines()
+        lines = Path(summary["files"]["trajectory_csv"]).read_text().splitlines()
         first = dict(zip(CSV_COLUMNS, lines[1].split(",")))
         assert first["theta_deg"] == ""
         assert first["doubled"] == ""
@@ -126,8 +126,8 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, tmp_path):
         s1 = run_experiment(toy_b_cfg("dycent"), out_dir=tmp_path / "a")
         s2 = run_experiment(toy_b_cfg("dycent"), out_dir=tmp_path / "b")
-        b1 = open(s1["files"]["trajectory_csv"], "rb").read()
-        b2 = open(s2["files"]["trajectory_csv"], "rb").read()
+        b1 = Path(s1["files"]["trajectory_csv"]).read_bytes()
+        b2 = Path(s2["files"]["trajectory_csv"]).read_bytes()
         assert b1 == b2
 
     def test_summary_echoes_defaults(self, tmp_path):
@@ -227,10 +227,10 @@ class TestRunComparison:
 
     def test_emits_csv_and_text(self, tmp_path):
         result = run_comparison([toy_b_cfg("sgd"), toy_b_cfg("adam")], out_dir=tmp_path)
-        csv_lines = open(result["files"]["comparison_csv"]).read().splitlines()
+        csv_lines = Path(result["files"]["comparison_csv"]).read_text().splitlines()
         assert csv_lines[0].startswith("optimizer,")
         assert len(csv_lines) == 3
-        txt = open(result["files"]["comparison_txt"]).read()
+        txt = Path(result["files"]["comparison_txt"]).read_text()
         assert "sgd" in txt and "adam" in txt
 
     def test_repeat_seed_protocol(self, tmp_path):
@@ -249,8 +249,8 @@ class TestTheorySuite:
     def test_byte_identical_for_seed(self, tmp_path):
         r1 = run_theory_suite(seed=5, out_dir=tmp_path / "a")
         r2 = run_theory_suite(seed=5, out_dir=tmp_path / "b")
-        b1 = open(r1["files"]["report_json"], "rb").read()
-        b2 = open(r2["files"]["report_json"], "rb").read()
+        b1 = Path(r1["files"]["report_json"]).read_bytes()
+        b2 = Path(r2["files"]["report_json"]).read_bytes()
         assert b1 == b2
 
 
