@@ -20,8 +20,8 @@ def _apply_overrides(cfgs, args):
     for c in cfgs:
         if args.seed is not None:
             c = dataclasses.replace(c, seed=args.seed)
-        if args.iters is not None:
-            c = dataclasses.replace(c, max_iters=args.iters)
+        if args.iters is not None:  # epoch-mode sections count their budget in epochs
+            c = dataclasses.replace(c, **{"max_iters" if c.epochs is None else "epochs": args.iters})
         out.append(c)
     return out
 
@@ -34,17 +34,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config: bool):
-        if needs_config:
+    for name, help_ in (
+        ("run", "execute each run section of a config file"),
+        ("compare", "head-to-head table over the sections of a config file"),
+        ("theory", "constrained-mode descent and Wolfe report"),
+        ("angles", "angle-logging run on the two-moons MLP"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        if name in ("run", "compare"):
             p.add_argument("--config", required=True, help="run-section config file")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--iters", type=int, default=None, help="override the iteration budget")
-
-    add_common(sub.add_parser("run", help="execute each run section of a config file"), True)
-    add_common(sub.add_parser("compare", help="head-to-head table over the sections of a config file"), True)
-    add_common(sub.add_parser("theory", help="constrained-mode descent and Wolfe report"), False)
-    add_common(sub.add_parser("angles", help="angle-logging run on the two-moons MLP"), False)
+        if name != "theory":  # the theory suite's step counts are fixed
+            p.add_argument("--iters", type=int, default=None, help="override the iteration budget (epochs in epoch mode)")
     return parser
 
 

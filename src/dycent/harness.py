@@ -130,6 +130,8 @@ class RunConfig:
                 raise ConfigError("epochs only apply to dataset-backed objectives")
             if self.batch_size is None or self.batch_size < 1:
                 raise ConfigError("epoch mode needs batch_size >= 1")
+        elif self.batch_size is not None or self.h_schedule is not None:
+            raise ConfigError("batch_size and h_decay_factor/h_decay_at_epoch apply only in epoch mode; set epochs")
 
 
 def _param_type(default) -> type:
@@ -328,11 +330,10 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> 
     return summary
 
 
-def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".", repeats: int = 1) -> dict:
+def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     """Run several optimizers head to head on one objective and start.
 
-    With repeats > 1 each config is re-run at seeds seed, seed+1, ... and
-    the table reports per-seed means. Emits a CSV and an aligned-text table.
+    Runs each config once and emits a CSV and an aligned-text table.
     """
     if not cfgs:
         raise ConfigError("comparison needs at least one run config")
@@ -349,34 +350,20 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".", repeats: in
         if not same:
             raise ConfigError("comparison configs must share objective, x0 and iteration budget")
 
-    rows = []
-    all_summaries = []
-    for c in cfgs:
-        finals, bests, to_best, accs = [], [], [], []
-        for r in range(repeats):
-            summary = run_experiment(dataclasses.replace(c, seed=c.seed + r), out_dir)
-            all_summaries.append(summary)
-            finals.append(summary["final_f"])
-            bests.append(summary["best_f"])
-            to_best.append(summary["iters_to_best"])
-            if summary["final_train_accuracy"] is not None:
-                accs.append(summary["final_train_accuracy"])
-        def mean_or_none(values):
-            return float(np.mean(values)) if all(v is not None for v in values) else None
+    summaries = [run_experiment(c, out_dir) for c in cfgs]
+    rows = [
+        {
+            "optimizer": c.optimizer,
+            "final_f": s["final_f"],
+            "best_f": s["best_f"],
+            "iters_to_best": None if s["iters_to_best"] is None else float(s["iters_to_best"]),
+            "final_accuracy": s["final_train_accuracy"],
+        }
+        for c, s in zip(cfgs, summaries)
+    ]
 
-        rows.append(
-            {
-                "optimizer": c.optimizer,
-                "final_f": mean_or_none(finals),
-                "best_f": mean_or_none(bests),
-                "iters_to_best": mean_or_none(to_best),
-                "final_accuracy": float(np.mean(accs)) if accs else None,
-            }
-        )
-
-    digest = config_hash(
-        {"runs": [config_echo(c) for c in cfgs], "repeats": repeats}
-    )
+    # "repeats": 1 is a constant, kept so that comparison file names do not move
+    digest = config_hash({"runs": [config_echo(c) for c in cfgs], "repeats": 1})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = f"{ref.output_prefix}-comparison-{digest}"
@@ -396,10 +383,8 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".", repeats: in
 
     return {
         "rows": rows,
-        "repeats": repeats,
-        "seed_protocol": f"seeds {ref.seed}..{ref.seed + repeats - 1} per optimizer",
         "files": {"comparison_csv": str(csv_path), "comparison_txt": str(txt_path)},
-        "runs": all_summaries,
+        "runs": summaries,
     }
 
 

@@ -43,14 +43,6 @@ class WolfeReport:
     armijo_pass: list[bool]
     curvature_pass: list[bool]
 
-    @property
-    def armijo_rate(self) -> float:
-        return sum(self.armijo_pass) / len(self.armijo_pass) if self.armijo_pass else 1.0
-
-    @property
-    def curvature_rate(self) -> float:
-        return sum(self.curvature_pass) / len(self.curvature_pass) if self.curvature_pass else 1.0
-
 
 def check_descent(trajectory: list[StepTrace], L: float, tol: float = 1e-10) -> DescentReport:
     """Verify f(x_new) <= f(x_old) - ||grad||^2/(2L) + tol on every step."""

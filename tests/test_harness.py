@@ -233,10 +233,6 @@ class TestRunComparison:
         txt = Path(result["files"]["comparison_txt"]).read_text()
         assert "sgd" in txt and "adam" in txt
 
-    def test_repeat_seed_protocol(self, tmp_path):
-        result = run_comparison([toy_b_cfg("sgd")], out_dir=tmp_path, repeats=2)
-        assert "seeds 7..8" in result["seed_protocol"]
-
 
 class TestTheorySuite:
     def test_report_contents(self, tmp_path):
@@ -352,6 +348,23 @@ class TestCli:
         assert code == 0
         assert "median_theta_deg" in capsys.readouterr().out
 
+    def test_theory_takes_no_iters(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theory", "--iters", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_iters_sets_epochs_in_epoch_mode(self, tmp_path):
+        path = tmp_path / "runs.ini"
+        path.write_text(
+            "[m]\nobjective = moons_mlp\noptimizer = sgd\nx0 = auto\nbatch_size = 32\nepochs = 100\n"
+        )
+        code = cli.main(["compare", "--config", str(path), "--iters", "2", "--out", str(tmp_path / "out")])
+        assert code == 0
+        (summary_path,) = (tmp_path / "out").glob("m-*.json")
+        summary = json.loads(summary_path.read_text())
+        assert (summary["config"]["epochs"], summary["config"]["max_iters"]) == (2, 1000)
+        assert summary["iterations"] == 2 * 7  # 200 points in batches of 32
+
     def test_seed_override(self, tmp_path):
         path = tmp_path / "runs.ini"
         path.write_text(CONFIG_TEXT)
@@ -391,8 +404,13 @@ class TestCli:
             "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nlr = 1%\n",
             "objective = moons_mlp\noptimizer = sgd\nactivation = gelu\n",
             "objective = quadratic\noptimizer = dycent\ndim = 1\n",
+            "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nmax_iters = 5\nbatch_size = 4\n",
+            "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nmax_iters = 5\n"
+            "h_decay_factor = 10\nh_decay_at_epoch = 1\n",
         ],
-        ids=["x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d"],
+        ids=[
+            "x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d", "batch-no-epochs", "schedule-no-epochs"
+        ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, section):
         proc = run_cli(tmp_path, section)

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dycent.objective import AnalyticObjective, isotropic_quadratic, toy_a, toy_b
+from dycent.objective import AnalyticObjective, isotropic_quadratic, spd_quadratic, toy_a, toy_b
 from dycent.optimizer import (
     DycentConfig,
     DycentState,
@@ -15,7 +15,7 @@ from dycent.optimizer import (
     run,
     update_average,
 )
-from dycent.vecmath import ZeroGradientError, make_rng
+from dycent.vecmath import ZeroGradientError, make_rng, norm
 
 
 def state_with(seed=0, **kwargs):
@@ -205,6 +205,44 @@ class TestDycentStep:
         for expected in (1, 2, 3):
             x, _ = dycent_step(x, obj, DycentConfig(), st_)
             assert st_.step_count == expected
+
+
+class TestSpdQuadraticOracle:
+    """dycent_step against the closed form of its geometry on f = x^T A x / 2.
+
+    The probe gradient is exact there: with g = -grad f, g2 = g1 + q where
+    q = h * A @ p1, so the angle follows from q's parts along and across g1.
+    """
+
+    @settings(max_examples=200)
+    @given(
+        dim=st.integers(2, 10),
+        log_condition=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**16),
+        log_scale=st.floats(-3.0, 3.0),
+        log_h=st.floats(-4.0, 0.0),
+    )
+    def test_step_matches_closed_form(self, dim, log_condition, seed, log_scale, log_h):
+        obj = spd_quadratic(dim, seed=seed, condition=10.0**log_condition)
+        a = np.column_stack([obj.gradient(e) for e in np.eye(dim)])  # exact: A @ e_i is column i
+        x = np.random.default_rng(seed).standard_normal(dim)
+        x *= 10.0**log_scale / np.linalg.norm(x)
+        cfg = DycentConfig(h=10.0**log_h, enable_doubling=False)
+
+        x_new, tr = dycent_step(x, obj, cfg, state_with(seed))
+
+        g1_norm = np.linalg.norm(tr.g1)
+        g1_hat = tr.g1 / g1_norm
+        q = cfg.h * (a @ tr.p1)
+        along = float(q @ g1_hat)
+        across = np.linalg.norm(q - along * g1_hat)
+        theta_cf = math.atan2(across, g1_norm + along) + cfg.epsilon
+        # below ~1e-3 rad, acos in angle_between keeps only about half the digits
+        assume(theta_cf >= 1e-3)
+        assert abs(tr.theta - theta_cf) <= 1e-8 * theta_cf
+        d_cf = cfg.h / math.tan(theta_cf)
+        assert abs(tr.d_raw - d_cf) <= 1e-8 * abs(d_cf)
+        assert np.array_equal(x_new, tr.x1 + tr.d_used * tr.g1 / norm(tr.g1))
 
 
 class TestRun:

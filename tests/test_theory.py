@@ -199,7 +199,6 @@ class TestCheckCurvature:
         obj = toy_b()
         traces = run(np.array([3.0, 3.0]), obj, DycentConfig(h=1e-2), 100, seed=0)
         report = wolfe_report(traces, obj, c1=1e-4, c2=0.9)
-        assert 0.0 <= report.curvature_rate <= 1.0
         assert len(report.curvature_pass) == len(traces)
 
 
@@ -208,9 +207,8 @@ class TestWolfeReport:
         obj = spd_quadratic(4, seed=6)
         traces = run_constrained(np.full(4, 0.3), obj, obj.lipschitz_bound, 10, seed=5)
         report = wolfe_report(traces, obj, c1=1.0 / (2.0 * obj.lipschitz_bound))
-        assert report.armijo_rate == 1.0
+        assert all(report.armijo_pass)
         assert len(report.armijo_pass) == len(traces)
-        assert 0.0 <= report.curvature_rate <= 1.0
 
     def test_rejects_invalid_constant_pair(self):
         obj = isotropic_quadratic(2)
