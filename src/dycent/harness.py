@@ -130,6 +130,10 @@ class RunConfig:
                 raise ConfigError("epochs only apply to dataset-backed objectives")
             if self.batch_size is None or self.batch_size < 1:
                 raise ConfigError("epoch mode needs batch_size >= 1")
+            if self.h_schedule is not None and self.h_schedule.at_epoch >= self.epochs:
+                raise ConfigError(
+                    f"h_decay_at_epoch {self.h_schedule.at_epoch} never applies in a run of {self.epochs} epochs"
+                )
         elif self.batch_size is not None or self.h_schedule is not None:
             raise ConfigError("batch_size and h_decay_factor/h_decay_at_epoch apply only in epoch mode; set epochs")
 

@@ -35,12 +35,11 @@ D_AVG_INIT_MODES = ("first_step", "zero")
 
 
 class NonFiniteStepError(ArithmeticError):
-    """A gradient, value or step size came out NaN/Inf; carries the partial
-    trace, and run_loop sets logged to the items logged before the step."""
+    """A gradient, value or step size came out NaN/Inf; run_loop sets
+    logged to the items logged before the step."""
 
-    def __init__(self, message: str, trace: "StepTrace | None" = None):
+    def __init__(self, message: str):
         super().__init__(message)
-        self.trace = trace
         self.logged: list = []
 
 
@@ -96,6 +95,7 @@ class StepTrace:
     """Full record of one step, sufficient to re-check its geometry."""
 
     x1: ParamVector
+    x_new: ParamVector  # x1 + d_used * g1 / ||g1||, the point dycent_step returns
     x2: ParamVector
     g1: ParamVector
     g2: ParamVector
@@ -153,20 +153,18 @@ def dycent_step(
     With lipschitz set the step runs in constrained mode (module docstring)
     and cfg.h and the EMA and doubling settings go unused.
     Raises ZeroGradientError at stationary points (the caller decides
-    whether to stop or perturb) and NonFiniteStepError, with the trace so
-    far, if either gradient, the step size or f_after is not finite.
+    whether to stop or perturb) and NonFiniteStepError if either gradient,
+    the step size or f_after is not finite.
     """
     x1 = np.asarray(x, dtype=np.float64)
     g1 = -obj.gradient(x1)
     g1_norm = norm(g1)
     if g1_norm == 0.0:
         raise ZeroGradientError("stationary point: gradient vanished")
+    if not math.isfinite(g1_norm):
+        raise NonFiniteStepError(f"gradient is not finite (norm {g1_norm})")
     if f_before is None:
         f_before = obj.value(x1)
-    if not math.isfinite(g1_norm):
-        nan = np.full_like(x1, math.nan)
-        trace = StepTrace(x1, nan, g1, nan, nan, math.nan, math.nan, math.nan, False, f_before, math.nan)
-        raise NonFiniteStepError(f"gradient is not finite (norm {g1_norm})", trace)
 
     h = cfg.h if lipschitz is None else 0.01 * g1_norm / lipschitz
     p1 = sample_perpendicular(g1, state.rng)
@@ -174,14 +172,12 @@ def dycent_step(
     g2 = -obj.gradient(x2)
     g2_norm = norm(g2)
     if not math.isfinite(g2_norm):
-        trace = StepTrace(x1, x2, g1, g2, p1, math.nan, math.nan, math.nan, False, f_before, math.nan)
-        raise NonFiniteStepError(f"probe gradient is not finite (norm {g2_norm})", trace)
+        raise NonFiniteStepError(f"probe gradient is not finite (norm {g2_norm})")
 
     theta = angle_between(g1, g2) + cfg.epsilon
     d_raw = h / math.tan(theta)
     if not math.isfinite(d_raw):
-        trace = StepTrace(x1, x2, g1, g2, p1, theta, d_raw, d_raw, False, f_before, math.nan)
-        raise NonFiniteStepError(f"step size h*cot(theta) is not finite at theta={theta}", trace)
+        raise NonFiniteStepError(f"step size h*cot(theta) is not finite at theta={theta}")
 
     if lipschitz is None:
         d_avg = update_average(state, cfg, d_raw)
@@ -193,9 +189,13 @@ def dycent_step(
 
     x_new = x1 + d_used * g1 / g1_norm
     state.step_count += 1
+    f_after = obj.value(x_new)
+    if not math.isfinite(f_after):
+        raise NonFiniteStepError(f"value at the new point is not finite ({f_after})")
 
     trace = StepTrace(
         x1=x1.copy(),
+        x_new=x_new,
         x2=x2,
         g1=g1,
         g2=g2,
@@ -205,10 +205,8 @@ def dycent_step(
         d_used=d_used,
         doubled=doubled,
         f_before=f_before,
-        f_after=obj.value(x_new),
+        f_after=f_after,
     )
-    if not math.isfinite(trace.f_after):
-        raise NonFiniteStepError(f"value at the new point is not finite ({trace.f_after})", trace)
     return x_new, trace
 
 
@@ -271,7 +269,7 @@ def run(
     """Iterate dycent_step up to max_iters times from x0.
 
     Stops early (without error) when a stationary point is reached;
-    numerical failures propagate with the offending trace attached.
+    numerical failures propagate as NonFiniteStepError.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import optimizer
 from .objective import Objective
 from .optimizer import StepTrace, constrained_h  # noqa: F401 - constrained_h stays part of this API
-from .vecmath import ParamVector, ZeroGradientError, norm
+from .vecmath import ParamVector
 
 # The stepper settings of a constrained run: the probe distance comes from
 # L, and the decrease bound is proved without the EMA/doubling heuristic.
@@ -62,10 +62,16 @@ def check_descent(trajectory: list[StepTrace], L: float, tol: float = 1e-10) -> 
 
 
 def check_armijo(trace: StepTrace, c1: float) -> bool:
-    """Sufficient decrease with step size d_used and descent direction -grad:
+    """Sufficient decrease with d_used in the place of the step size and
+    descent direction -grad:
 
         f(x_new) <= f(x1) + c1 * d_used * grad^T(-grad)
                   = f(x1) - c1 * d_used * ||grad||^2
+
+    The step moves d_used along the unit vector -grad/||grad||, so the
+    textbook Armijo step size is alpha = d_used/||grad||, and this bound
+    asks ||grad|| times the textbook decrease c1 * alpha * ||grad||^2:
+    less where ||grad|| < 1, more where ||grad|| > 1.
     """
     grad_sq = float(np.dot(trace.g1, trace.g1))
     return trace.f_after <= trace.f_before - c1 * trace.d_used * grad_sq
@@ -76,20 +82,16 @@ def check_curvature(
 ) -> bool:
     """Curvature condition |grad(x_new)^T p| <= c2 |grad(x1)^T p| with p = -grad(x1).
 
-    Needs the gradient at the landing point x_new; used for reporting
+    Needs the gradient at the landing point trace.x_new; used for reporting
     only. nxt, the trajectory's following step, already holds it as -nxt.g1
     when it starts at x_new bit for bit; otherwise obj evaluates it.
     """
-    g1_norm = norm(trace.g1)
-    if g1_norm == 0.0:
-        raise ZeroGradientError("curvature condition undefined at a stationary point")
-    x_new = trace.x1 + trace.d_used * trace.g1 / g1_norm
     # comparing bytes is the exact test and, unlike np.array_equal, cheaper
     # than an analytic gradient
-    if nxt is not None and nxt.x1.tobytes() == x_new.tobytes():
+    if nxt is not None and nxt.x1.tobytes() == trace.x_new.tobytes():
         g_new = -nxt.g1
     else:
-        g_new = obj.gradient(x_new)
+        g_new = obj.gradient(trace.x_new)
     lhs = abs(float(np.dot(g_new, trace.g1)))
     rhs = c2 * float(np.dot(trace.g1, trace.g1))
     return lhs <= rhs

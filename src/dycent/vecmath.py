@@ -52,13 +52,22 @@ def dot(a: ParamVector, b: ParamVector) -> float:
 
 
 def norm(a: ParamVector) -> float:
-    """Euclidean norm; zero only for the zero vector.
+    """Euclidean norm of a flat float vector.
 
-    Bit-identical to np.linalg.norm on a flat float vector, which also
-    takes the correctly rounded square root of a.dot(a), without its
-    Python-level dispatch.
+    Bit-identical to np.linalg.norm, which also takes the correctly rounded
+    square root of a.dot(a), without its Python-level dispatch; except that
+    where that square overflows and every entry is finite, the norm comes
+    from the vector scaled to a largest |entry| of 1, so norm([1e200, 0])
+    is 1e200, not inf. Underflow is not rescaled: norm([1e-170, 0]) is 0.0,
+    as np.linalg.norm gives.
     """
-    return math.sqrt(float(np.dot(a, a)))
+    # vdot runs np.dot's kernel, bit for bit, without np.dot's overflow warning
+    sq = float(np.vdot(a, a))
+    if sq == math.inf and np.isfinite(a).all():
+        s = float(np.max(np.abs(a)))
+        b = a / s
+        return s * math.sqrt(float(np.vdot(b, b)))
+    return math.sqrt(sq)
 
 
 def sample_perpendicular(g: ParamVector, rng: RngHandle) -> ParamVector:

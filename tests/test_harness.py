@@ -407,9 +407,12 @@ class TestCli:
             "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nmax_iters = 5\nbatch_size = 4\n",
             "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nmax_iters = 5\n"
             "h_decay_factor = 10\nh_decay_at_epoch = 1\n",
+            "objective = moons_mlp\noptimizer = sgd\nbatch_size = 32\nepochs = 2\n"
+            "h_decay_factor = 10\nh_decay_at_epoch = 2\n",
         ],
         ids=[
-            "x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d", "batch-no-epochs", "schedule-no-epochs"
+            "x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d", "batch-no-epochs", "schedule-no-epochs",
+            "schedule-past-last-epoch",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, section):

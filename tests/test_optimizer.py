@@ -120,39 +120,29 @@ class TestDycentStep:
         with pytest.raises(ZeroGradientError):
             dycent_step(np.array([-2.0, 0.0]), toy_a(), DycentConfig(), state_with())
 
-    def test_nan_gradient_raises_with_partial_trace(self, bounded_rng):
-        obj = AnalyticObjective(2, lambda x: 1.5, lambda x: np.array([math.nan, 1.0]))
-        x = np.array([0.5, -0.5])
-        with pytest.raises(NonFiniteStepError) as info:
-            dycent_step(x, obj, DycentConfig(), DycentState(rng=bounded_rng))
-        trace = info.value.trace
-        assert np.array_equal(trace.x1, x)
-        assert math.isnan(trace.g1[0]) and trace.g1[1] == -1.0
-        assert trace.f_before == 1.5
-        assert math.isnan(trace.f_after)
+    def test_nan_gradient_raises_before_value(self, bounded_rng):
+        def value(x):
+            raise AssertionError("value evaluated at a point with a NaN gradient")
 
-    def test_nan_probe_gradient_raises_with_trace(self):
+        obj = AnalyticObjective(2, value, lambda x: np.array([math.nan, 1.0]))
+        with pytest.raises(NonFiniteStepError, match="gradient is not finite"):
+            dycent_step(np.array([0.5, -0.5]), obj, DycentConfig(), DycentState(rng=bounded_rng))
+
+    def test_nan_probe_gradient_raises(self):
         # finite at x, NaN at the probe: the angle must not read as 0, which
         # would step h * cot(epsilon) = 1e6 without an error
         x = np.array([1.0, 0.0])
         obj = AnalyticObjective(
             2, lambda p: 0.5, lambda p: x if np.array_equal(p, x) else np.array([math.nan, 1.0])
         )
-        with pytest.raises(NonFiniteStepError, match="probe gradient is not finite") as info:
+        with pytest.raises(NonFiniteStepError, match="probe gradient is not finite"):
             dycent_step(x, obj, DycentConfig(), state_with())
-        trace = info.value.trace
-        assert np.array_equal(trace.g1, -x)
-        assert math.isnan(trace.g2[0]) and math.isnan(trace.theta)
-        assert math.isnan(trace.f_after)
 
-    def test_non_finite_value_at_new_point_raises_with_trace(self):
+    def test_non_finite_value_at_new_point_raises(self):
         x = np.array([0.6, -0.8])
         obj = AnalyticObjective(2, lambda p: 1.0 if np.array_equal(p, x) else math.inf, lambda p: p)
-        with pytest.raises(NonFiniteStepError, match="value at the new point") as info:
+        with pytest.raises(NonFiniteStepError, match=r"value at the new point is not finite \(inf\)"):
             dycent_step(x, obj, DycentConfig(), state_with())
-        trace = info.value.trace
-        assert trace.f_before == 1.0 and trace.f_after == math.inf
-        assert math.isfinite(trace.d_used)
 
     def test_trace_geometry(self):
         obj = toy_b()

@@ -23,6 +23,7 @@ def fabricate_trace(f_before, f_after, d_used, grad=np.array([1.0, 0.0])):
     x1 = np.array([1.0, 0.0])
     return StepTrace(
         x1=x1,
+        x_new=x1 + d_used * g1 / norm(g1),
         x2=x1 - 0.1 * p1,
         g1=g1,
         g2=g1.copy(),
@@ -99,7 +100,7 @@ def reference_run_constrained(x0, obj, L, max_iters, seed):
         d_used = h_max * cot_theta
         x_new = x + d_used * g1 / grad_norm
         f_after = obj.value(x_new)
-        traces.append(StepTrace(x.copy(), x2, g1, g2, p1, theta, h_probe * cot_theta, d_used, False, f, f_after))
+        traces.append(StepTrace(x.copy(), x_new, x2, g1, g2, p1, theta, h_probe * cot_theta, d_used, False, f, f_after))
         x, f = x_new, f_after
     return traces
 
@@ -132,7 +133,7 @@ class TestConstrainedOracle:
             ref = reference_run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed + 1000 + k)
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
-                for name in ("x1", "x2", "g1", "g2", "p1", "theta", "d_used", "doubled", "f_before", "f_after"):
+                for name in ("x1", "x_new", "x2", "g1", "g2", "p1", "theta", "d_used", "doubled", "f_before", "f_after"):
                     assert same_bits(getattr(g, name), getattr(r, name)), name
                 assert g.d_raw == pytest.approx(r.d_raw, rel=1e-15, abs=0.0)
             lengths.append(len(got))

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dycent.vecmath import (
@@ -59,11 +59,20 @@ class TestNorm:
     @given(st.lists(st.floats(width=64), min_size=1, max_size=12))
     @settings(max_examples=300)
     def test_bit_identical_to_linalg_norm(self, values):
-        # any float, including NaN, Inf and squares that overflow or underflow
+        # any float, including NaN, Inf and squares that underflow; finite
+        # vectors whose square overflows are rescaled (next test)
         a = np.asarray(values, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            got, expected = norm(a), float(np.linalg.norm(a))
+        assume(not (np.isfinite(a).all() and np.vdot(a, a) == math.inf))
+        with np.errstate(over="ignore"):  # a finite entry's square beside an Inf
+            expected = float(np.linalg.norm(a))
+        got = norm(a)
         assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    def test_overflowing_square_is_rescaled(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(np.array([1e200, 0.0])) == 1e200
+            assert norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
 
 
 class TestSamplePerpendicular:
@@ -84,6 +93,13 @@ class TestSamplePerpendicular:
     def test_1d_rejected(self):
         with pytest.raises(DimensionError):
             sample_perpendicular(np.array([1.0]), make_rng(0))
+
+    def test_gradient_with_overflowing_square(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = sample_perpendicular(np.array([1e200, 1.0]), make_rng(0))
+        assert p[0] == pytest.approx(0.0, abs=1e-12)
+        assert abs(p[1]) == 1.0
 
     @pytest.mark.parametrize("g", [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, math.inf, 0.0]])
     def test_non_finite_rejected_without_resampling(self, g, bounded_rng):
