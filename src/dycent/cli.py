@@ -9,7 +9,6 @@ from .harness import ConfigError, parse_config_file, run_angle_experiment, run_c
 from .optimizer import NonFiniteStepError
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
@@ -61,8 +60,7 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             cfgs = _apply_overrides(parse_config_file(args.config), args)
             result = run_comparison(cfgs, out_dir=args.out)
-            with open(result["files"]["comparison_txt"]) as fh:
-                print(fh.read(), end="")
+            print(result["table"], end="")
             print(f"written: {result['files']['comparison_csv']}")
         elif args.command == "theory":
             report = run_theory_suite(seed=args.seed if args.seed is not None else 0, out_dir=args.out)

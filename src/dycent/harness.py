@@ -11,7 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from configparser import ConfigParser
+from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,9 +89,9 @@ class HSchedule:
 
     def __post_init__(self):
         if not self.decay_factor > 0:
-            raise ConfigError("decay_factor must be > 0")
+            raise ConfigError("h_decay_factor must be > 0")
         if self.at_epoch < 0:
-            raise ConfigError("at_epoch must be >= 0")
+            raise ConfigError("h_decay_at_epoch must be >= 0")
 
 
 @dataclass
@@ -324,11 +324,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> 
     if annotate is not None:
         summary.update(annotate(records))
 
-    try:
-        write_trajectory_csv(csv_path, records)
-        json_path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing results under {out}: {exc}") from exc
+    write_trajectory_csv(csv_path, records)
+    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
     if error is not None:
         raise error
     return summary
@@ -337,22 +334,17 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> 
 def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     """Run several optimizers head to head on one objective and start.
 
-    Runs each config once and emits a CSV and an aligned-text table.
+    Runs each config once, writes a CSV and an aligned-text table, and returns the table's text.
     """
     if not cfgs:
         raise ConfigError("comparison needs at least one run config")
     ref = cfgs[0]
     for c in cfgs[1:]:
-        same = (
-            c.objective == ref.objective
-            and c.objective_params == ref.objective_params
-            and c.x0 == ref.x0
-            and c.max_iters == ref.max_iters
-            and c.epochs == ref.epochs
-            and c.batch_size == ref.batch_size
-        )
-        if not same:
-            raise ConfigError("comparison configs must share objective, x0 and iteration budget")
+        for name in ("objective", "objective_params", "x0", "max_iters", "epochs", "batch_size"):
+            if getattr(c, name) != getattr(ref, name):
+                raise ConfigError(
+                    f"comparison configs must share {name}; [{ref.output_prefix}] and [{c.output_prefix}] differ"
+                )
 
     summaries = [run_experiment(c, out_dir) for c in cfgs]
     rows = [
@@ -367,7 +359,7 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     ]
 
     # "repeats": 1 is a constant, kept so that comparison file names do not move
-    digest = config_hash({"runs": [config_echo(c) for c in cfgs], "repeats": 1})
+    digest = config_hash({"runs": [s["config"] for s in summaries], "repeats": 1})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = f"{ref.output_prefix}-comparison-{digest}"
@@ -383,10 +375,12 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     txt_lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
     for row in rows:
         txt_lines.append("  ".join(_fmt(row[c]).ljust(widths[c]) for c in cols))
-    txt_path.write_text("\n".join(txt_lines) + "\n")
+    table = "\n".join(txt_lines) + "\n"
+    txt_path.write_text(table)
 
     return {
         "rows": rows,
+        "table": table,
         "files": {"comparison_csv": str(csv_path), "comparison_txt": str(txt_path)},
         "runs": summaries,
     }
@@ -428,7 +422,7 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
             traces = theory.run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
             report = theory.check_descent(traces, L, tol=1e-10)
             wolfe = theory.wolfe_report(traces, obj, c1=1.0 / (2.0 * L), c2=0.9)
-            obj_steps += report.steps_checked
+            obj_steps += len(traces)
             obj_viol += report.violations
             min_margin = min(min_margin, report.min_decrease_margin)
             armijo += wolfe.armijo_pass
@@ -540,7 +534,10 @@ def parse_config_file(path: str | Path) -> list[RunConfig]:
     prefix unless output_prefix is set explicitly.
     """
     parser = ConfigParser(interpolation=None)  # a '%' in a value is literal
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (ConfigParserError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     configs = []

@@ -29,7 +29,6 @@ CONSTRAINED_CONFIG = optimizer.DycentConfig(epsilon=1e-12, enable_doubling=False
 class DescentReport:
     """Outcome of checking the per-step decrease bound over a trajectory."""
 
-    steps_checked: int
     violations: int
     min_decrease_margin: float
 
@@ -38,8 +37,6 @@ class DescentReport:
 class WolfeReport:
     """Per-step sufficient-decrease and curvature outcomes for a trajectory."""
 
-    c1: float
-    c2: float
     armijo_pass: list[bool]
     curvature_pass: list[bool]
 
@@ -54,11 +51,7 @@ def check_descent(trajectory: list[StepTrace], L: float, tol: float = 1e-10) -> 
         if margin < -tol:
             violations += 1
         min_margin = min(min_margin, margin)
-    return DescentReport(
-        steps_checked=len(trajectory),
-        violations=violations,
-        min_decrease_margin=min_margin,
-    )
+    return DescentReport(violations=violations, min_decrease_margin=min_margin)
 
 
 def check_armijo(trace: StepTrace, c1: float) -> bool:
@@ -110,8 +103,6 @@ def wolfe_report(
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
     return WolfeReport(
-        c1=c1,
-        c2=c2,
         armijo_pass=[check_armijo(tr, c1) for tr in trajectory],
         curvature_pass=[
             check_curvature(tr, c2, obj, nxt)

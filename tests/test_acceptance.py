@@ -54,7 +54,7 @@ def test_criterion_1_descent_bound(constrained_quadratic_steps):
     violations = 0
     for _, L, traces in runs:
         report = theory.check_descent(traces, L, tol=1e-10)
-        total += report.steps_checked
+        total += len(traces)
         violations += report.violations
     assert total >= 10_000, f"only {total} constrained steps generated"
     assert violations == 0, f"{violations} descent violations in {total} steps"

@@ -206,8 +206,11 @@ class TestHSchedule:
         assert s_base["final_f"] != s_sched["final_f"]
 
     def test_invalid_schedule(self):
-        with pytest.raises(ConfigError):
+        # the messages name the config-file keys, not the dataclass fields
+        with pytest.raises(ConfigError, match="^h_decay_factor must be > 0$"):
             HSchedule(decay_factor=0.0, at_epoch=1)
+        with pytest.raises(ConfigError, match="^h_decay_at_epoch must be >= 0$"):
+            HSchedule(decay_factor=10.0, at_epoch=-1)
 
 
 class TestRunComparison:
@@ -224,6 +227,16 @@ class TestRunComparison:
         )
         with pytest.raises(ConfigError):
             run_comparison([a, b], out_dir=tmp_path)
+
+    def test_mismatch_names_field_and_sections(self, tmp_path):
+        a = toy_b_cfg("sgd")
+        b = RunConfig(
+            objective="toy_b", optimizer="adam", x0="toy_b_init", max_iters=100,
+            optimizer_params={"lr": 1e-2}, output_prefix="tb-adam",
+        )
+        with pytest.raises(ConfigError, match=r"share max_iters; \[tb\] and \[tb-adam\] differ"):
+            run_comparison([a, b], out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_emits_csv_and_text(self, tmp_path):
         result = run_comparison([toy_b_cfg("sgd"), toy_b_cfg("adam")], out_dir=tmp_path)
@@ -328,7 +341,10 @@ class TestCli:
         path.write_text(CONFIG_TEXT)
         code = cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "dycent" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        (txt_path,) = (tmp_path / "out").glob("*-comparison-*.txt")
+        assert out.startswith(txt_path.read_text())
+        assert "dycent" in out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "runs.ini"
@@ -409,10 +425,13 @@ class TestCli:
             "h_decay_factor = 10\nh_decay_at_epoch = 1\n",
             "objective = moons_mlp\noptimizer = sgd\nbatch_size = 32\nepochs = 2\n"
             "h_decay_factor = 10\nh_decay_at_epoch = 2\n",
+            "objective = toy_b\noptimizer = sgd\n[r]\nx0 = toy_b_init\n",
+            "objective = toy_b\noptimizer = sgd\noptimizer = adam\n",
+            "objective = toy_b\noptimizer sgd\n",
         ],
         ids=[
             "x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d", "batch-no-epochs", "schedule-no-epochs",
-            "schedule-past-last-epoch",
+            "schedule-past-last-epoch", "duplicate-section", "duplicate-key", "line-without-equals",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, section):
@@ -422,17 +441,46 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "content", [b"objective = toy_b\noptimizer = sgd\n", b"\xff\xfe[r]\nobjective = toy_b\n"],
+        ids=["no-section-header", "not-utf8"],
+    )
+    def test_unparsable_config_file_exits_2_without_traceback(self, tmp_path, content):
+        path = tmp_path / "runs.ini"
+        path.write_bytes(content)
+        proc = run_dycent("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "error[config]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "theory", "angles"])
+    def test_out_is_a_file_exits_4_without_traceback(self, tmp_path, command):
+        config = tmp_path / "runs.ini"
+        config.write_text(CONFIG_TEXT)
+        out = tmp_path / "taken"
+        out.write_text("")
+        args = {"run": ["--config", str(config)], "compare": ["--config", str(config)], "angles": ["--iters", "2"]}
+        proc = run_dycent(command, *args.get(command, []), "--out", str(out))
+        assert proc.returncode == cli.EXIT_IO
+        assert "error[io]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def run_dycent(*args: str) -> subprocess.CompletedProcess:
+    """The dycent CLI with args in a fresh interpreter that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "dycent.cli", *args], env=env, capture_output=True, text=True, timeout=30
+    )
+
 
 def run_cli(tmp_path, section: str) -> subprocess.CompletedProcess:
     """`dycent run` on a one-section config in a fresh interpreter, writing to tmp_path/out."""
     path = tmp_path / "runs.ini"
     path.write_text("[r]\n" + section)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "dycent.cli", "run", "--config", str(path), "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    return run_dycent("run", "--config", str(path), "--out", str(tmp_path / "out"))
 
 
 def partial_outputs(tmp_path) -> tuple[dict, list[dict]]:
