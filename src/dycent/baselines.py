@@ -142,7 +142,7 @@ def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
     gradient of the stop check is the one the update uses. A gradient or a
     new value that is not finite raises NonFiniteStepError."""
 
-    def step(i, x, f):
+    def step(i, x):
         g = obj.gradient(x)
         grad_norm = norm(g)
         if grad_norm == 0.0:
@@ -153,7 +153,7 @@ def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
         f_new = obj.value(x_new)
         if not math.isfinite(f_new):
             raise NonFiniteStepError(f"value at the new point is not finite ({f_new})")
-        return x_new, f_new, TrajectoryRecord(iter=i, f=f_new, grad_norm=grad_norm)
+        return x_new, TrajectoryRecord(iter=i, f=f_new, grad_norm=grad_norm)
 
     return step
 

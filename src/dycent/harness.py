@@ -338,12 +338,13 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     """
     if not cfgs:
         raise ConfigError("comparison needs at least one run config")
-    ref = cfgs[0]
-    for c in cfgs[1:]:
+    # each echo holds the parameters its run uses and checks its optimizer settings, before any run
+    ref, *echoes = [config_echo(c) for c in cfgs]
+    for echo in echoes:
         for name in ("objective", "objective_params", "x0", "max_iters", "epochs", "batch_size"):
-            if getattr(c, name) != getattr(ref, name):
+            if echo[name] != ref[name]:
                 raise ConfigError(
-                    f"comparison configs must share {name}; [{ref.output_prefix}] and [{c.output_prefix}] differ"
+                    f"comparison configs must share {name}; [{ref['output_prefix']}] and [{echo['output_prefix']}] differ"
                 )
 
     summaries = [run_experiment(c, out_dir) for c in cfgs]
@@ -362,7 +363,7 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     digest = config_hash({"runs": [s["config"] for s in summaries], "repeats": 1})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = f"{ref.output_prefix}-comparison-{digest}"
+    base = f"{ref['output_prefix']}-comparison-{digest}"
     csv_path = out / f"{base}.csv"
     txt_path = out / f"{base}.txt"
 
@@ -420,8 +421,10 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
             direction /= np.linalg.norm(direction)
             x0 = direction * rng.uniform(0.1, 0.95)
             traces = theory.run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
-            report = theory.check_descent(traces, L, tol=1e-10)
-            wolfe = theory.wolfe_report(traces, obj, c1=1.0 / (2.0 * L), c2=0.9)
+            # each step starts where the one before landed, so f there is its f_after
+            f_before = [obj.value(t.x1) for t in traces[:1]] + [t.f_after for t in traces[:-1]]
+            report = theory.check_descent(traces, f_before, L, tol=1e-10)
+            wolfe = theory.wolfe_report(traces, f_before, obj, c1=1.0 / (2.0 * L), c2=0.9)
             obj_steps += len(traces)
             obj_viol += report.violations
             min_margin = min(min_margin, report.min_decrease_margin)

@@ -95,8 +95,9 @@ class MlpObjective(Objective):
     set_batch and clear_batch copy the rows they pin: the pinned rows are a
     snapshot of the dataset taken then, and a later edit of the dataset is
     seen only after the next pin. value and gradient share one memoized
-    forward pass, keyed by the bytes of x and dropped at every pin, so a
-    value at the point of the previous gradient reuses its forward pass.
+    forward pass, keyed by the bytes of x and dropped at every pin: in a
+    run without batches, each step's first gradient reuses the pass of the
+    value taken where the step before landed.
     """
 
     def __init__(self, spec: MlpSpec, data: Dataset):

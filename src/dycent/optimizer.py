@@ -104,7 +104,6 @@ class StepTrace:
     d_raw: float
     d_used: float
     doubled: bool
-    f_before: float
     f_after: float
 
 
@@ -144,12 +143,11 @@ def dycent_step(
     obj: Objective,
     cfg: DycentConfig,
     state: DycentState,
-    f_before: float | None = None,
+    *,
     lipschitz: float | None = None,
 ) -> tuple[ParamVector, StepTrace]:
     """One angle-probed step from x; returns the new point and its trace.
 
-    f_before is obj's value at x if the caller knows it; None evaluates it.
     With lipschitz set the step runs in constrained mode (module docstring)
     and cfg.h and the EMA and doubling settings go unused.
     Raises ZeroGradientError at stationary points (the caller decides
@@ -163,8 +161,6 @@ def dycent_step(
         raise ZeroGradientError("stationary point: gradient vanished")
     if not math.isfinite(g1_norm):
         raise NonFiniteStepError(f"gradient is not finite (norm {g1_norm})")
-    if f_before is None:
-        f_before = obj.value(x1)
 
     h = cfg.h if lipschitz is None else 0.01 * g1_norm / lipschitz
     p1 = sample_perpendicular(g1, state.rng)
@@ -204,7 +200,6 @@ def dycent_step(
         d_raw=d_raw,
         d_used=d_used,
         doubled=doubled,
-        f_before=f_before,
         f_after=f_after,
     )
     return x_new, trace
@@ -215,23 +210,20 @@ def run_loop(x0: ParamVector, obj: Objective, schedule, end_epoch=None) -> tuple
 
     schedule yields one (step, batches) pair per epoch; a batch is a row
     index array to pin on obj, or None (a deterministic run is one epoch
-    of None batches). step(i, x, f) returns (x_new, f_new, item); f is the
-    previous f_new, None at the start and after a batch change. end_epoch(x,
-    items) runs after each epoch. A ZeroGradientError ends the run as
+    of None batches). step(i, x) returns (x_new, item). end_epoch(x, items)
+    runs after each epoch. A ZeroGradientError ends the run as
     "zero_gradient_start" before any item, "stationary_point" after. A
     NonFiniteStepError propagates with its logged set to the items so far.
     """
     x = np.asarray(x0, dtype=np.float64)
-    f = None
     items: list = []
     reason = None
     for step, batches in schedule:
         for batch in batches:
             if batch is not None:
                 obj.set_batch(BatchContext(batch))
-                f = None
             try:
-                x, f, item = step(len(items), x, f)
+                x, item = step(len(items), x)
             except ZeroGradientError:
                 reason = "stationary_point" if items else "zero_gradient_start"
                 break
@@ -251,9 +243,9 @@ def dycent_stepper(
 ):
     """dycent_step as a run_loop step; log(i, trace) makes the logged item."""
 
-    def step(i, x, f):
-        x_new, trace = dycent_step(x, obj, cfg, state, f, lipschitz)
-        return x_new, trace.f_after, log(i, trace)
+    def step(i, x):
+        x_new, trace = dycent_step(x, obj, cfg, state, lipschitz=lipschitz)
+        return x_new, log(i, trace)
 
     return step
 

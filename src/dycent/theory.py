@@ -41,25 +41,25 @@ class WolfeReport:
     curvature_pass: list[bool]
 
 
-def check_descent(trajectory: list[StepTrace], L: float, tol: float = 1e-10) -> DescentReport:
-    """Verify f(x_new) <= f(x_old) - ||grad||^2/(2L) + tol on every step."""
+def check_descent(trajectory: list[StepTrace], f_before: list[float], L: float, tol: float = 1e-10) -> DescentReport:
+    """Verify f(x_new) <= f_before[k] - ||grad||^2/(2L) + tol on every step k; f_before[k] is f(x1)."""
     violations = 0
     min_margin = math.inf
-    for tr in trajectory:
+    for tr, f1 in zip(trajectory, f_before, strict=True):
         grad_sq = float(np.dot(tr.g1, tr.g1))
-        margin = (tr.f_before - tr.f_after) - grad_sq / (2.0 * L)
+        margin = (f1 - tr.f_after) - grad_sq / (2.0 * L)
         if margin < -tol:
             violations += 1
         min_margin = min(min_margin, margin)
     return DescentReport(violations=violations, min_decrease_margin=min_margin)
 
 
-def check_armijo(trace: StepTrace, c1: float) -> bool:
+def check_armijo(trace: StepTrace, f_before: float, c1: float) -> bool:
     """Sufficient decrease with d_used in the place of the step size and
-    descent direction -grad:
+    descent direction -grad, f_before being f(x1):
 
-        f(x_new) <= f(x1) + c1 * d_used * grad^T(-grad)
-                  = f(x1) - c1 * d_used * ||grad||^2
+        f(x_new) <= f_before + c1 * d_used * grad^T(-grad)
+                  = f_before - c1 * d_used * ||grad||^2
 
     The step moves d_used along the unit vector -grad/||grad||, so the
     textbook Armijo step size is alpha = d_used/||grad||, and this bound
@@ -67,7 +67,7 @@ def check_armijo(trace: StepTrace, c1: float) -> bool:
     less where ||grad|| < 1, more where ||grad|| > 1.
     """
     grad_sq = float(np.dot(trace.g1, trace.g1))
-    return trace.f_after <= trace.f_before - c1 * trace.d_used * grad_sq
+    return trace.f_after <= f_before - c1 * trace.d_used * grad_sq
 
 
 def check_curvature(
@@ -91,9 +91,9 @@ def check_curvature(
 
 
 def wolfe_report(
-    trajectory: list[StepTrace], obj: Objective, c1: float, c2: float = 0.9
+    trajectory: list[StepTrace], f_before: list[float], obj: Objective, c1: float, c2: float = 0.9
 ) -> WolfeReport:
-    """Evaluate both Wolfe conditions on every step of a trajectory.
+    """Evaluate both Wolfe conditions on every step k of a trajectory; f_before[k] is f(x1).
 
     Both conditions are checked, so the constants must form a valid
     strong-Wolfe pair 0 < c1 < c2 < 1. Each landing gradient is taken from
@@ -103,7 +103,7 @@ def wolfe_report(
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
     return WolfeReport(
-        armijo_pass=[check_armijo(tr, c1) for tr in trajectory],
+        armijo_pass=[check_armijo(tr, f1, c1) for tr, f1 in zip(trajectory, f_before, strict=True)],
         curvature_pass=[
             check_curvature(tr, c2, obj, nxt)
             for tr, nxt in zip(trajectory, trajectory[1:] + [None])

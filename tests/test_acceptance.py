@@ -52,8 +52,8 @@ def test_criterion_1_descent_bound(constrained_quadratic_steps):
     runs, elapsed = constrained_quadratic_steps
     total = 0
     violations = 0
-    for _, L, traces in runs:
-        report = theory.check_descent(traces, L, tol=1e-10)
+    for obj, L, traces in runs:
+        report = theory.check_descent(traces, [obj.value(tr.x1) for tr in traces], L, tol=1e-10)
         total += len(traces)
         violations += report.violations
     assert total >= 10_000, f"only {total} constrained steps generated"
@@ -67,10 +67,10 @@ def test_criterion_2_armijo_sufficient_decrease(constrained_quadratic_steps):
     # same constrained steps
     runs, _ = constrained_quadratic_steps
     checked = 0
-    for _, L, traces in runs:
+    for obj, L, traces in runs:
         c1 = 1.0 / (2.0 * L)
         for tr in traces:
-            assert theory.check_armijo(tr, c1), "sufficient decrease failed"
+            assert theory.check_armijo(tr, obj.value(tr.x1), c1), "sufficient decrease failed"
             checked += 1
     assert checked >= 10_000
     print(f"criterion 2: sufficient decrease on {checked}/{checked} steps")

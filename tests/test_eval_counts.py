@@ -1,8 +1,8 @@
 """Objective evaluations per step, pinned per driver.
 
 Each point is evaluated once: the stop check's gradient feeds the
-baseline update, and a dycent step takes its f_before from the previous
-step's f_after unless the minibatch changed in between, and the Wolfe
+baseline update, a dycent step evaluates f only where it lands, the
+theory checks read each step's start value from the caller, and the Wolfe
 report takes each landing gradient from the step that starts there. The counts are
 taken by a wrapper defined here, not by package code, so a refactor that
 brings a duplicate evaluation back fails these tests.
@@ -14,7 +14,7 @@ import pytest
 from dycent import harness
 from dycent.harness import RunConfig, run_experiment
 from dycent.objective import spd_quadratic
-from dycent.theory import check_curvature, run_constrained, wolfe_report
+from dycent.theory import check_curvature, check_descent, run_constrained, wolfe_report
 
 
 class CountingObjective:
@@ -74,7 +74,7 @@ def test_deterministic_dycent_two_gradients_one_value_per_step(counted, tmp_path
         optimizer_params={"h": 1e-3},
     )
     assert steps == 60
-    assert (obj.gradients, obj.values) == (2 * steps, steps + 1)
+    assert (obj.gradients, obj.values) == (2 * steps, steps)
 
 
 def test_epoch_baseline_one_gradient_per_step(counted, tmp_path):
@@ -86,22 +86,27 @@ def test_epoch_baseline_one_gradient_per_step(counted, tmp_path):
     assert (obj.gradients, obj.values) == (steps, steps)
 
 
-def test_epoch_dycent_evaluates_f_before_on_each_new_batch(counted, tmp_path):
+def test_epoch_dycent_two_gradients_one_value_per_step(counted, tmp_path):
     steps, obj = run_counted(
         counted, tmp_path, objective="moons_mlp", optimizer="dycent", batch_size=32, epochs=3,
         objective_params={"n": 100}, optimizer_params={"h": 2e-3, "epsilon": 0.02},
     )
     assert steps == 3 * 4
-    assert (obj.gradients, obj.values) == (2 * steps, 2 * steps)
+    assert (obj.gradients, obj.values) == (2 * steps, steps)
 
 
-def test_run_constrained_one_value_per_step_plus_one():
+def test_run_constrained_two_gradients_one_value_per_step():
     inner = spd_quadratic(5, seed=3)
     obj = CountingObjective(inner)
     traces = run_constrained(np.full(5, 0.5), obj, inner.lipschitz_bound, 15, seed=2)
     assert len(traces) == 15
-    assert obj.values == len(traces) + 1
+    assert obj.values == len(traces)
     assert obj.gradients == 2 * len(traces)
+
+
+def start_values(obj, traces):
+    """f at each step's start point, evaluated directly."""
+    return [obj.value(tr.x1) for tr in traces]
 
 
 @pytest.fixture(scope="module")
@@ -113,15 +118,45 @@ def constrained_run():
 def test_wolfe_report_evaluates_only_the_last_landing_gradient(constrained_run):
     inner, traces = constrained_run
     obj = CountingObjective(inner)
-    wolfe_report(traces, obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
+    wolfe_report(traces, start_values(inner, traces), obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
     assert (obj.gradients, obj.values) == (1, 0)
 
 
 def test_wolfe_report_evaluates_across_a_gap(constrained_run):
     inner, traces = constrained_run
     obj = CountingObjective(inner)
-    wolfe_report(traces[:7] + traces[8:], obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
+    gapped = traces[:7] + traces[8:]
+    wolfe_report(gapped, start_values(inner, gapped), obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
     assert (obj.gradients, obj.values) == (2, 0)
+
+
+def test_theory_checks_evaluate_no_value(constrained_run):
+    inner, traces = constrained_run
+    obj = CountingObjective(inner)
+    f_before = start_values(inner, traces)
+    # each step starts where the one before landed, so the run's own values give the same list
+    assert f_before[1:] == [tr.f_after for tr in traces[:-1]]
+    assert check_descent(traces, f_before, inner.lipschitz_bound).violations == 0
+    assert all(wolfe_report(traces, f_before, obj, c1=1.0 / (2.0 * inner.lipschitz_bound)).armijo_pass)
+    assert obj.values == 0
+
+
+def test_theory_suite_one_value_per_step_plus_one_per_run(monkeypatch, tmp_path):
+    built = []
+
+    def counting(build):
+        def wrapped(*args, **kwargs):
+            built.append(CountingObjective(build(*args, **kwargs)))
+            return built[-1]
+
+        return wrapped
+
+    for name in ("isotropic_quadratic", "spd_quadratic"):
+        monkeypatch.setattr(harness.objectives, name, counting(getattr(harness.objectives, name)))
+    report = harness.run_theory_suite(0, tmp_path)
+    runs = 200 + 250 + 250  # the suite's starts on its three quadratics
+    assert len(built) == 3
+    assert sum(obj.values for obj in built) == report["descent"]["steps_checked"] + runs
 
 
 def test_check_curvature_same_verdict_with_and_without_next(constrained_run):

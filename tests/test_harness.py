@@ -238,6 +238,28 @@ class TestRunComparison:
             run_comparison([a, b], out_dir=tmp_path)
         assert not any(tmp_path.iterdir())
 
+    def test_compares_objective_params_with_defaults_filled_in(self, tmp_path):
+        code = compare_sections(
+            tmp_path, "objective = quadratic\noptimizer = sgd\ndim = 2", "objective = quadratic\noptimizer = adam"
+        )
+        assert code == cli.EXIT_OK
+        assert len(list((tmp_path / "out").glob("*-comparison-*.csv"))) == 1
+
+    def test_moons_runs_from_different_init_seeds_rejected(self, tmp_path, capsys):
+        # init_seed defaults to the run seed, so these runs start from different points
+        code = compare_sections(tmp_path, *(f"objective = moons_mlp\noptimizer = sgd\nseed = {s}" for s in (1, 2)))
+        assert code == cli.EXIT_CONFIG
+        assert "share objective_params; [a] and [b] differ" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_every_section_checked_before_the_first_run(self, tmp_path, capsys):
+        code = compare_sections(
+            tmp_path, "objective = quadratic\noptimizer = sgd", "objective = quadratic\noptimizer = adam\nlr = -1"
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "lr must be > 0" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
     def test_emits_csv_and_text(self, tmp_path):
         result = run_comparison([toy_b_cfg("sgd"), toy_b_cfg("adam")], out_dir=tmp_path)
         csv_lines = Path(result["files"]["comparison_csv"]).read_text().splitlines()
@@ -474,6 +496,15 @@ def run_dycent(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "dycent.cli", *args], env=env, capture_output=True, text=True, timeout=30
     )
+
+
+def compare_sections(tmp_path, a: str, b: str) -> int:
+    """`dycent compare`, in process, on sections [a] and [b] with x0 = auto and
+    max_iters = 5, writing to the empty directory tmp_path/out."""
+    path = tmp_path / "runs.ini"
+    path.write_text(f"[a]\n{a}\nx0 = auto\nmax_iters = 5\n[b]\n{b}\nx0 = auto\nmax_iters = 5\n")
+    (tmp_path / "out").mkdir()
+    return cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
 
 
 def run_cli(tmp_path, section: str) -> subprocess.CompletedProcess:

@@ -120,6 +120,11 @@ class TestDycentStep:
         with pytest.raises(ZeroGradientError):
             dycent_step(np.array([-2.0, 0.0]), toy_a(), DycentConfig(), state_with())
 
+    def test_lipschitz_is_keyword_only(self):
+        # a positional fifth argument must not switch on constrained mode
+        with pytest.raises(TypeError):
+            dycent_step(np.array([1.0, 0.0]), isotropic_quadratic(2), DycentConfig(), state_with(), 1.0)
+
     def test_nan_gradient_raises_before_value(self, bounded_rng):
         def value(x):
             raise AssertionError("value evaluated at a point with a NaN gradient")

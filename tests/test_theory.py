@@ -16,7 +16,7 @@ from dycent.theory import (
 from dycent.vecmath import angle_between, make_rng, norm, sample_perpendicular
 
 
-def fabricate_trace(f_before, f_after, d_used, grad=np.array([1.0, 0.0])):
+def fabricate_trace(f_after, d_used, grad=np.array([1.0, 0.0])):
     """Hand-built trace around x1 = (1, 0) with the given bookkeeping."""
     g1 = -np.asarray(grad, dtype=np.float64)
     p1 = np.array([0.0, 1.0])
@@ -32,7 +32,6 @@ def fabricate_trace(f_before, f_after, d_used, grad=np.array([1.0, 0.0])):
         d_raw=d_used,
         d_used=d_used,
         doubled=False,
-        f_before=f_before,
         f_after=f_after,
     )
 
@@ -83,7 +82,6 @@ def reference_run_constrained(x0, obj, L, max_iters, seed):
     then step h_max * cot(theta) with h_max = ||g|| * tan(theta) / L."""
     rng = make_rng(seed)
     x = np.asarray(x0, dtype=np.float64)
-    f = obj.value(x)
     traces = []
     for _ in range(max_iters):
         g1 = -obj.gradient(x)
@@ -100,8 +98,8 @@ def reference_run_constrained(x0, obj, L, max_iters, seed):
         d_used = h_max * cot_theta
         x_new = x + d_used * g1 / grad_norm
         f_after = obj.value(x_new)
-        traces.append(StepTrace(x.copy(), x_new, x2, g1, g2, p1, theta, h_probe * cot_theta, d_used, False, f, f_after))
-        x, f = x_new, f_after
+        traces.append(StepTrace(x.copy(), x_new, x2, g1, g2, p1, theta, h_probe * cot_theta, d_used, False, f_after))
+        x = x_new
     return traces
 
 
@@ -133,7 +131,7 @@ class TestConstrainedOracle:
             ref = reference_run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed + 1000 + k)
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
-                for name in ("x1", "x_new", "x2", "g1", "g2", "p1", "theta", "d_used", "doubled", "f_before", "f_after"):
+                for name in ("x1", "x_new", "x2", "g1", "g2", "p1", "theta", "d_used", "doubled", "f_after"):
                     assert same_bits(getattr(g, name), getattr(r, name)), name
                 assert g.d_raw == pytest.approx(r.d_raw, rel=1e-15, abs=0.0)
             lengths.append(len(got))
@@ -148,20 +146,20 @@ class TestCheckDescent:
             x0 = rng.standard_normal(3)
             x0 *= rng.uniform(0.1, 0.95) / np.linalg.norm(x0)
             traces = run_constrained(x0, obj, 1.0, 10, seed=k)
-            report = check_descent(traces, 1.0, tol=1e-10)
+            report = check_descent(traces, [obj.value(tr.x1) for tr in traces], 1.0, tol=1e-10)
             assert report.violations == 0
             assert report.min_decrease_margin >= -1e-10
             total += len(traces)
         assert total >= 100
 
     def test_empty_trajectory(self):
-        report = check_descent([], 1.0)
+        report = check_descent([], [], 1.0)
         assert report.violations == 0
 
     def test_detects_fabricated_violation(self):
         # an f-increasing step can never satisfy the decrease bound
-        bad = fabricate_trace(f_before=1.0, f_after=1.5, d_used=0.3)
-        report = check_descent([bad], L=1.0, tol=1e-10)
+        bad = fabricate_trace(f_after=1.5, d_used=0.3)
+        report = check_descent([bad], [1.0], L=1.0, tol=1e-10)
         assert report.violations >= 1
         assert report.min_decrease_margin < 0
 
@@ -171,15 +169,15 @@ class TestCheckArmijo:
         obj = isotropic_quadratic(4)
         x0 = np.full(4, 0.3)
         for tr in run_constrained(x0, obj, 1.0, 5, seed=3):
-            assert check_armijo(tr, c1=0.5)
+            assert check_armijo(tr, obj.value(tr.x1), c1=0.5)
 
     def test_zero_step_passes_by_equality(self):
-        tr = fabricate_trace(f_before=2.0, f_after=2.0, d_used=0.0)
-        assert check_armijo(tr, c1=0.5)
+        tr = fabricate_trace(f_after=2.0, d_used=0.0)
+        assert check_armijo(tr, 2.0, c1=0.5)
 
     def test_ascent_step_fails(self):
-        tr = fabricate_trace(f_before=1.0, f_after=1.2, d_used=0.3)
-        assert not check_armijo(tr, c1=0.5)
+        tr = fabricate_trace(f_after=1.2, d_used=0.3)
+        assert not check_armijo(tr, 1.0, c1=0.5)
 
 
 class TestCheckCurvature:
@@ -191,14 +189,14 @@ class TestCheckCurvature:
 
     def test_zero_length_step_fails_strict_bound(self):
         obj = isotropic_quadratic(2)
-        tr = fabricate_trace(f_before=0.5, f_after=0.5, d_used=0.0)
+        tr = fabricate_trace(f_after=0.5, d_used=0.0)
         assert not check_curvature(tr, c2=0.9, obj=obj)
 
     def test_toy_b_fraction_reported_without_assertion(self):
         # measurement only: the curvature condition carries no guarantee
         obj = toy_b()
         traces = run(np.array([3.0, 3.0]), obj, DycentConfig(h=1e-2), 100, seed=0)
-        report = wolfe_report(traces, obj, c1=1e-4, c2=0.9)
+        report = wolfe_report(traces, [obj.value(tr.x1) for tr in traces], obj, c1=1e-4, c2=0.9)
         assert len(report.curvature_pass) == len(traces)
 
 
@@ -206,13 +204,14 @@ class TestWolfeReport:
     def test_rates_and_lengths(self):
         obj = spd_quadratic(4, seed=6)
         traces = run_constrained(np.full(4, 0.3), obj, obj.lipschitz_bound, 10, seed=5)
-        report = wolfe_report(traces, obj, c1=1.0 / (2.0 * obj.lipschitz_bound))
+        f_before = [obj.value(tr.x1) for tr in traces]
+        report = wolfe_report(traces, f_before, obj, c1=1.0 / (2.0 * obj.lipschitz_bound))
         assert all(report.armijo_pass)
         assert len(report.armijo_pass) == len(traces)
 
     def test_rejects_invalid_constant_pair(self):
         obj = isotropic_quadratic(2)
         with pytest.raises(ValueError):
-            wolfe_report([], obj, c1=0.95, c2=0.9)
+            wolfe_report([], [], obj, c1=0.95, c2=0.9)
         with pytest.raises(ValueError):
-            wolfe_report([], obj, c1=0.1, c2=1.0)
+            wolfe_report([], [], obj, c1=0.1, c2=1.0)
