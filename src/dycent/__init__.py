@@ -8,7 +8,7 @@ also ships the standard comparison optimizers, analytic test surfaces,
 executable descent/Wolfe checks, and a desk-scale experiment harness.
 """
 
-from .baselines import BaselineConfig, BaselineState, baseline_step, run_baseline
+from .baselines import BaselineConfig, BaselineState, baseline_step
 from .objective import (
     AnalyticObjective,
     BatchContext,
@@ -36,8 +36,6 @@ from .vecmath import (
     RngHandle,
     ZeroGradientError,
     angle_between,
-    dot,
-    make_rng,
     norm,
     sample_perpendicular,
 )
@@ -61,15 +59,12 @@ __all__ = [
     "ZeroGradientError",
     "angle_between",
     "baseline_step",
-    "dot",
     "dycent_step",
     "isotropic_quadratic",
-    "make_rng",
     "maybe_double",
     "norm",
     "rosenbrock",
     "run",
-    "run_baseline",
     "sample_perpendicular",
     "spd_quadratic",
     "toy_a",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import Objective
-from .optimizer import NonFiniteStepError, run_loop
+from .optimizer import NonFiniteStepError
 from .records import TrajectoryRecord
 from .vecmath import DimensionError, ParamVector, ZeroGradientError, norm
 
@@ -156,21 +156,3 @@ def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
         return x_new, TrajectoryRecord(iter=i, f=f_new, grad_norm=grad_norm)
 
     return step
-
-
-def run_baseline(
-    x0: ParamVector,
-    obj: Objective,
-    cfg: BaselineConfig,
-    max_iters: int,
-) -> list[TrajectoryRecord]:
-    """Iterate baseline_step from x0, logging one record per iteration.
-
-    Stops early at an exactly stationary point, and raises
-    NonFiniteStepError where a gradient or value is not finite.
-    """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    step = baseline_stepper(obj, cfg, BaselineState.zeros(np.size(x0)))
-    return run_loop(x0, obj, [(step, [None] * max_iters)])[0]
-

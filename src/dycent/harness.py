@@ -34,7 +34,7 @@ def _two_moons_mlp(n, noise, data_seed, hidden_dim, activation, init_seed):
     spec = mlmodels.MlpSpec(
         input_dim=2, hidden_dim=hidden_dim, num_classes=2, activation=activation, init_seed=init_seed
     )
-    return mlmodels.mlp_objective(spec, data), mlmodels.initial_params(spec)
+    return mlmodels.MlpObjective(spec, data), mlmodels.initial_params(spec)
 
 
 # Each objective's builder, its parameters with their defaults, and whether
@@ -180,6 +180,17 @@ def _resolve_x0(cfg: RunConfig, auto_start: np.ndarray | None) -> np.ndarray:
     return as_vector(cfg.x0)
 
 
+def _prepare(cfg: RunConfig) -> tuple[Objective, np.ndarray]:
+    """cfg's objective and resolved start; a start of the wrong dimension, or dycent in 1-D, raises ConfigError."""
+    obj, auto_start = _build_objective(cfg)
+    x0 = _resolve_x0(cfg, auto_start)
+    if x0.shape != (obj.dim,):
+        raise ConfigError(f"x0 has dimension {x0.size}, objective needs {obj.dim}")
+    if cfg.optimizer == "dycent" and obj.dim < 2:
+        raise ConfigError(f"dycent needs dimension >= 2 to probe; {cfg.objective} has {obj.dim}")
+    return obj, x0
+
+
 def _build_optimizer_config(cfg: RunConfig) -> optimizer.DycentConfig | baselines.BaselineConfig:
     """cfg's optimizer settings as the optimizer's own config, defaults filled in."""
     if cfg.optimizer == "dycent":
@@ -282,12 +293,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> 
     run stopped by a non-finite value or gradient writes the steps before
     it, then raises the NonFiniteStepError.
     """
-    obj, auto_start = _build_objective(cfg)
-    x0 = _resolve_x0(cfg, auto_start)
-    if x0.shape != (obj.dim,):
-        raise ConfigError(f"x0 has dimension {x0.size}, objective needs {obj.dim}")
-    if cfg.optimizer == "dycent" and obj.dim < 2:
-        raise ConfigError(f"dycent needs dimension >= 2 to probe; {cfg.objective} has {obj.dim}")
+    obj, x0 = _prepare(cfg)
 
     # A non-finite value or gradient stops the run as "non_finite"; numpy's
     # overflow warnings would only repeat that on stderr.
@@ -338,8 +344,9 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     """
     if not cfgs:
         raise ConfigError("comparison needs at least one run config")
-    # each echo holds the parameters its run uses and checks its optimizer settings, before any run
-    ref, *echoes = [config_echo(c) for c in cfgs]
+    # each echo holds the parameters its run uses and checks its optimizer settings, and each
+    # start is resolved and checked, before any run
+    ref, *echoes = [{**config_echo(c), "x0": _prepare(c)[1].tolist()} for c in cfgs]
     for echo in echoes:
         for name in ("objective", "objective_params", "x0", "max_iters", "epochs", "batch_size"):
             if echo[name] != ref[name]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import BatchContext, Objective
-from .vecmath import DimensionError, ParamVector, make_rng
+from .vecmath import DimensionError, ParamVector
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -83,7 +83,7 @@ def make_two_moons(n: int, noise: float, seed: int) -> Dataset:
     inner = np.column_stack([1.0 - np.cos(t_inner), 0.5 - np.sin(t_inner)])
     features = np.vstack([outer, inner])
     labels = np.concatenate([np.zeros(n_outer, dtype=np.int64), np.ones(n_inner, dtype=np.int64)])
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     features = features + noise * rng.standard_normal(features.shape)
     return Dataset(features=features, labels=labels, num_classes=2)
 
@@ -194,14 +194,9 @@ class MlpObjective(Objective):
         return np.argmax(logits, axis=1)
 
 
-def mlp_objective(spec: MlpSpec, data: Dataset) -> MlpObjective:
-    """Minibatch-capable cross-entropy objective for the given model and data."""
-    return MlpObjective(spec, data)
-
-
 def initial_params(spec: MlpSpec) -> ParamVector:
     """Scaled-Gaussian weights (std 1/sqrt(fan_in)) and zero biases, from init_seed."""
-    rng = make_rng(spec.init_seed)
+    rng = np.random.default_rng(spec.init_seed)
     w1 = rng.standard_normal((spec.input_dim, spec.hidden_dim)) / np.sqrt(spec.input_dim)
     b1 = np.zeros(spec.hidden_dim)
     w2 = rng.standard_normal((spec.hidden_dim, spec.num_classes)) / np.sqrt(spec.hidden_dim)

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .vecmath import DimensionError, ParamVector, make_rng
+from .vecmath import DimensionError, ParamVector
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def spd_quadratic(n: int, seed: int, condition: float = 10.0) -> Objective:
         raise DimensionError("spd quadratic needs dimension >= 2")
     if condition < 1.0:
         raise ValueError("condition number must be >= 1")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.exp(np.linspace(np.log(1.0 / condition), 0.0, n))
     a = q @ np.diag(eigs) @ q.T

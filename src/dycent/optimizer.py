@@ -26,7 +26,6 @@ from .vecmath import (
     RngHandle,
     ZeroGradientError,
     angle_between,
-    make_rng,
     norm,
     sample_perpendicular,
 )
@@ -84,10 +83,6 @@ class DycentState:
     rng: RngHandle
     d_avg: float = 0.0
     step_count: int = 0
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "DycentState":
-        return cls(rng=make_rng(seed))
 
 
 @dataclass
@@ -265,5 +260,5 @@ def run(
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    step = dycent_stepper(obj, cfg, DycentState.from_seed(seed), lipschitz=lipschitz)
+    step = dycent_stepper(obj, cfg, DycentState(rng=np.random.default_rng(seed)), lipschitz=lipschitz)
     return run_loop(x0, obj, [(step, [None] * max_iters)])[0]

@@ -8,6 +8,8 @@ h <= ||grad|| / (L * cot(theta)) makes the step d = h * cot(theta) exactly
 c1 = 1/(2L). The curvature condition carries no such guarantee; it is
 measured and reported, never asserted. The constrained step itself is
 optimizer.dycent_step with lipschitz set; run_constrained iterates it.
+Since theta cancels, that step is gradient descent with step 1/L up to
+rounding, and both guarantees are that method's textbook ones.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import optimizer
 from .objective import Objective
-from .optimizer import StepTrace, constrained_h  # noqa: F401 - constrained_h stays part of this API
+from .optimizer import StepTrace
 from .vecmath import ParamVector
 
 # The stepper settings of a constrained run: the probe distance comes from

@@ -1,6 +1,5 @@
-"""Dense vector arithmetic, seeded RNG, and the geometric primitives
-(perpendicular sampling, angle measurement) the angle-probed stepper is
-built from.
+"""Dense vector arithmetic and the geometric primitives (perpendicular
+sampling, angle measurement) the angle-probed stepper is built from.
 
 All vectors are flat 1-D float64 numpy arrays.
 """
@@ -29,11 +28,6 @@ class ZeroGradientError(ValueError):
     """
 
 
-def make_rng(seed: int) -> RngHandle:
-    """Seeded generator; the same seed yields the same stream on every platform."""
-    return np.random.default_rng(seed)
-
-
 def as_vector(values) -> ParamVector:
     """Coerce to a 1-D float64 array, rejecting empty or non-finite input."""
     v = np.atleast_1d(np.asarray(values, dtype=np.float64))
@@ -42,13 +36,6 @@ def as_vector(values) -> ParamVector:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains NaN or Inf")
     return v
-
-
-def dot(a: ParamVector, b: ParamVector) -> float:
-    """Inner product; raises DimensionError on length mismatch."""
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
 
 
 def norm(a: ParamVector) -> float:

@@ -87,7 +87,7 @@ def test_criterion_3_one_step_exactness():
         x0 *= rng.uniform(0.1, 10.0) / np.linalg.norm(x0)
         r0 = float(np.linalg.norm(x0))
         cfg = optimizer.DycentConfig(h=0.1 * r0, epsilon=1e-12, enable_doubling=False)
-        state = optimizer.DycentState.from_seed(k)
+        state = optimizer.DycentState(rng=np.random.default_rng(k))
         x_new, _ = optimizer.dycent_step(x0, obj, cfg, state)
         assert np.linalg.norm(x_new) <= 1e-6 * r0
     print("criterion 3: one-step exactness on 100/100 random starts")
@@ -205,7 +205,7 @@ def test_criterion_7_gradient_oracle_suite():
     data = mlmodels.make_two_moons(64, 0.1, seed=3)
     for activation in ("relu", "tanh"):
         spec = mlmodels.MlpSpec(2, 8, 2, activation, init_seed=1)
-        obj = mlmodels.mlp_objective(spec, data)
+        obj = mlmodels.MlpObjective(spec, data)
         for _ in range(10):
             x = rng.standard_normal(spec.param_count)
             fd = central_diff_gradient(obj.value, x)

@@ -260,6 +260,21 @@ class TestRunComparison:
         assert "lr must be > 0" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
 
+    def test_starts_compared_as_resolved(self, tmp_path):
+        # (1, 1) is the quadratic's automatic start
+        a = RunConfig(objective="quadratic", optimizer="sgd", max_iters=5, output_prefix="a")
+        b = RunConfig(objective="quadratic", optimizer="dycent", x0=(1.0, 1.0), max_iters=5, output_prefix="b")
+        result = run_comparison([a, b], out_dir=tmp_path)
+        assert [r["optimizer"] for r in result["rows"]] == ["sgd", "dycent"]
+
+    def test_every_start_checked_before_the_first_run(self, tmp_path, capsys):
+        code = compare_sections(
+            tmp_path, "objective = quadratic\noptimizer = sgd\ndim = 1", "objective = quadratic\noptimizer = dycent\ndim = 1"
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "dycent needs dimension >= 2" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
     def test_emits_csv_and_text(self, tmp_path):
         result = run_comparison([toy_b_cfg("sgd"), toy_b_cfg("adam")], out_dir=tmp_path)
         csv_lines = Path(result["files"]["comparison_csv"]).read_text().splitlines()

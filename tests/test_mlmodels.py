@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from dycent.baselines import BaselineConfig, BaselineState, baseline_step
 from dycent.mlmodels import (
     Dataset,
+    MlpObjective,
     MlpSpec,
     accuracy,
     initial_params,
     make_two_moons,
-    mlp_objective,
 )
 from dycent.objective import BatchContext
 from dycent.vecmath import DimensionError
@@ -33,7 +33,7 @@ class TestTwoMoons:
     def test_noiseless_moons_are_learnable(self):
         data = make_two_moons(200, 0.0, seed=0)
         spec = MlpSpec(2, 16, 2, "tanh", init_seed=0)
-        params = train_adam(mlp_objective(spec, data), spec)
+        params = train_adam(MlpObjective(spec, data), spec)
         assert accuracy(params, spec, data) == 1.0
 
     def test_small_sample_deterministic(self):
@@ -77,7 +77,7 @@ class TestBackprop:
         # oracle at random parameter points across initialization scales
         data = make_two_moons(64, 0.1, seed=5)
         spec = MlpSpec(2, 8, 2, activation, init_seed=0)
-        obj = mlp_objective(spec, data)
+        obj = MlpObjective(spec, data)
         for _ in range(20):
             x = scale * rng.standard_normal(spec.param_count)
             fd = central_diff_gradient(obj.value, x)
@@ -86,7 +86,7 @@ class TestBackprop:
     def test_uniform_logits_give_log_num_classes(self):
         data = make_two_moons(50, 0.1, seed=2)
         spec = MlpSpec(2, 16, 2, "relu", init_seed=0)
-        obj = mlp_objective(spec, data)
+        obj = MlpObjective(spec, data)
         assert obj.value(np.zeros(spec.param_count)) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_duplicated_rows_leave_loss_unchanged(self, rng):
@@ -98,21 +98,21 @@ class TestBackprop:
         )
         spec = MlpSpec(2, 8, 2, "tanh", init_seed=1)
         x = rng.standard_normal(spec.param_count)
-        assert mlp_objective(spec, data).value(x) == pytest.approx(
-            mlp_objective(spec, doubled).value(x), rel=1e-12
+        assert MlpObjective(spec, data).value(x) == pytest.approx(
+            MlpObjective(spec, doubled).value(x), rel=1e-12
         )
 
     def test_shape_mismatch_rejected(self):
         data = make_two_moons(10, 0.0, seed=0)
         with pytest.raises(DimensionError):
-            mlp_objective(MlpSpec(3, 4, 2), data)
+            MlpObjective(MlpSpec(3, 4, 2), data)
 
 
 class TestBatching:
     def setup_method(self):
         self.data = make_two_moons(60, 0.1, seed=6)
         self.spec = MlpSpec(2, 8, 2, "tanh", init_seed=2)
-        self.obj = mlp_objective(self.spec, self.data)
+        self.obj = MlpObjective(self.spec, self.data)
         self.x = initial_params(self.spec)
 
     def test_full_batch_equals_default(self):
@@ -126,7 +126,7 @@ class TestBatching:
         row_only = Dataset(
             features=self.data.features[17:18], labels=self.data.labels[17:18], num_classes=2
         )
-        assert mlp_objective(self.spec, row_only).value(self.x) == single
+        assert MlpObjective(self.spec, row_only).value(self.x) == single
 
     def test_half_batches_average_to_full_loss(self):
         self.obj.clear_batch()
@@ -211,7 +211,7 @@ class TestPinnedPass:
     @settings(max_examples=150, deadline=None)
     def test_bits_match_reference_formulas(self, activation, seed, scale, batch, value_first):
         spec = MlpSpec(2, 8, 2, activation, init_seed=0)
-        obj = mlp_objective(spec, MEMO_DATA)
+        obj = MlpObjective(spec, MEMO_DATA)
         x = scale * np.random.default_rng(seed).standard_normal(spec.param_count)
         if batch is not None:
             batch = np.array(batch)
@@ -225,7 +225,7 @@ class TestPinnedPass:
         assert same_bits(got_grad, grad)
 
     def fresh(self, batch=None):
-        obj = mlp_objective(MEMO_SPEC, MEMO_DATA)
+        obj = MlpObjective(MEMO_SPEC, MEMO_DATA)
         if batch is not None:
             obj.set_batch(BatchContext(batch))
         return obj
@@ -272,7 +272,7 @@ class TestPinnedPass:
 
     def test_pinned_rows_are_a_snapshot(self):
         data = make_two_moons(40, 0.1, seed=8)
-        obj = mlp_objective(MEMO_SPEC, data)
+        obj = MlpObjective(MEMO_SPEC, data)
         obj.set_batch(BatchContext(self.a))
         data.features[self.a] += 1.0
         self.assert_matches_fresh(obj, self.x, self.a)

@@ -15,11 +15,11 @@ from dycent.optimizer import (
     run,
     update_average,
 )
-from dycent.vecmath import ZeroGradientError, make_rng, norm
+from dycent.vecmath import ZeroGradientError, norm
 
 
 def state_with(seed=0, **kwargs):
-    return DycentState(rng=make_rng(seed), **kwargs)
+    return DycentState(rng=np.random.default_rng(seed), **kwargs)
 
 
 class TestConfigValidation:

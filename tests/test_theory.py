@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from dycent.objective import isotropic_quadratic, spd_quadratic, toy_b
-from dycent.optimizer import DycentConfig, StepTrace, run
+from dycent.optimizer import DycentConfig, StepTrace, constrained_h, run
 from dycent.theory import (
     check_armijo,
     check_curvature,
     check_descent,
-    constrained_h,
     run_constrained,
     wolfe_report,
 )
-from dycent.vecmath import angle_between, make_rng, norm, sample_perpendicular
+from dycent.vecmath import angle_between, norm, sample_perpendicular
 
 
 def fabricate_trace(f_after, d_used, grad=np.array([1.0, 0.0])):
@@ -80,7 +79,7 @@ class TestRunConstrained:
 def reference_run_constrained(x0, obj, L, max_iters, seed):
     """The constrained run written out as its own loop: probe at 0.01 * ||g|| / L,
     then step h_max * cot(theta) with h_max = ||g|| * tan(theta) / L."""
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=np.float64)
     traces = []
     for _ in range(max_iters):
@@ -215,3 +214,29 @@ class TestWolfeReport:
             wolfe_report([], [], obj, c1=0.95, c2=0.9)
         with pytest.raises(ValueError):
             wolfe_report([], [], obj, c1=0.1, c2=1.0)
+
+
+def test_theory_suite_steps_are_gradient_descent_with_step_one_over_L():
+    # the seed-0 starts of harness.run_theory_suite, run here without writing
+    # its report: capping h at ||g|| tan(theta) / L and stepping h cot(theta)
+    # cancels theta, so each step is x - grad / L up to rounding
+    rng = np.random.default_rng(0)
+    suites = [
+        (isotropic_quadratic(5), 200, 10),
+        (spd_quadratic(8, seed=101, condition=10.0), 250, 20),
+        (spd_quadratic(8, seed=202, condition=40.0), 250, 20),
+    ]
+    steps = 0
+    for obj, n_starts, n_steps in suites:
+        L = obj.lipschitz_bound
+        for k in range(n_starts):
+            direction = rng.standard_normal(obj.dim)
+            x0 = direction / np.linalg.norm(direction) * rng.uniform(0.1, 0.95)
+            traces = run_constrained(x0, obj, L, n_steps, seed=1000 + k)
+            x = x0
+            for tr in traces:
+                assert abs(tr.d_used * L / norm(tr.g1) - 1.0) <= 2.3e-16
+                x = x - obj.gradient(x) / L
+            assert norm(x - traces[-1].x_new) <= 1e-15 * norm(x0)
+            steps += len(traces)
+    assert steps == 10_327  # the suite's steps_checked at seed 0
