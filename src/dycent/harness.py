@@ -180,15 +180,17 @@ def _resolve_x0(cfg: RunConfig, auto_start: np.ndarray | None) -> np.ndarray:
     return as_vector(cfg.x0)
 
 
-def _prepare(cfg: RunConfig) -> tuple[Objective, np.ndarray]:
-    """cfg's objective and resolved start; a start of the wrong dimension, or dycent in 1-D, raises ConfigError."""
+def _prepare(cfg: RunConfig) -> tuple[Objective, np.ndarray, dict]:
+    """cfg's objective, resolved start and config echo; a bad optimizer setting, a start of the
+    wrong dimension, or dycent in 1-D raises ConfigError."""
+    echo = config_echo(cfg)
     obj, auto_start = _build_objective(cfg)
     x0 = _resolve_x0(cfg, auto_start)
     if x0.shape != (obj.dim,):
         raise ConfigError(f"x0 has dimension {x0.size}, objective needs {obj.dim}")
     if cfg.optimizer == "dycent" and obj.dim < 2:
         raise ConfigError(f"dycent needs dimension >= 2 to probe; {cfg.objective} has {obj.dim}")
-    return obj, x0
+    return obj, x0, echo
 
 
 def _build_optimizer_config(cfg: RunConfig) -> optimizer.DycentConfig | baselines.BaselineConfig:
@@ -262,7 +264,7 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray) -> tuple[list[Trajector
     if cfg.epochs is None:
         return optimizer.run_loop(x0, obj, [(stepper(1.0), [None] * cfg.max_iters)])
 
-    data, spec = obj.data, obj.spec
+    data = obj.data
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     def schedule():
@@ -275,7 +277,7 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray) -> tuple[list[Trajector
 
     def end_epoch(x, records):
         if records:
-            records[-1].acc_train = mlmodels.accuracy(x, spec, data)
+            records[-1].acc_train = mlmodels.accuracy(obj, x)
 
     return optimizer.run_loop(x0, obj, schedule(), end_epoch)
 
@@ -286,14 +288,15 @@ def write_trajectory_csv(path: Path, records: list[TrajectoryRecord]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> dict:
+def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, prepared=None) -> dict:
     """Execute one run; writes <prefix>-<hash>.csv/.json and returns the summary.
 
-    annotate(records), if given, returns entries to add to the summary. A
-    run stopped by a non-finite value or gradient writes the steps before
-    it, then raises the NonFiniteStepError.
+    annotate(records), if given, returns entries to add to the summary.
+    prepared, if given, is _prepare(cfg)'s unused result. A run stopped by
+    a non-finite value or gradient writes the steps before it, then raises
+    the NonFiniteStepError.
     """
-    obj, x0 = _prepare(cfg)
+    obj, x0, echo = prepared or _prepare(cfg)
 
     # A non-finite value or gradient stops the run as "non_finite"; numpy's
     # overflow warnings would only repeat that on stderr.
@@ -304,7 +307,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None) -> 
         except optimizer.NonFiniteStepError as exc:
             records, stop_reason, error = exc.logged, "non_finite", exc
 
-    echo = config_echo(cfg)
     digest = config_hash(echo)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,9 +346,8 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     """
     if not cfgs:
         raise ConfigError("comparison needs at least one run config")
-    # each echo holds the parameters its run uses and checks its optimizer settings, and each
-    # start is resolved and checked, before any run
-    ref, *echoes = [{**config_echo(c), "x0": _prepare(c)[1].tolist()} for c in cfgs]
+    prepared = [_prepare(c) for c in cfgs]  # every section is built and checked before any run
+    ref, *echoes = [{**echo, "x0": x0.tolist()} for _, x0, echo in prepared]
     for echo in echoes:
         for name in ("objective", "objective_params", "x0", "max_iters", "epochs", "batch_size"):
             if echo[name] != ref[name]:
@@ -354,7 +355,7 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
                     f"comparison configs must share {name}; [{ref['output_prefix']}] and [{echo['output_prefix']}] differ"
                 )
 
-    summaries = [run_experiment(c, out_dir) for c in cfgs]
+    summaries = [run_experiment(c, out_dir, prepared=p) for c, p in zip(cfgs, prepared)]
     rows = [
         {
             "optimizer": c.optimizer,

@@ -204,11 +204,8 @@ def initial_params(spec: MlpSpec) -> ParamVector:
     return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
 
 
-def accuracy(params: ParamVector, spec: MlpSpec, data: Dataset) -> float:
-    """Fraction of rows whose argmax prediction matches the label."""
-    if len(data) == 0:
-        raise ValueError("accuracy over an empty dataset is undefined")
-    obj = MlpObjective(spec, data)
-    predictions = obj.predict(np.asarray(params, dtype=np.float64), data.features)
-    return float(np.mean(predictions == data.labels))
+def accuracy(obj: MlpObjective, params: ParamVector) -> float:
+    """Fraction of obj's dataset rows, all of them whatever batch is pinned,
+    whose argmax prediction matches the label."""
+    return float(np.mean(obj.predict(params, obj.data.features) == obj.data.labels))
 

@@ -22,9 +22,9 @@ from .objective import Objective
 from .optimizer import StepTrace
 from .vecmath import ParamVector
 
-# The stepper settings of a constrained run: the probe distance comes from
-# L, and the decrease bound is proved without the EMA/doubling heuristic.
-CONSTRAINED_CONFIG = optimizer.DycentConfig(epsilon=1e-12, enable_doubling=False)
+# The stepper settings of a constrained run: its probe distance and step come
+# from L, so it reads only epsilon (and clamp_nonnegative_step, which is off).
+CONSTRAINED_CONFIG = optimizer.DycentConfig(epsilon=1e-12)
 
 
 @dataclass

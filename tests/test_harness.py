@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dycent import optimizer
+from dycent import harness, mlmodels, optimizer
 from dycent.harness import (
     MOONS_TUNED_EPSILON,
     MOONS_TUNED_H,
@@ -122,6 +122,23 @@ class TestRunExperiment:
         summary = run_experiment(cfg, out_dir=tmp_path)
         assert summary["final_train_accuracy"] is not None
         assert 0.0 <= summary["final_train_accuracy"] <= 1.0
+
+    def test_epoch_run_builds_one_mlp_objective(self, tmp_path, monkeypatch):
+        built = []
+        init = mlmodels.MlpObjective.__init__
+
+        def counting_init(obj, spec, data):
+            built.append(obj)
+            init(obj, spec, data)
+
+        monkeypatch.setattr(mlmodels.MlpObjective, "__init__", counting_init)
+        cfg = RunConfig(
+            objective="moons_mlp", optimizer="adam", batch_size=32, epochs=3,
+            objective_params={"n": 100}, optimizer_params={"lr": 1e-2},
+        )
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        assert summary["final_train_accuracy"] is not None  # logged after every epoch
+        assert len(built) == 1
 
     def test_rerun_is_byte_identical(self, tmp_path):
         s1 = run_experiment(toy_b_cfg("dycent"), out_dir=tmp_path / "a")
@@ -274,6 +291,21 @@ class TestRunComparison:
         assert code == cli.EXIT_CONFIG
         assert "dycent needs dimension >= 2" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
+
+    def test_each_section_built_once(self, tmp_path, monkeypatch):
+        built = []
+        build = harness._build_objective
+
+        def build_counting(cfg):
+            built.append(cfg.output_prefix)
+            return build(cfg)
+
+        monkeypatch.setattr(harness, "_build_objective", build_counting)
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy_b_compare.ini"
+        code = cli.main(["compare", "--config", str(config), "--iters", "5", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert len(built) == 9
+        assert len(set(built)) == 9  # one build per section
 
     def test_emits_csv_and_text(self, tmp_path):
         result = run_comparison([toy_b_cfg("sgd"), toy_b_cfg("adam")], out_dir=tmp_path)

@@ -34,7 +34,7 @@ class TestTwoMoons:
         data = make_two_moons(200, 0.0, seed=0)
         spec = MlpSpec(2, 16, 2, "tanh", init_seed=0)
         params = train_adam(MlpObjective(spec, data), spec)
-        assert accuracy(params, spec, data) == 1.0
+        assert accuracy(MlpObjective(spec, data), params) == 1.0
 
     def test_small_sample_deterministic(self):
         a = make_two_moons(4, 0.0, seed=3)
@@ -283,13 +283,26 @@ class TestAccuracy:
         data = make_two_moons(100, 0.1, seed=7)
         spec = MlpSpec(2, 16, 2, "relu", init_seed=0)
         # all logits equal: argmax tie-breaks to class 0, half the rows
-        assert accuracy(np.zeros(spec.param_count), spec, data) == 0.5
+        assert accuracy(MlpObjective(spec, data), np.zeros(spec.param_count)) == 0.5
 
     def test_empty_dataset_rejected(self):
         data = Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64), num_classes=2)
         spec = MlpSpec(2, 4, 2)
         with pytest.raises(ValueError):
-            accuracy(np.zeros(spec.param_count), spec, data)
+            accuracy(MlpObjective(spec, data), np.zeros(spec.param_count))
+
+    def test_reads_every_row_while_a_batch_is_pinned(self):
+        data = make_two_moons(40, 0.1, seed=8)
+        spec = MlpSpec(2, 4, 2, "tanh", init_seed=3)
+        params = initial_params(spec)
+        batch = np.arange(8)
+        obj = MlpObjective(spec, data)
+        obj.set_batch(BatchContext(batch))
+        full = accuracy(MlpObjective(spec, data), params)
+        assert accuracy(obj, params) == full
+        # the pinned rows alone score differently, so reading them would show
+        pinned = Dataset(data.features[batch], data.labels[batch], num_classes=2)
+        assert accuracy(MlpObjective(spec, pinned), params) != full
 
 
 class TestInitialParams:
