@@ -26,7 +26,6 @@ from .optimizer import (
     StepTrace,
     dycent_step,
     maybe_double,
-    run,
     update_average,
 )
 from .records import TrajectoryRecord
@@ -64,7 +63,6 @@ __all__ = [
     "maybe_double",
     "norm",
     "rosenbrock",
-    "run",
     "sample_perpendicular",
     "spd_quadratic",
     "toy_a",

@@ -180,17 +180,24 @@ def _resolve_x0(cfg: RunConfig, auto_start: np.ndarray | None) -> np.ndarray:
     return as_vector(cfg.x0)
 
 
-def _prepare(cfg: RunConfig) -> tuple[Objective, np.ndarray, dict]:
-    """cfg's objective, resolved start and config echo; a bad optimizer setting, a start of the
-    wrong dimension, or dycent in 1-D raises ConfigError."""
-    echo = config_echo(cfg)
+def _prepare(cfg: RunConfig) -> tuple[Objective, np.ndarray, dict, list]:
+    """cfg's objective, resolved start, config echo and optimizer configs, the second after the h schedule's
+    decay; a bad optimizer setting or decay, a start of the wrong dimension, or dycent in 1-D raises ConfigError."""
+    opt_cfgs = [_build_optimizer_config(cfg)]
+    if cfg.h_schedule:
+        rate = "h" if cfg.optimizer == "dycent" else "lr"
+        decayed = getattr(opt_cfgs[0], rate) / cfg.h_schedule.decay_factor
+        if not 0.0 < decayed < math.inf:
+            raise ConfigError(f"{rate} / h_decay_factor is {decayed}; it must be > 0 and finite")
+        opt_cfgs.append(dataclasses.replace(opt_cfgs[0], **{rate: decayed}))
+    echo = config_echo(cfg, opt_cfgs[0])
     obj, auto_start = _build_objective(cfg)
     x0 = _resolve_x0(cfg, auto_start)
     if x0.shape != (obj.dim,):
         raise ConfigError(f"x0 has dimension {x0.size}, objective needs {obj.dim}")
     if cfg.optimizer == "dycent" and obj.dim < 2:
         raise ConfigError(f"dycent needs dimension >= 2 to probe; {cfg.objective} has {obj.dim}")
-    return obj, x0, echo
+    return obj, x0, echo, opt_cfgs
 
 
 def _build_optimizer_config(cfg: RunConfig) -> optimizer.DycentConfig | baselines.BaselineConfig:
@@ -209,13 +216,13 @@ def _build_optimizer_config(cfg: RunConfig) -> optimizer.DycentConfig | baseline
         raise ConfigError(str(exc)) from exc
 
 
-def config_echo(cfg: RunConfig) -> dict:
-    """The run's full configuration with every default filled in."""
+def config_echo(cfg: RunConfig, opt_cfg=None) -> dict:
+    """The run's full configuration with every default filled in; opt_cfg, if given, is _build_optimizer_config(cfg)."""
     return {
         "objective": cfg.objective,
         "objective_params": _objective_params(cfg),
         "optimizer": cfg.optimizer,
-        "optimizer_params": dataclasses.asdict(_build_optimizer_config(cfg)),
+        "optimizer_params": dataclasses.asdict(opt_cfg or _build_optimizer_config(cfg)),
         "x0": list(cfg.x0) if not isinstance(cfg.x0, str) else cfg.x0,
         "max_iters": cfg.max_iters,
         "seed": cfg.seed,
@@ -232,46 +239,36 @@ def config_hash(echo: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:10]
 
 
-def _trace_to_record(i: int, tr: optimizer.StepTrace) -> TrajectoryRecord:
-    return TrajectoryRecord(
-        iter=i,
-        f=tr.f_after,
-        grad_norm=norm(tr.g1),
-        theta_deg=math.degrees(tr.theta),
-        d_raw=tr.d_raw,
-        d_used=tr.d_used,
-        doubled=tr.doubled,
-    )
-
-
-def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray) -> tuple[list[TrajectoryRecord], str | None]:
-    """Run cfg's optimizer from x0 in the shared loop: max_iters unbatched
-    steps, or epochs of shuffled batches with the accuracy logged per epoch."""
+def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tuple[list[TrajectoryRecord], str | None]:
+    """Run cfg's optimizer from x0 in the shared loop: max_iters unbatched steps, or epochs
+    of shuffled batches with the accuracy logged per epoch. opt_cfgs is _prepare(cfg)'s."""
     opt_seed, shuffle_seed = (cfg.seed, None) if cfg.epochs is None else np.random.SeedSequence(cfg.seed).spawn(2)
 
-    opt_cfg = _build_optimizer_config(cfg)
     if cfg.optimizer == "dycent":
         dystate = optimizer.DycentState(rng=np.random.default_rng(opt_seed))
-        def stepper(divisor):  # divisor: the h schedule's decay factor, or 1
-            scaled = dataclasses.replace(opt_cfg, h=opt_cfg.h / divisor)
-            return optimizer.dycent_stepper(obj, scaled, dystate, _trace_to_record)
+        def stepper(opt_cfg):
+            def step(i, x):
+                x_new, t = optimizer.dycent_step(x, obj, opt_cfg, dystate)
+                rec = TrajectoryRecord(iter=i, f=t.f_after, grad_norm=norm(t.g1), theta_deg=math.degrees(t.theta),
+                                       d_raw=t.d_raw, d_used=t.d_used, doubled=t.doubled)
+                return x_new, rec
+            return step
     else:
         blstate = baselines.BaselineState.zeros(x0.size)
-        def stepper(divisor):
-            scaled = dataclasses.replace(opt_cfg, lr=opt_cfg.lr / divisor)
-            return baselines.baseline_stepper(obj, scaled, blstate)
+        def stepper(opt_cfg):
+            return baselines.baseline_stepper(obj, opt_cfg, blstate)
 
     if cfg.epochs is None:
-        return optimizer.run_loop(x0, obj, [(stepper(1.0), [None] * cfg.max_iters)])
+        return optimizer.run_loop(x0, obj, [(stepper(opt_cfgs[0]), [None] * cfg.max_iters)])
 
     data = obj.data
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     def schedule():
-        step = stepper(1.0)
+        step = stepper(opt_cfgs[0])
         for epoch in range(cfg.epochs):
             if cfg.h_schedule and epoch == cfg.h_schedule.at_epoch:
-                step = stepper(cfg.h_schedule.decay_factor)
+                step = stepper(opt_cfgs[1])
             perm = shuffle_rng.permutation(len(data))
             yield step, [perm[i : i + cfg.batch_size] for i in range(0, len(data), cfg.batch_size)]
 
@@ -296,14 +293,14 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, pre
     a non-finite value or gradient writes the steps before it, then raises
     the NonFiniteStepError.
     """
-    obj, x0, echo = prepared or _prepare(cfg)
+    obj, x0, echo, opt_cfgs = prepared or _prepare(cfg)
 
     # A non-finite value or gradient stops the run as "non_finite"; numpy's
     # overflow warnings would only repeat that on stderr.
     error = None
     with np.errstate(all="ignore"):
         try:
-            records, stop_reason = _run(cfg, obj, x0)
+            records, stop_reason = _run(cfg, obj, x0, opt_cfgs)
         except optimizer.NonFiniteStepError as exc:
             records, stop_reason, error = exc.logged, "non_finite", exc
 
@@ -347,10 +344,11 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     if not cfgs:
         raise ConfigError("comparison needs at least one run config")
     prepared = [_prepare(c) for c in cfgs]  # every section is built and checked before any run
-    ref, *echoes = [{**echo, "x0": x0.tolist()} for _, x0, echo in prepared]
+    ref, *echoes = [{**echo, "x0": x0.tolist()} for _, x0, echo, _ in prepared]
     for echo in echoes:
         for name in ("objective", "objective_params", "x0", "max_iters", "epochs", "batch_size"):
-            if echo[name] != ref[name]:
+            # a section that sets epochs ignores max_iters
+            if echo[name] != ref[name] and not (name == "max_iters" and ref["epochs"] and echo["epochs"]):
                 raise ConfigError(
                     f"comparison configs must share {name}; [{ref['output_prefix']}] and [{echo['output_prefix']}] differ"
                 )

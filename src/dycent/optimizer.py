@@ -12,7 +12,8 @@ Given a Lipschitz constant L of the gradient, the same step runs in the
 constrained mode the descent bound is proved for: the probe distance is
 0.01 * ||g1|| / L and the step is h * cot(theta) with h at its cap
 ||g1|| * tan(theta) / L, so every step is ||g1|| / L long, with no EMA or
-doubling.
+doubling; theory.run_constrained is run_loop over dycent_step with
+lipschitz set.
 """
 
 import math
@@ -37,9 +38,7 @@ class NonFiniteStepError(ArithmeticError):
     """A gradient, value or step size came out NaN/Inf; run_loop sets
     logged to the items logged before the step."""
 
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.logged: list = []
+    logged: list
 
 
 @dataclass
@@ -232,33 +231,3 @@ def run_loop(x0: ParamVector, obj: Objective, schedule, end_epoch=None) -> tuple
             break
     return items, reason
 
-
-def dycent_stepper(
-    obj: Objective, cfg: DycentConfig, state: DycentState, log=lambda i, trace: trace, lipschitz: float | None = None
-):
-    """dycent_step as a run_loop step; log(i, trace) makes the logged item."""
-
-    def step(i, x):
-        x_new, trace = dycent_step(x, obj, cfg, state, lipschitz=lipschitz)
-        return x_new, log(i, trace)
-
-    return step
-
-
-def run(
-    x0: ParamVector,
-    obj: Objective,
-    cfg: DycentConfig,
-    max_iters: int,
-    seed: int,
-    lipschitz: float | None = None,
-) -> list[StepTrace]:
-    """Iterate dycent_step up to max_iters times from x0.
-
-    Stops early (without error) when a stationary point is reached;
-    numerical failures propagate as NonFiniteStepError.
-    """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    step = dycent_stepper(obj, cfg, DycentState(rng=np.random.default_rng(seed)), lipschitz=lipschitz)
-    return run_loop(x0, obj, [(step, [None] * max_iters)])[0]

@@ -90,6 +90,10 @@ def angle_between(a: ParamVector, b: ParamVector) -> float:
     finite nonzero vectors have an angle. A vector with a NaN or Inf entry
     has no angle and raises ValueError.
 
+    Near-parallel limit: acos near 1 resolves only sqrt(2 k u), k being the
+    cosine's rounding error in units u = 2**-53 (up to about 2n + 3 for
+    length n), so a and a rounded multiple of a can be that far apart, not 0.
+
     Precision limit, kept on purpose: when one squared norm is subnormal
     but the product of the two is normal, neither fallback runs and the
     cosine keeps the subnormal's few significant bits, so

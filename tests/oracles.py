@@ -1,11 +1,27 @@
-"""Independent numerical oracles used by the tests.
+"""Independent numerical oracles used by the tests, and the plain dycent run they check.
 
-These deliberately avoid the package's own gradient code paths so the
-checks stay two-sided: analytic gradients are compared against central
-finite differences computed here.
+The oracles deliberately avoid the package's own gradient code paths so
+the checks stay two-sided: analytic gradients are compared against
+central finite differences computed here.
 """
 
 import numpy as np
+
+from dycent.optimizer import DycentState, dycent_step, run_loop
+
+
+def dycent_run(x0, obj, cfg, max_iters, seed):
+    """Up to max_iters dycent steps from x0 in run_loop; returns their traces.
+
+    Stops early (without error) at a stationary point; a numerical
+    failure propagates as NonFiniteStepError.
+    """
+    state = DycentState(rng=np.random.default_rng(seed))
+
+    def step(i, x):
+        return dycent_step(x, obj, cfg, state)
+
+    return run_loop(x0, obj, [(step, [None] * max_iters)])[0]
 
 
 def central_diff_gradient(value_fn, x, step=1e-6):

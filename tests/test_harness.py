@@ -277,6 +277,25 @@ class TestRunComparison:
         assert "lr must be > 0" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
 
+    def test_every_decay_checked_before_the_first_run(self, tmp_path, capsys):
+        moons = "objective = moons_mlp\nepochs = 2\nbatch_size = 32\nn = 64\n"
+        code = compare_sections(
+            tmp_path, moons + "optimizer = adam",
+            moons + "optimizer = dycent\nh = 1e-300\nh_decay_factor = 1e300\nh_decay_at_epoch = 1",
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "h / h_decay_factor is 0.0; it must be > 0 and finite" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_epoch_sections_may_differ_in_the_max_iters_they_ignore(self, tmp_path):
+        common = dict(objective="moons_mlp", epochs=2, batch_size=32, objective_params={"n": 64})
+        a = RunConfig(optimizer="adam", max_iters=3, output_prefix="a", **common)
+        b = RunConfig(optimizer="dycent", output_prefix="b", **common)
+        result = run_comparison([a, b], out_dir=tmp_path)
+        assert [r["optimizer"] for r in result["rows"]] == ["adam", "dycent"]
+        assert [s["config"]["max_iters"] for s in result["runs"]] == [3, 1000]  # echoed and hashed as given
+        assert [s["iterations"] for s in result["runs"]] == [4, 4]
+
     def test_starts_compared_as_resolved(self, tmp_path):
         # (1, 1) is the quadratic's automatic start
         a = RunConfig(objective="quadratic", optimizer="sgd", max_iters=5, output_prefix="a")
@@ -494,13 +513,20 @@ class TestCli:
             "h_decay_factor = 10\nh_decay_at_epoch = 1\n",
             "objective = moons_mlp\noptimizer = sgd\nbatch_size = 32\nepochs = 2\n"
             "h_decay_factor = 10\nh_decay_at_epoch = 2\n",
+            "objective = moons_mlp\noptimizer = dycent\nepochs = 2\nbatch_size = 32\nn = 64\nh = 1e-300\n"
+            "h_decay_factor = 1e300\nh_decay_at_epoch = 1\n",
+            "objective = moons_mlp\noptimizer = adam\nepochs = 2\nbatch_size = 32\nn = 64\nlr = 1e-300\n"
+            "h_decay_factor = 1e300\nh_decay_at_epoch = 1\n",
+            "objective = moons_mlp\noptimizer = sgd\nepochs = 2\nbatch_size = 32\nn = 64\nlr = 1e300\n"
+            "h_decay_factor = 1e-300\nh_decay_at_epoch = 1\n",
             "objective = toy_b\noptimizer = sgd\n[r]\nx0 = toy_b_init\n",
             "objective = toy_b\noptimizer = sgd\noptimizer = adam\n",
             "objective = toy_b\noptimizer sgd\n",
         ],
         ids=[
             "x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d", "batch-no-epochs", "schedule-no-epochs",
-            "schedule-past-last-epoch", "duplicate-section", "duplicate-key", "line-without-equals",
+            "schedule-past-last-epoch", "h-decays-to-0", "lr-decays-to-0", "lr-decays-to-inf", "duplicate-section",
+            "duplicate-key", "line-without-equals",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, section):

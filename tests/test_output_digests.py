@@ -1,4 +1,5 @@
-"""Pinned SHA-256 digests of every file the CLI writes at seed 0.
+"""Pinned SHA-256 digests of every file the CLI writes at seed 0, and of
+the theory report at seeds 1 to 11.
 
 Covers `compare` on the three shipped configs (per-run CSV/JSON and the
 comparison CSV/TXT), `theory` and `angles`. A change meant to keep
@@ -148,6 +149,22 @@ EXPECTED = {
     ),
 }
 
+# theory-<seed>.json at seeds 1 to 11, whose starts and probe directions differ
+# from seed 0's
+THEORY_DIGESTS = {
+    1: "4037496519d7d22b60c9401a501549dff8fe5e14bb4160152fe3a84b9ba12777",
+    2: "d191d098d7647b8fafc0c4561d2f547ebfba886d3c654c5029adcad3ec1a3080",
+    3: "890ddd1b9087abbcd84a7129b1e4081191fffe34873421b751c1a5194ad39c2b",
+    4: "8e638c9ab690a3dbb9e875a71cc0082ffd35a17ea1a4f850cb5b3df5b11c34da",
+    5: "da7b015d4c30507c2bdad964190340435b0aa616d67c829fa444ec002e12dc2c",
+    6: "afaeea4c9bfd673e989fb3c70628210d8dab97ad914608ae23d11818f66e3c94",
+    7: "09a50d49511ca124ec3ae06310638a0b89574a6016ec62127c60092bdea5f5ce",
+    8: "92f44928b5d2026523b7ca64fdb79f42975c2bcf57f7879dd438049e4a52b616",
+    9: "45a34f5027baade64a68e5400d4d3a16b5e4c66b7426f6475589d4d46f218eb7",
+    10: "35b02ed85f575210fa4d9c1bf1cad8d6bda0b0480b83bf66382e534123ff29b1",
+    11: "7c3523a71f666c85cf80e7992034a4de6c9666a16c71d3b080ffe66530af8a40",
+}
+
 
 def _digests(out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
@@ -159,3 +176,10 @@ def test_output_digests_at_seed_0(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv + ["--seed", "0", "--out", "out"]) == cli.EXIT_OK
     assert _digests(tmp_path / "out") == expected
+
+
+@pytest.mark.parametrize("seed", sorted(THEORY_DIGESTS))
+def test_theory_digests(seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["theory", "--seed", str(seed), "--out", "out"]) == cli.EXIT_OK
+    assert _digests(tmp_path / "out") == {f"theory-{seed}.json": THEORY_DIGESTS[seed]}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dycent.objective import isotropic_quadratic, spd_quadratic, toy_b
-from dycent.optimizer import DycentConfig, StepTrace, constrained_h, run
+from dycent.optimizer import DycentConfig, StepTrace, constrained_h
 from dycent.theory import (
     check_armijo,
     check_curvature,
@@ -13,6 +13,8 @@ from dycent.theory import (
     wolfe_report,
 )
 from dycent.vecmath import angle_between, norm, sample_perpendicular
+
+from oracles import dycent_run
 
 
 def fabricate_trace(f_after, d_used, grad=np.array([1.0, 0.0])):
@@ -194,7 +196,7 @@ class TestCheckCurvature:
     def test_toy_b_fraction_reported_without_assertion(self):
         # measurement only: the curvature condition carries no guarantee
         obj = toy_b()
-        traces = run(np.array([3.0, 3.0]), obj, DycentConfig(h=1e-2), 100, seed=0)
+        traces = dycent_run(np.array([3.0, 3.0]), obj, DycentConfig(h=1e-2), 100, seed=0)
         report = wolfe_report(traces, [obj.value(tr.x1) for tr in traces], obj, c1=1e-4, c2=0.9)
         assert len(report.curvature_pass) == len(traces)
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dycent.vecmath import (
@@ -188,10 +188,16 @@ class TestAngleBetween:
         assert angle_between(a, -s * a) == math.pi
 
     @given(nonzero_vectors(), st.floats(min_value=1e-3, max_value=1e3))
+    @example(a=np.array([-873.4, -655.2, -122.2, 458.2, -103.1]), s=1.849)  # 3.33e-8 rad
     def test_scale_invariance_general(self, a, s):
-        # arbitrary scales round; acos near +-1 resolves to ~sqrt(2*eps)
-        assert angle_between(a, s * a) <= 3e-8
-        assert angle_between(a, -s * a) >= math.pi - 3e-8
+        # arbitrary scales round. Each n-term inner product of the cosine is
+        # off by at most n roundoffs u = 2**-53 (its terms share a sign), and
+        # the product, square root and division add 3 more between them, so
+        # the cosine can land (2n + 3) u short of 1; acos(1 - k u) is
+        # sqrt(2 k u) to first order
+        bound = math.sqrt(2 * (2 * a.size + 3) * 2.0**-53)
+        assert angle_between(a, s * a) <= bound
+        assert angle_between(a, -s * a) >= math.pi - bound
 
 
 class TestAsVector:
