@@ -5,7 +5,9 @@ import dataclasses
 import json
 import sys
 
-from .harness import ConfigError, parse_config_file, run_angle_experiment, run_comparison, run_experiment, run_theory_suite
+from .harness import (
+    ConfigError, _prepare, parse_config_file, run_angle_experiment, run_comparison, run_experiment, run_theory_suite
+)
 from .optimizer import NonFiniteStepError
 
 EXIT_OK = 0
@@ -54,8 +56,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfgs = _apply_overrides(parse_config_file(args.config), args)
-            for cfg in cfgs:
-                summary = run_experiment(cfg, out_dir=args.out)
+            prepared = [_prepare(c) for c in cfgs]  # every section is built and checked before any run
+            for cfg, p in zip(cfgs, prepared):
+                summary = run_experiment(cfg, out_dir=args.out, prepared=p)
                 print(json.dumps(summary, sort_keys=True, indent=2))
         elif args.command == "compare":
             cfgs = _apply_overrides(parse_config_file(args.config), args)

@@ -3,6 +3,7 @@ this package minimizes, plus the analytic test surfaces used throughout the
 test suite and harness.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,15 +87,21 @@ def toy_a() -> Objective:
 
     Unbounded below; the y = 0 plane is entirely flat (zero value, zero
     gradient), which makes (x, 0) starts stationary points.
+
+    Computes on Python floats: math.sin/math.cos round as numpy's do
+    without its per-scalar cost, but raise on +-inf where numpy gives NaN,
+    so an infinite x is mapped to NaN first (an overflow stays non-finite).
     """
 
     def value(p):
-        x, y = p
-        return -(y * y) * np.sin(x)
+        x, y = p.tolist()
+        x = math.nan if math.isinf(x) else x
+        return -(y * y) * math.sin(x)
 
     def grad(p):
-        x, y = p
-        return np.array([-(y * y) * np.cos(x), -2.0 * y * np.sin(x)])
+        x, y = p.tolist()
+        x = math.nan if math.isinf(x) else x
+        return np.array([-(y * y) * math.cos(x), -2.0 * y * math.sin(x)])
 
     return AnalyticObjective(2, value, grad, name="toy_a")
 
@@ -108,21 +115,26 @@ def toy_b() -> Objective:
     """Ripple surface f(x, y) = -sin(x^2 + y^2) / (x^2 + y^2).
 
     The removable singularity at the origin is patched with the limit
-    values f -> -1 and grad -> (0, 0).
+    values f -> -1 and grad -> (0, 0). It computes on Python floats as
+    toy_a does, mapping an infinite u = x^2 + y^2 to NaN; u stays numpy's
+    dot, which x*x + y*y does not round alike.
     """
 
     def value(p):
-        u = float(p @ p)
+        u = float(p.dot(p))
         if u < _TOY_B_LIMIT_R2:
             return -1.0
-        return -np.sin(u) / u
+        u = math.nan if math.isinf(u) else u
+        return -math.sin(u) / u
 
     def grad(p):
-        u = float(p @ p)
+        u = float(p.dot(p))
         if u < _TOY_B_LIMIT_R2:
             return np.zeros(2)
-        dfdu = (np.sin(u) - u * np.cos(u)) / (u * u)
-        return dfdu * 2.0 * p
+        u = math.nan if math.isinf(u) else u
+        c = (math.sin(u) - u * math.cos(u)) / (u * u) * 2.0
+        x, y = p.tolist()
+        return np.array([c * x, c * y])
 
     return AnalyticObjective(2, value, grad, name="toy_b")
 

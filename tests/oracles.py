@@ -7,6 +7,7 @@ central finite differences computed here.
 
 import numpy as np
 
+from dycent.objective import _TOY_B_LIMIT_R2
 from dycent.optimizer import DycentState, dycent_step, run_loop
 
 
@@ -22,6 +23,43 @@ def dycent_run(x0, obj, cfg, max_iters, seed):
         return dycent_step(x, obj, cfg, state)
 
     return run_loop(x0, obj, [(step, [None] * max_iters)])[0]
+
+
+def numpy_toy_a():
+    """toy_a's (value, gradient) in numpy scalar math: np.float64 coordinates and np.sin/np.cos.
+
+    The package evaluates the 2-D surfaces on Python floats; these numpy
+    formulations are the reference its bits are checked against.
+    """
+
+    def value(p):
+        x, y = p
+        return float(-(y * y) * np.sin(x))
+
+    def grad(p):
+        x, y = p
+        return np.array([-(y * y) * np.cos(x), -2.0 * y * np.sin(x)])
+
+    return value, grad
+
+
+def numpy_toy_b():
+    """toy_b's (value, gradient) in numpy scalar math, origin patch included."""
+
+    def value(p):
+        u = float(p @ p)
+        if u < _TOY_B_LIMIT_R2:
+            return -1.0
+        return float(-np.sin(u) / u)
+
+    def grad(p):
+        u = float(p @ p)
+        if u < _TOY_B_LIMIT_R2:
+            return np.zeros(2)
+        dfdu = (np.sin(u) - u * np.cos(u)) / (u * u)
+        return dfdu * 2.0 * p
+
+    return value, grad
 
 
 def central_diff_gradient(value_fn, x, step=1e-6):

@@ -490,6 +490,27 @@ class TestCli:
         assert (summary["iterations"], summary["stop_reason"], summary["final_f"]) == (0, "non_finite", None)
         assert rows == []
 
+    def test_overflowing_toy_run_exits_3(self, tmp_path):
+        # The first step takes x past the float range; the value there is NaN, not a crash.
+        proc = run_cli(tmp_path, "objective = toy_a\noptimizer = sgd\nx0 = -2,1e154\nlr = 10\nmax_iters = 50\n")
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert "error[numerical]: value at the new point is not finite (nan)" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        summary, rows = partial_outputs(tmp_path)
+        assert (summary["iterations"], summary["stop_reason"], summary["stopped_early"]) == (0, "non_finite", True)
+        assert rows == []
+
+    def test_run_checks_every_section_before_the_first_run(self, tmp_path, capsys):
+        code = compare_sections(
+            tmp_path, "objective = quadratic\noptimizer = sgd",
+            "objective = moons_mlp\noptimizer = dycent\nepochs = 2\nbatch_size = 32\nn = 64\nh = 1e-300\n"
+            "h_decay_factor = 1e300\nh_decay_at_epoch = 1",
+            command="run",
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "h / h_decay_factor is 0.0; it must be > 0 and finite" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
     def test_diverging_baseline_exits_3_with_finite_records(self, tmp_path):
         proc = run_cli(tmp_path, "objective = rosenbrock\noptimizer = sgd\nlr = 1\nmax_iters = 50\n")
         assert proc.returncode == cli.EXIT_NUMERICAL
@@ -571,13 +592,13 @@ def run_dycent(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def compare_sections(tmp_path, a: str, b: str) -> int:
-    """`dycent compare`, in process, on sections [a] and [b] with x0 = auto and
-    max_iters = 5, writing to the empty directory tmp_path/out."""
+def compare_sections(tmp_path, a: str, b: str, command: str = "compare") -> int:
+    """`dycent compare` (or command), in process, on sections [a] and [b] with x0 = auto
+    and max_iters = 5, writing to the empty directory tmp_path/out."""
     path = tmp_path / "runs.ini"
     path.write_text(f"[a]\n{a}\nx0 = auto\nmax_iters = 5\n[b]\n{b}\nx0 = auto\nmax_iters = 5\n")
     (tmp_path / "out").mkdir()
-    return cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+    return cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
 
 
 def run_cli(tmp_path, section: str) -> subprocess.CompletedProcess:

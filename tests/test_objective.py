@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dycent.objective import (
 )
 from dycent.vecmath import DimensionError
 
-from oracles import central_diff_gradient, relative_error
+from oracles import central_diff_gradient, numpy_toy_a, numpy_toy_b, relative_error
 
 
 def assert_gradient_matches_fd(obj, points, tol=1e-5):
@@ -64,6 +65,68 @@ class TestToyB:
         points = [p for p in rng.uniform(-4.0, 4.0, size=(150, 2)) if np.linalg.norm(p) > 0.1]
         assert len(points) >= 100
         assert_gradient_matches_fd(obj, points[:100])
+
+
+SURFACES = [(toy_a, numpy_toy_a), (toy_b, numpy_toy_b)]
+
+
+class TestToySurfacesMatchNumpy:
+    """toy_a and toy_b on Python floats give numpy's scalar math bit for bit.
+
+    A NaN is compared as NaN: its sign bit may differ from numpy's, and a
+    run stops at the first non-finite value, so no NaN reaches a file.
+    """
+
+    @staticmethod
+    def draws(rng, n):
+        """n points: a third at radii log-uniform in [1e-6, 1e160] (|p|^2 overflows above
+        about 1.3e154), a third with |p|^2 within a factor 2 of toy_b's 1e-8 origin patch,
+        a third uniform in [-10, 10]^2, where the shipped runs go."""
+        k = n // 3
+        r = np.concatenate([10.0 ** rng.uniform(-6.0, 160.0, k), np.sqrt(10.0 ** rng.uniform(-8.3, -7.7, k))])
+        phi = rng.uniform(0.0, 2.0 * math.pi, r.size)
+        ring = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+        return np.concatenate([ring, rng.uniform(-10.0, 10.0, size=(n - 2 * k, 2))])
+
+    @staticmethod
+    def assert_same(got, want):
+        got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+
+    @pytest.mark.parametrize("surface, oracle", SURFACES, ids=["toy_a", "toy_b"])
+    def test_bit_identical_on_100k_draws(self, surface, oracle):
+        obj, (value, grad) = surface(), oracle()
+        points = self.draws(np.random.default_rng(20230420), 100_002)
+        with np.errstate(all="ignore"):  # |p|^2 overflowing in the dot warns, in both formulations
+            got_v = [obj.value(p) for p in points]
+            got_g = [obj.gradient(p) for p in points]
+            self.assert_same(got_v, [value(p) for p in points])
+            self.assert_same(got_g, [grad(p) for p in points])
+        patch = np.einsum("ij,ij->i", points, points) < 1e-8
+        assert 10_000 < patch.sum() < 30_000  # both sides of the origin patch are drawn
+        if surface is toy_b:
+            assert np.isnan(got_v).sum() > 1_000  # and |p|^2 overflows on some draws
+
+    @pytest.mark.parametrize("surface, oracle", SURFACES, ids=["toy_a", "toy_b"])
+    @pytest.mark.parametrize(
+        "p", [(math.inf, 1.0), (-math.inf, 0.0), (math.inf, math.inf), (1.0, -math.inf), (0.0, math.inf),
+              (math.nan, 1.0), (1.0, math.nan), (math.inf, math.nan)],
+    )
+    def test_non_finite_input_gives_numpys_non_finite_output_without_warning(self, surface, oracle, p):
+        obj, (value, grad) = surface(), oracle()
+        p = np.array(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_v, got_g = obj.value(p), obj.gradient(p)
+        with np.errstate(all="ignore"):
+            want_v, want_g = value(p), grad(p)
+        assert not math.isfinite(got_v) and not np.isfinite(got_g).any()
+        assert np.array_equal([got_v, *got_g], [want_v, *want_g], equal_nan=True)
+        if surface is toy_b or not math.isfinite(p[0]) or math.isnan(p[1]):
+            # a NaN coordinate, an infinite x (toy_a) or an infinite |p|^2 (toy_b) gives NaN
+            assert math.isnan(got_v) and np.isnan(got_g).all()
 
 
 class TestIsotropicQuadratic:

@@ -8,10 +8,12 @@ even in its last bit, fails here. The summary JSONs embed their own
 paths, so each command runs with its working directory in tmp_path and
 writes to the relative directory `out`.
 
-The digests hold for one float64 build of numpy: a numpy release or CPU
-whose sin/cos/exp round differently in the last bit gives other files.
-Re-pin only for such a platform change, or a change of behaviour that
-is intended and recorded in CHANGES.md.
+The digests hold for one float64 platform: numpy's build and the C
+library's math, which supplies sin/cos on the 2-D toy surfaces through
+Python's `math`. A numpy release, C library or CPU whose sin/cos/exp
+round differently in the last bit gives other files. Re-pin only for
+such a platform change, or a change of behaviour that is intended and
+recorded in CHANGES.md.
 """
 
 import hashlib
