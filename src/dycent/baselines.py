@@ -93,15 +93,11 @@ def friction_coefficient(prev_grad: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.abs(prev_grad - grad)))
 
 
-def baseline_step(
-    x: ParamVector, obj: Objective, cfg: BaselineConfig, state: BaselineState, g: ParamVector | None = None
-) -> ParamVector:
-    """One canonical update of the configured method; deterministic. g is obj's gradient at x, if known."""
+def baseline_step(x: ParamVector, g: ParamVector, cfg: BaselineConfig, state: BaselineState) -> ParamVector:
+    """One canonical update of the configured method from x, g being the objective's gradient at x; deterministic."""
     x = np.asarray(x, dtype=np.float64)
     if state.m.shape != x.shape:
         raise DimensionError(f"state dimension {state.m.shape} != parameter dimension {x.shape}")
-    if g is None:
-        g = obj.gradient(x)
     t = state.step_count + 1
 
     if cfg.method == "sgd":
@@ -149,7 +145,7 @@ def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
             raise ZeroGradientError("stationary point: gradient vanished")
         if not math.isfinite(grad_norm):
             raise NonFiniteStepError(f"gradient is not finite (norm {grad_norm})")
-        x_new = baseline_step(x, obj, cfg, state, g)
+        x_new = baseline_step(x, g, cfg, state)
         f_new = obj.value(x_new)
         if not math.isfinite(f_new):
             raise NonFiniteStepError(f"value at the new point is not finite ({f_new})")

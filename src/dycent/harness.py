@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, mlmodels, objective as objectives, optimizer, theory
-from .objective import Objective
+from .objective import BatchContext, Objective
 from .records import CSV_COLUMNS, TrajectoryRecord, csv_cell
 from .vecmath import as_vector, norm
 
@@ -216,13 +216,13 @@ def _build_optimizer_config(cfg: RunConfig) -> optimizer.DycentConfig | baseline
         raise ConfigError(str(exc)) from exc
 
 
-def config_echo(cfg: RunConfig, opt_cfg=None) -> dict:
-    """The run's full configuration with every default filled in; opt_cfg, if given, is _build_optimizer_config(cfg)."""
+def config_echo(cfg: RunConfig, opt_cfg) -> dict:
+    """The run's full configuration with every default filled in; opt_cfg is _build_optimizer_config(cfg)."""
     return {
         "objective": cfg.objective,
         "objective_params": _objective_params(cfg),
         "optimizer": cfg.optimizer,
-        "optimizer_params": dataclasses.asdict(opt_cfg or _build_optimizer_config(cfg)),
+        "optimizer_params": dataclasses.asdict(opt_cfg),
         "x0": list(cfg.x0) if not isinstance(cfg.x0, str) else cfg.x0,
         "max_iters": cfg.max_iters,
         "seed": cfg.seed,
@@ -240,8 +240,9 @@ def config_hash(echo: dict) -> str:
 
 
 def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tuple[list[TrajectoryRecord], str | None]:
-    """Run cfg's optimizer from x0 in the shared loop: max_iters unbatched steps, or epochs
-    of shuffled batches with the accuracy logged per epoch. opt_cfgs is _prepare(cfg)'s."""
+    """Run cfg's optimizer from x0 in the shared loop, on a lazy sequence of steps: max_iters
+    unbatched ones, or one per shuffled batch of each epoch, which pins its batch and, at the
+    epoch's end or where the run stops, logs the accuracy. opt_cfgs is _prepare(cfg)'s."""
     opt_seed, shuffle_seed = (cfg.seed, None) if cfg.epochs is None else np.random.SeedSequence(cfg.seed).spawn(2)
 
     if cfg.optimizer == "dycent":
@@ -257,26 +258,34 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tupl
         blstate = baselines.BaselineState.zeros(x0.size)
         def stepper(opt_cfg):
             return baselines.baseline_stepper(obj, opt_cfg, blstate)
+    steps = [stepper(c) for c in opt_cfgs]  # the second, if any, after the h schedule's decay
 
     if cfg.epochs is None:
-        return optimizer.run_loop(x0, obj, [(stepper(opt_cfgs[0]), [None] * cfg.max_iters)])
+        return optimizer.run_loop(x0, (steps[0] for _ in range(cfg.max_iters)))[:2]
 
     data = obj.data
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
+    def batch_step(step, batch, epoch_end):
+        def pinned(i, x):
+            obj.set_batch(BatchContext(batch))
+            x_new, rec = step(i, x)
+            if epoch_end:
+                rec.acc_train = mlmodels.accuracy(obj, x_new)
+            return x_new, rec
+        return pinned
+
     def schedule():
-        step = stepper(opt_cfgs[0])
         for epoch in range(cfg.epochs):
-            if cfg.h_schedule and epoch == cfg.h_schedule.at_epoch:
-                step = stepper(opt_cfgs[1])
+            step = steps[-1] if cfg.h_schedule and epoch >= cfg.h_schedule.at_epoch else steps[0]
             perm = shuffle_rng.permutation(len(data))
-            yield step, [perm[i : i + cfg.batch_size] for i in range(0, len(data), cfg.batch_size)]
+            for i in range(0, len(data), cfg.batch_size):
+                yield batch_step(step, perm[i : i + cfg.batch_size], i + cfg.batch_size >= len(data))
 
-    def end_epoch(x, records):
-        if records:
-            records[-1].acc_train = mlmodels.accuracy(obj, x)
-
-    return optimizer.run_loop(x0, obj, schedule(), end_epoch)
+    records, stop_reason, x = optimizer.run_loop(x0, schedule())
+    if stop_reason and records:
+        records[-1].acc_train = mlmodels.accuracy(obj, x)
+    return records, stop_reason
 
 
 def write_trajectory_csv(path: Path, records: list[TrajectoryRecord]) -> None:

@@ -12,8 +12,12 @@ Given a Lipschitz constant L of the gradient, the same step runs in the
 constrained mode the descent bound is proved for: the probe distance is
 0.01 * ||g1|| / L and the step is h * cot(theta) with h at its cap
 ||g1|| * tan(theta) / L, so every step is ||g1|| / L long, with no EMA or
-doubling; theory.run_constrained is run_loop over dycent_step with
-lipschitz set.
+doubling.
+
+Every driver runs in run_loop, one flat loop over a lazy sequence of step
+callables whose length is the run's budget: theory.run_constrained hands it
+dycent_step with lipschitz set, and the harness's epoch mode one step per
+batch, each pinning its own batch.
 """
 
 import math
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import BatchContext, Objective
+from .objective import Objective
 from .vecmath import (
     ParamVector,
     RngHandle,
@@ -199,35 +203,24 @@ def dycent_step(
     return x_new, trace
 
 
-def run_loop(x0: ParamVector, obj: Objective, schedule, end_epoch=None) -> tuple[list, str | None]:
-    """The run loop every driver shares; returns the logged items and the stop reason.
+def run_loop(x0: ParamVector, steps) -> tuple[list, str | None, ParamVector]:
+    """The run loop every driver shares; returns the logged items, the stop reason and the last point.
 
-    schedule yields one (step, batches) pair per epoch; a batch is a row
-    index array to pin on obj, or None (a deterministic run is one epoch
-    of None batches). step(i, x) returns (x_new, item). end_epoch(x, items)
-    runs after each epoch. A ZeroGradientError ends the run as
-    "zero_gradient_start" before any item, "stationary_point" after. A
-    NonFiniteStepError propagates with its logged set to the items so far.
+    steps is an iterable, lazy and of any length, of step(i, x) callables
+    that return (x_new, item); the loop takes each in turn from x0. A
+    ZeroGradientError ends the run as "zero_gradient_start" before any
+    item, "stationary_point" after. A NonFiniteStepError propagates with
+    its logged set to the items so far.
     """
     x = np.asarray(x0, dtype=np.float64)
     items: list = []
-    reason = None
-    for step, batches in schedule:
-        for batch in batches:
-            if batch is not None:
-                obj.set_batch(BatchContext(batch))
-            try:
-                x, item = step(len(items), x)
-            except ZeroGradientError:
-                reason = "stationary_point" if items else "zero_gradient_start"
-                break
-            except NonFiniteStepError as exc:
-                exc.logged = items
-                raise
-            items.append(item)
-        if end_epoch is not None:
-            end_epoch(x, items)
-        if reason:
-            break
-    return items, reason
-
+    for step in steps:
+        try:
+            x, item = step(len(items), x)
+        except ZeroGradientError:
+            return items, "stationary_point" if items else "zero_gradient_start", x
+        except NonFiniteStepError as exc:
+            exc.logged = items
+            raise
+        items.append(item)
+    return items, None, x

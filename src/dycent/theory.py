@@ -7,7 +7,8 @@ h <= ||grad|| / (L * cot(theta)) makes the step d = h * cot(theta) exactly
 ||grad||^2 / (2L) and the sufficient-decrease (Armijo) condition with
 c1 = 1/(2L). The curvature condition carries no such guarantee; it is
 measured and reported, never asserted. The constrained step itself is
-optimizer.dycent_step with lipschitz set; run_constrained is run_loop over it.
+optimizer.dycent_step with lipschitz set; run_constrained is run_loop over
+a lazy sequence of max_iters of them, so no budget is built up front.
 Since theta cancels, that step is gradient descent with step 1/L up to
 rounding, and both guarantees are that method's textbook ones.
 """
@@ -122,4 +123,4 @@ def run_constrained(x0: ParamVector, obj: Objective, L: float, max_iters: int, s
     state = optimizer.DycentState(rng=np.random.default_rng(seed))
     def step(i, x):
         return optimizer.dycent_step(x, obj, CONSTRAINED_CONFIG, state, lipschitz=L)
-    return optimizer.run_loop(x0, obj, [(step, [None] * max_iters)])[0]
+    return optimizer.run_loop(x0, (step for _ in range(max_iters)))[0]

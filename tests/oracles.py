@@ -22,7 +22,7 @@ def dycent_run(x0, obj, cfg, max_iters, seed):
     def step(i, x):
         return dycent_step(x, obj, cfg, state)
 
-    return run_loop(x0, obj, [(step, [None] * max_iters)])[0]
+    return run_loop(x0, (step for _ in range(max_iters)))[0]
 
 
 def numpy_toy_a():

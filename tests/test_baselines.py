@@ -16,6 +16,7 @@ from dycent.baselines import (
 )
 from dycent.objective import AnalyticObjective, isotropic_quadratic, toy_a
 from dycent.optimizer import run_loop
+from dycent.vecmath import DimensionError
 
 bounded_arrays = st.lists(
     st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=8
@@ -24,7 +25,8 @@ bounded_arrays = st.lists(
 
 def baseline_records(x0, obj, cfg, n):
     """The records of n steps of the configured baseline from x0, as the harness runs them."""
-    return run_loop(x0, obj, [(baseline_stepper(obj, cfg, BaselineState.zeros(x0.size)), [None] * n)])[0]
+    step = baseline_stepper(obj, cfg, BaselineState.zeros(x0.size))
+    return run_loop(x0, (step for _ in range(n)))[0]
 
 
 def constant_gradient_objective(g):
@@ -50,7 +52,8 @@ class TestSgdFamily:
     def test_sgd_hand_step(self):
         obj = isotropic_quadratic(2)
         cfg = BaselineConfig(method="sgd", lr=0.1)
-        x = baseline_step(np.array([1.0, 0.0]), obj, cfg, BaselineState.zeros(2))
+        x0 = np.array([1.0, 0.0])
+        x = baseline_step(x0, obj.gradient(x0), cfg, BaselineState.zeros(2))
         assert np.array_equal(x, np.array([0.9, 0.0]))
 
     def test_sgdm_with_zero_momentum_equals_sgd(self):
@@ -64,6 +67,12 @@ class TestSgdFamily:
             assert a.f == b.f
             assert a.grad_norm == b.grad_norm
 
+    def test_state_of_another_dimension_rejected(self):
+        obj = isotropic_quadratic(3)
+        x0 = np.ones(3)
+        with pytest.raises(DimensionError, match="state dimension"):
+            baseline_step(x0, obj.gradient(x0), BaselineConfig(method="sgd"), BaselineState.zeros(2))
+
 
 class TestAdamFamily:
     def test_adam_first_step_is_signed_lr(self):
@@ -73,7 +82,7 @@ class TestAdamFamily:
         obj = constant_gradient_objective(g)
         cfg = BaselineConfig(method="adam", lr=1e-3)
         x0 = np.zeros(3)
-        x1 = baseline_step(x0, obj, cfg, BaselineState.zeros(3))
+        x1 = baseline_step(x0, obj.gradient(x0), cfg, BaselineState.zeros(3))
         expected = -cfg.lr * g / (np.abs(g) + cfg.eps)
         assert np.array_equal(x1, expected)
         assert np.all(np.sign(x1) == -np.sign(g))
@@ -84,7 +93,7 @@ class TestAdamFamily:
         obj = constant_gradient_objective(g)
         cfg = BaselineConfig(method="adam")
         state = BaselineState.zeros(2)
-        baseline_step(np.zeros(2), obj, cfg, state)
+        baseline_step(np.zeros(2), obj.gradient(np.zeros(2)), cfg, state)
         m_hat = state.m / (1.0 - cfg.beta1)
         v_hat = state.v / (1.0 - cfg.beta2)
         assert m_hat == pytest.approx(g, rel=1e-14)
@@ -95,7 +104,7 @@ class TestAdamFamily:
         obj = constant_gradient_objective(g)
         cfg = BaselineConfig(method="adabelief")
         state = BaselineState.zeros(1)
-        baseline_step(np.zeros(1), obj, cfg, state)
+        baseline_step(np.zeros(1), obj.gradient(np.zeros(1)), cfg, state)
         expected_v = (1.0 - cfg.beta2) * (g - state.m) ** 2 + cfg.eps
         assert state.v == pytest.approx(expected_v, rel=1e-14)
 
@@ -103,8 +112,8 @@ class TestAdamFamily:
         g = np.array([1.5, -0.5])
         obj = constant_gradient_objective(g)
         x0 = np.zeros(2)
-        adam_x = baseline_step(x0, obj, BaselineConfig(method="adam"), BaselineState.zeros(2))
-        diff_x = baseline_step(x0, obj, BaselineConfig(method="diffgrad"), BaselineState.zeros(2))
+        adam_x = baseline_step(x0, obj.gradient(x0), BaselineConfig(method="adam"), BaselineState.zeros(2))
+        diff_x = baseline_step(x0, obj.gradient(x0), BaselineConfig(method="diffgrad"), BaselineState.zeros(2))
         friction = friction_coefficient(np.zeros(2), g)
         assert diff_x == pytest.approx(friction * adam_x, rel=1e-14)
 
@@ -113,9 +122,9 @@ class TestAdamFamily:
         g = np.array([1.5, -0.5])
         obj = constant_gradient_objective(g)
         x0 = np.zeros(2)
-        adam_x = baseline_step(x0, obj, BaselineConfig(method="adam"), BaselineState.zeros(2))
+        adam_x = baseline_step(x0, obj.gradient(x0), BaselineConfig(method="adam"), BaselineState.zeros(2))
         ang_x = baseline_step(
-            x0, obj, BaselineConfig(method=f"angulargrad_{flavor}"), BaselineState.zeros(2)
+            x0, obj.gradient(x0), BaselineConfig(method=f"angulargrad_{flavor}"), BaselineState.zeros(2)
         )
         coeff = angular_coefficient(np.zeros(2), g, flavor)
         assert ang_x == pytest.approx(coeff * adam_x, rel=1e-14)

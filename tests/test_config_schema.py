@@ -1,7 +1,7 @@
 """The config schema, pinned: the echoed defaults of every objective and
 optimizer, and the type the config-file parser gives each key.
 
-Output files are named by config_hash(config_echo(cfg)), so a default that
+Output files are named by config_hash(config_echo(cfg, opt_cfg)), so a default that
 moves, or a value parsed as another type (4 against 4.0), renames them.
 """
 
@@ -12,6 +12,7 @@ from dycent.harness import (
     ConfigError,
     HSchedule,
     RunConfig,
+    _build_optimizer_config,
     config_echo,
     config_hash,
     parse_config_file,
@@ -49,7 +50,7 @@ def test_every_objective_is_pinned_at_defaults():
 @pytest.mark.parametrize("objective,optimizer,seed,params,digest", PINNED_HASHES)
 def test_config_hash_pinned(objective, optimizer, seed, params, digest):
     cfg = RunConfig(objective=objective, optimizer=optimizer, seed=seed, objective_params=params)
-    assert config_hash(config_echo(cfg)) == digest
+    assert config_hash(config_echo(cfg, _build_optimizer_config(cfg))) == digest
 
 
 EVERY_KEY = """

@@ -16,7 +16,6 @@ from dycent.harness import (
     ConfigError,
     HSchedule,
     RunConfig,
-    config_echo,
     config_hash,
     parse_config_file,
     run_angle_experiment,
@@ -140,6 +139,27 @@ class TestRunExperiment:
         assert summary["final_train_accuracy"] is not None  # logged after every epoch
         assert len(built) == 1
 
+    def test_epoch_run_stopped_mid_epoch_logs_accuracy_at_its_last_point(self, tmp_path, monkeypatch):
+        # 4 batches per epoch; the gradient vanishes from its 14th call on, so
+        # the run stops in the second epoch, on its 7th step, after 6 records.
+        calls = []
+        gradient = mlmodels.MlpObjective.gradient
+
+        def vanishing_gradient(obj, x):
+            calls.append(None)
+            return np.zeros(obj.dim) if len(calls) > 13 else gradient(obj, x)
+
+        monkeypatch.setattr(mlmodels.MlpObjective, "gradient", vanishing_gradient)
+        cfg = RunConfig(
+            objective="moons_mlp", optimizer="dycent", batch_size=25, epochs=3, objective_params={"n": 100},
+            optimizer_params={"h": MOONS_TUNED_H, "epsilon": MOONS_TUNED_EPSILON},
+        )
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        assert (summary["stop_reason"], summary["iterations"]) == ("stationary_point", 6)
+        rows = list(csv.DictReader(Path(summary["files"]["trajectory_csv"]).read_text().splitlines()))
+        assert [r["acc_train"] != "" for r in rows] == [False, False, False, True, False, True]
+        assert float(rows[5]["acc_train"]) == summary["final_train_accuracy"] == 0.83
+
     def test_rerun_is_byte_identical(self, tmp_path):
         s1 = run_experiment(toy_b_cfg("dycent"), out_dir=tmp_path / "a")
         s2 = run_experiment(toy_b_cfg("dycent"), out_dir=tmp_path / "b")
@@ -158,7 +178,7 @@ class TestRunExperiment:
     def test_output_named_by_config_hash(self, tmp_path):
         cfg = toy_b_cfg("dycent")
         summary = run_experiment(cfg, out_dir=tmp_path)
-        assert config_hash(config_echo(cfg)) in summary["files"]["trajectory_csv"]
+        assert config_hash(harness._prepare(cfg)[2]) in summary["files"]["trajectory_csv"]
 
 
 class TestAutomaticStart:
@@ -510,6 +530,16 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert "h / h_decay_factor is 0.0; it must be > 0 and finite" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("max_iters", [2**62, 2**64], ids=["2**62", "2**64"])
+    def test_any_iteration_budget_runs_without_allocating_it(self, tmp_path, max_iters):
+        # the toy_b run stops after 2 steps; its budget is never built up front
+        section = "objective = toy_b\noptimizer = dycent\nx0 = toy_b_init\nseed = 7\nh = 0.01\n"
+        proc = run_cli(tmp_path, section + f"max_iters = {max_iters}\n")
+        assert proc.returncode == 0, proc.stderr
+        summary, rows = partial_outputs(tmp_path)
+        assert (summary["iterations"], summary["stop_reason"], len(rows)) == (2, "stationary_point", 2)
+        assert summary["config"]["max_iters"] == max_iters
 
     def test_diverging_baseline_exits_3_with_finite_records(self, tmp_path):
         proc = run_cli(tmp_path, "objective = rosenbrock\noptimizer = sgd\nlr = 1\nmax_iters = 50\n")

@@ -25,7 +25,7 @@ def train_adam(obj, spec, iters=500, lr=0.05):
     state = BaselineState.zeros(x.size)
     cfg = BaselineConfig(method="adam", lr=lr)
     for _ in range(iters):
-        x = baseline_step(x, obj, cfg, state)
+        x = baseline_step(x, obj.gradient(x), cfg, state)
     return x
 
 
