@@ -6,7 +6,8 @@ import json
 import sys
 
 from .harness import (
-    ConfigError, _prepare, parse_config_file, run_angle_experiment, run_comparison, run_experiment, run_theory_suite
+    ConfigError, DivergedError, _prepare, parse_config_file, run_angle_experiment, run_comparison, run_experiment,
+    run_theory_suite,
 )
 from .optimizer import NonFiniteStepError
 
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonFiniteStepError as exc:
+    except (NonFiniteStepError, DivergedError) as exc:
         print(f"error[numerical]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

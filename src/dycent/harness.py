@@ -80,6 +80,17 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message lists the valid options."""
 
 
+class DivergedError(ArithmeticError):
+    """A run took its whole budget and ended far above the best value it logged."""
+
+
+# A run whose final f exceeds its best f by more than this factor times
+# max(1, |best f|) is marked "diverged". The rule reads only logged values,
+# so it costs no evaluation; shipped runs stay below 1 and the diverging
+# Rosenbrock runs reach about 1e17.
+DIVERGENCE_FACTOR = 1e6
+
+
 @dataclass(frozen=True)
 class HSchedule:
     """One-shot step decay: divide h (or lr) by decay_factor at at_epoch."""
@@ -151,16 +162,20 @@ def _objective_params(cfg: RunConfig) -> dict:
 def _build_objective(cfg: RunConfig) -> tuple[Objective, np.ndarray | None]:
     """Instantiate the configured objective; returns (objective, automatic start or None).
 
-    An unknown parameter, or one the objective rejects, raises ConfigError.
+    An unknown parameter, one the objective rejects, or a size too large to
+    allocate raises ConfigError.
     """
     build, defaults, _ = _OBJECTIVE_TABLE[cfg.objective]
     unknown = set(cfg.objective_params) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {cfg.objective} parameters {sorted(unknown)}")
+    params = _objective_params(cfg)
     try:
-        return build(**{k: _param_type(defaults[k])(v) for k, v in _objective_params(cfg).items()})
+        return build(**{k: _param_type(defaults[k])(v) for k, v in params.items()})
     except ValueError as exc:
         raise ConfigError(f"{cfg.objective}: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"{cfg.objective} with {params} does not fit in memory: {exc}") from None
 
 
 def _resolve_x0(cfg: RunConfig, auto_start: np.ndarray | None) -> np.ndarray:
@@ -300,7 +315,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, pre
     annotate(records), if given, returns entries to add to the summary.
     prepared, if given, is _prepare(cfg)'s unused result. A run stopped by
     a non-finite value or gradient writes the steps before it, then raises
-    the NonFiniteStepError.
+    the NonFiniteStepError; a run that diverged (DIVERGENCE_FACTOR) writes
+    its steps, then raises DivergedError.
     """
     obj, x0, echo, opt_cfgs = prepared or _prepare(cfg)
 
@@ -322,16 +338,22 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, pre
     f_values = [r.f for r in records]
     accs = [r.acc_train for r in records if r.acc_train is not None]
     best_idx = int(np.argmin(f_values)) if f_values else None
+    final_f, best_f = (f_values[-1], f_values[best_idx]) if f_values else (None, None)
+    stopped_early = stop_reason is not None
+    if not stopped_early and final_f - best_f > DIVERGENCE_FACTOR * max(1.0, abs(best_f)):
+        stop_reason = "diverged"
+        error = DivergedError(f"run diverged: final f {final_f:.6g} is more than {DIVERGENCE_FACTOR:g} "
+                              f"times max(1, |best f|) above best f {best_f:.6g}")
     summary = {
         "config": echo,
         "config_hash": digest,
         "iterations": len(records),
-        "final_f": f_values[-1] if f_values else None,
-        "best_f": f_values[best_idx] if f_values else None,
+        "final_f": final_f,
+        "best_f": best_f,
         "iters_to_best": records[best_idx].iter if f_values else None,
         "final_grad_norm": records[-1].grad_norm if records else None,
         "final_train_accuracy": accs[-1] if accs else None,
-        "stopped_early": stop_reason is not None,
+        "stopped_early": stopped_early,
         "stop_reason": stop_reason,
         "files": {"trajectory_csv": str(csv_path), "summary_json": str(json_path)},
     }

@@ -90,13 +90,12 @@ class DycentState:
 
 @dataclass
 class StepTrace:
-    """Full record of one step, sufficient to re-check its geometry."""
+    """Record of one step; the probe gradient is not kept, and re-evaluating it at x2 re-checks the angle."""
 
     x1: ParamVector
     x_new: ParamVector  # x1 + d_used * g1 / ||g1||, the point dycent_step returns
     x2: ParamVector
     g1: ParamVector
-    g2: ParamVector
     p1: ParamVector
     theta: float
     d_raw: float
@@ -192,7 +191,6 @@ def dycent_step(
         x_new=x_new,
         x2=x2,
         g1=g1,
-        g2=g2,
         p1=p1,
         theta=theta,
         d_raw=d_raw,

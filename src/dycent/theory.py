@@ -57,61 +57,39 @@ def check_descent(trajectory: list[StepTrace], f_before: list[float], L: float, 
     return DescentReport(violations=violations, min_decrease_margin=min_margin)
 
 
-def check_armijo(trace: StepTrace, f_before: float, c1: float) -> bool:
-    """Sufficient decrease with d_used in the place of the step size and
-    descent direction -grad, f_before being f(x1):
-
-        f(x_new) <= f_before + c1 * d_used * grad^T(-grad)
-                  = f_before - c1 * d_used * ||grad||^2
-
-    The step moves d_used along the unit vector -grad/||grad||, so the
-    textbook Armijo step size is alpha = d_used/||grad||, and this bound
-    asks ||grad|| times the textbook decrease c1 * alpha * ||grad||^2:
-    less where ||grad|| < 1, more where ||grad|| > 1.
-    """
-    grad_sq = float(np.dot(trace.g1, trace.g1))
-    return trace.f_after <= f_before - c1 * trace.d_used * grad_sq
-
-
-def check_curvature(
-    trace: StepTrace, c2: float, obj: Objective, nxt: StepTrace | None = None
-) -> bool:
-    """Curvature condition |grad(x_new)^T p| <= c2 |grad(x1)^T p| with p = -grad(x1).
-
-    Needs the gradient at the landing point trace.x_new; used for reporting
-    only. nxt, the trajectory's following step, already holds it as -nxt.g1
-    when it starts at x_new bit for bit; otherwise obj evaluates it.
-    """
-    # comparing bytes is the exact test and, unlike np.array_equal, cheaper
-    # than an analytic gradient
-    if nxt is not None and nxt.x1.tobytes() == trace.x_new.tobytes():
-        g_new = -nxt.g1
-    else:
-        g_new = obj.gradient(trace.x_new)
-    lhs = abs(float(np.dot(g_new, trace.g1)))
-    rhs = c2 * float(np.dot(trace.g1, trace.g1))
-    return lhs <= rhs
-
-
 def wolfe_report(
     trajectory: list[StepTrace], f_before: list[float], obj: Objective, c1: float, c2: float = 0.9
 ) -> WolfeReport:
     """Evaluate both Wolfe conditions on every step k of a trajectory; f_before[k] is f(x1).
 
+    With descent direction p = -grad(x1) = g1, step k passes
+    - sufficient decrease (Armijo) if f(x_new) <= f_before[k] - c1 * d_used * ||g1||^2,
+      with d_used in the place of the step size. The step moves d_used along
+      the unit vector g1/||g1||, so the textbook step size is
+      alpha = d_used/||g1||, and this bound asks ||g1|| times the textbook
+      decrease c1 * alpha * ||g1||^2: less where ||g1|| < 1, more where ||g1|| > 1;
+    - curvature if |grad(x_new)^T p| <= c2 |grad(x1)^T p|, measured for reporting only.
+
     Both conditions are checked, so the constants must form a valid
-    strong-Wolfe pair 0 < c1 < c2 < 1. Each landing gradient is taken from
-    the following step where that step starts at the landing point, so a
-    consecutive trajectory costs one gradient evaluation, for its last step.
+    strong-Wolfe pair 0 < c1 < c2 < 1. The gradient at x_new is -g1 of the
+    following step where that step starts at x_new bit for bit; otherwise obj
+    evaluates it. So a consecutive trajectory costs one gradient evaluation,
+    for its last step.
     """
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
-    return WolfeReport(
-        armijo_pass=[check_armijo(tr, f1, c1) for tr, f1 in zip(trajectory, f_before, strict=True)],
-        curvature_pass=[
-            check_curvature(tr, c2, obj, nxt)
-            for tr, nxt in zip(trajectory, trajectory[1:] + [None])
-        ],
-    )
+    report = WolfeReport(armijo_pass=[], curvature_pass=[])
+    for tr, f1, nxt in zip(trajectory, f_before, [*trajectory[1:], None], strict=True):
+        grad_sq = float(np.dot(tr.g1, tr.g1))
+        # comparing bytes is the exact test and, unlike np.array_equal, cheaper
+        # than an analytic gradient
+        if nxt is not None and nxt.x1.tobytes() == tr.x_new.tobytes():
+            g_new = -nxt.g1
+        else:
+            g_new = obj.gradient(tr.x_new)
+        report.armijo_pass.append(tr.f_after <= f1 - c1 * tr.d_used * grad_sq)
+        report.curvature_pass.append(abs(float(np.dot(g_new, tr.g1))) <= c2 * grad_sq)
+    return report
 
 
 def run_constrained(x0: ParamVector, obj: Objective, L: float, max_iters: int, seed: int) -> list[StepTrace]:

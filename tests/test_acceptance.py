@@ -68,10 +68,9 @@ def test_criterion_2_armijo_sufficient_decrease(constrained_quadratic_steps):
     runs, _ = constrained_quadratic_steps
     checked = 0
     for obj, L, traces in runs:
-        c1 = 1.0 / (2.0 * L)
-        for tr in traces:
-            assert theory.check_armijo(tr, obj.value(tr.x1), c1), "sufficient decrease failed"
-            checked += 1
+        report = theory.wolfe_report(traces, [obj.value(tr.x1) for tr in traces], obj, c1=1.0 / (2.0 * L))
+        assert all(report.armijo_pass), "sufficient decrease failed"
+        checked += len(report.armijo_pass)
     assert checked >= 10_000
     print(f"criterion 2: sufficient decrease on {checked}/{checked} steps")
 

@@ -8,13 +8,15 @@ taken by a wrapper defined here, not by package code, so a refactor that
 brings a duplicate evaluation back fails these tests.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from dycent import harness
 from dycent.harness import RunConfig, run_experiment
 from dycent.objective import spd_quadratic
-from dycent.theory import check_curvature, check_descent, run_constrained, wolfe_report
+from dycent.theory import check_descent, run_constrained, wolfe_report
 
 
 class CountingObjective:
@@ -53,8 +55,13 @@ def counted(monkeypatch):
 
 
 def run_counted(counted, tmp_path, **kwargs):
-    summary = run_experiment(RunConfig(**kwargs), out_dir=tmp_path)
-    assert summary["stop_reason"] is None  # a full run, no stationary stop
+    """One run on a counting objective; a diverged run took its whole budget too, so its written summary counts."""
+    try:
+        summary = run_experiment(RunConfig(**kwargs), out_dir=tmp_path)
+    except harness.DivergedError:
+        (path,) = tmp_path.glob("*.json")
+        summary = json.loads(path.read_text())
+    assert not summary["stopped_early"]  # a full run, no stationary stop
     (obj,) = counted
     return summary["iterations"], obj
 
@@ -159,12 +166,15 @@ def test_theory_suite_one_value_per_step_plus_one_per_run(monkeypatch, tmp_path)
     assert sum(obj.values for obj in built) == report["descent"]["steps_checked"] + runs
 
 
-def test_check_curvature_same_verdict_with_and_without_next(constrained_run):
+def test_wolfe_report_same_verdict_with_and_without_next(constrained_run):
     obj, traces = constrained_run
+    f_before = start_values(obj, traces)
     verdicts = []
     for c2 in np.linspace(0.02, 0.98, 49):  # brackets each step's ratio
-        for tr, nxt in zip(traces, traces[1:]):
-            with_next = check_curvature(tr, c2, obj, nxt)
-            assert with_next == check_curvature(tr, c2, obj)
-            verdicts.append(with_next)
+        joined = wolfe_report(traces, f_before, obj, c1=0.01, c2=c2)
+        # a one-step trajectory has no next step, so its landing gradient is evaluated
+        alone = [wolfe_report([tr], [f], obj, c1=0.01, c2=c2) for tr, f in zip(traces, f_before)]
+        assert joined.curvature_pass == [r.curvature_pass[0] for r in alone]
+        assert joined.armijo_pass == [r.armijo_pass[0] for r in alone]
+        verdicts += joined.curvature_pass
     assert any(verdicts) and not all(verdicts)

@@ -14,6 +14,7 @@ from dycent.harness import (
     MOONS_TUNED_EPSILON,
     MOONS_TUNED_H,
     ConfigError,
+    DivergedError,
     HSchedule,
     RunConfig,
     config_hash,
@@ -106,6 +107,27 @@ class TestRunExperiment:
         assert summary["stop_reason"] == "zero_gradient_start"
         assert summary["iterations"] == 0
         assert summary["final_f"] is None
+
+    def test_diverged_run_writes_its_steps_then_raises(self, tmp_path):
+        # the defaults on rosenbrock: from f(x0) = 24.2 the run reaches 2.4e5 at best and ends near 1e23
+        cfg = RunConfig(objective="rosenbrock", optimizer="dycent", output_prefix="r")
+        with pytest.raises(DivergedError, match="run diverged"):
+            run_experiment(cfg, out_dir=tmp_path)
+        (json_path,) = tmp_path.glob("r-*.json")
+        summary = json.loads(json_path.read_text())
+        assert (summary["stop_reason"], summary["stopped_early"], summary["iterations"]) == ("diverged", False, 1000)
+        assert summary["final_f"] - summary["best_f"] > harness.DIVERGENCE_FACTOR * max(1.0, abs(summary["best_f"]))
+
+    def test_run_that_ends_above_its_start_after_descending_is_not_diverged(self, tmp_path):
+        # toy_a is unbounded below; at probe seed 35 the run reaches f = -1.4e5,
+        # then wanders up to f = 376, a ratio of final - best to |best| of about 1.003
+        cfg = RunConfig(
+            objective="toy_a", optimizer="dycent", x0="toy_a_init_perturbed", seed=35, optimizer_params={"h": 1e-2},
+        )
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        assert summary["stop_reason"] is None
+        assert summary["final_f"] > 0 > summary["best_f"]
+        assert summary["final_f"] - summary["best_f"] < 2.0 * abs(summary["best_f"])
 
     def test_dycent_toy_b_finds_global_basin(self, tmp_path):
         summary = run_experiment(toy_b_cfg("dycent"), out_dir=tmp_path)
@@ -551,6 +573,33 @@ class TestCli:
         assert all(math.isfinite(float(r["f"])) and math.isfinite(float(r["grad_norm"])) for r in rows)
         assert summary["final_f"] == float(rows[-1]["f"])
 
+    @pytest.mark.parametrize("extra", ["", "h = 1\nmax_iters = 300\n"], ids=["defaults", "h1-iters300"])
+    def test_diverging_run_exits_3(self, tmp_path, extra):
+        proc = run_cli(tmp_path, "objective = rosenbrock\noptimizer = dycent\n" + extra)
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert "error[numerical]: run diverged" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        summary, rows = partial_outputs(tmp_path)
+        assert summary["stop_reason"] == "diverged"
+        assert summary["iterations"] == len(rows) == summary["config"]["max_iters"]
+
+    def test_toy_a_run_at_seed_35_exits_0(self, tmp_path):
+        proc = run_cli(tmp_path, "objective = toy_a\noptimizer = dycent\nx0 = toy_a_init_perturbed\nseed = 35\nh = 0.01\n")
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert partial_outputs(tmp_path)[0]["stop_reason"] is None
+
+    def test_objective_too_large_to_build_is_a_config_error(self, monkeypatch):
+        # a size the machine could overcommit must never be allocated here, so the builder refuses instead
+        def refuse(**params):
+            raise MemoryError("Unable to allocate 373. GiB")
+
+        _, defaults, takes_epochs = harness._OBJECTIVE_TABLE["moons_mlp"]
+        monkeypatch.setitem(harness._OBJECTIVE_TABLE, "moons_mlp", (refuse, defaults, takes_epochs))
+        cfg = RunConfig(objective="moons_mlp", optimizer="sgd", epochs=1, batch_size=32, objective_params={"n": 10**11})
+        with pytest.raises(ConfigError, match=r"moons_mlp with \{'n': 100000000000, .*\} does not fit in memory: "
+                                              r"Unable to allocate 373\. GiB"):
+            harness._prepare(cfg)
+
     @pytest.mark.parametrize(
         "section",
         [
@@ -573,11 +622,13 @@ class TestCli:
             "objective = toy_b\noptimizer = sgd\n[r]\nx0 = toy_b_init\n",
             "objective = toy_b\noptimizer = sgd\noptimizer = adam\n",
             "objective = toy_b\noptimizer sgd\n",
+            # numpy refuses a 7.3 TiB request at once
+            "objective = quadratic\noptimizer = sgd\ndim = 1000000000000\n",
         ],
         ids=[
             "x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d", "batch-no-epochs", "schedule-no-epochs",
             "schedule-past-last-epoch", "h-decays-to-0", "lr-decays-to-0", "lr-decays-to-inf", "duplicate-section",
-            "duplicate-key", "line-without-equals",
+            "duplicate-key", "line-without-equals", "oversized-objective",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, section):

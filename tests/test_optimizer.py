@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dycent.objective import AnalyticObjective, isotropic_quadratic, spd_quadratic, toy_a, toy_b
+from dycent.harness import RunConfig, run_experiment
+from dycent.objective import _TOY_B_LIMIT_R2, AnalyticObjective, isotropic_quadratic, spd_quadratic, toy_a, toy_b
 from dycent.optimizer import (
     DycentConfig,
     DycentState,
@@ -239,6 +240,60 @@ class TestSpdQuadraticOracle:
         d_cf = cfg.h / math.tan(theta_cf)
         assert abs(tr.d_raw - d_cf) <= 1e-8 * abs(d_cf)
         assert np.array_equal(x_new, tr.x1 + tr.d_used * tr.g1 / norm(tr.g1))
+
+
+class TestRadialOracle:
+    """On a radial surface every gradient line passes through the centre, so
+    the two gradient lines of a step meet there: |d_raw| = |h cot(theta)| is
+    ||x1|| whatever h is, and the shipped toy_b run is a symmetry jump.
+    d_raw is -||x1|| on toy_b where the probe crosses a ripple crest, so that
+    g2 turns against g1 and theta is near pi.
+
+    With the probe exactly perpendicular, tan(theta_true) = +-h / r for r = ||x1||.
+    The stepper adds epsilon to the angle, and to first order a change e in
+    theta moves d_raw by -e / (sin(theta) cos(theta)) relative, which is
+    e * (r/h + h/r). The rounding term rho adds to epsilon: the probe's tilt
+    toward the centre |p1 . x1| / r, which sample_perpendicular's one
+    projection leaves at up to about 1e4 u in 2-D, and the cosine's rounding
+    of about (2n + 3) u, which acos turns into that over sin(theta).
+    """
+
+    @pytest.mark.parametrize(
+        "obj", [toy_b(), isotropic_quadratic(2), isotropic_quadratic(5)], ids=["toy_b", "isotropic_2d", "isotropic_5d"]
+    )
+    def test_d_raw_is_the_distance_to_the_centre(self, obj):
+        cfg = DycentConfig(h=1e-2)
+        u = 2.0**-53
+        rng = np.random.default_rng(2)
+        worst = 0.0
+        for k in range(1000):
+            x = rng.standard_normal(obj.dim)
+            x *= math.exp(rng.uniform(math.log(1e-3), math.log(31.0))) / norm(x)
+            r = norm(x)
+            _, tr = dycent_step(x, obj, cfg, state_with(k))
+            sin_theta = cfg.h / math.hypot(cfg.h, r)
+            rho = abs(float(tr.p1 @ x)) / r + (2 * obj.dim + 3) * u / sin_theta
+            bound = (cfg.epsilon + 2.0 * rho) * (r / cfg.h + cfg.h / r)
+            assert abs(abs(tr.d_raw) - r) <= bound * r
+            worst = max(worst, abs(abs(tr.d_raw) - r) / r)
+        # at r near 31 the epsilon term alone is about 3e-5
+        assert 1e-5 < worst < 4e-5
+
+    def test_shipped_toy_b_run_jumps_out_then_to_the_centre(self, tmp_path):
+        # configs/toy_b_compare.ini's dycent section: from (3, 3) the descent
+        # direction points away from the centre, so step 1 lands near (6, 6)
+        # and step 2 crosses to the centre
+        traces = dycent_run(np.array([3.0, 3.0]), toy_b(), DycentConfig(h=0.01), 1000, seed=7)
+        assert len(traces) == 2
+        first, second = traces
+        assert first.d_raw == 4.242622686953838  # sqrt(18) less the epsilon term, 1.8e-5
+        assert np.allclose(first.x_new, [6.0, 6.0], rtol=0, atol=1e-4)
+        assert float(second.x_new @ second.x_new) < _TOY_B_LIMIT_R2
+        summary = run_experiment(
+            RunConfig(objective="toy_b", optimizer="dycent", x0="toy_b_init", seed=7, optimizer_params={"h": 0.01}),
+            tmp_path,
+        )
+        assert (summary["iterations"], summary["stop_reason"], summary["best_f"]) == (2, "stationary_point", -1.0)
 
 
 class TestRun:

@@ -5,13 +5,7 @@ import pytest
 
 from dycent.objective import isotropic_quadratic, spd_quadratic, toy_b
 from dycent.optimizer import DycentConfig, StepTrace, constrained_h
-from dycent.theory import (
-    check_armijo,
-    check_curvature,
-    check_descent,
-    run_constrained,
-    wolfe_report,
-)
+from dycent.theory import check_descent, run_constrained, wolfe_report
 from dycent.vecmath import angle_between, norm, sample_perpendicular
 
 from oracles import dycent_run
@@ -27,7 +21,6 @@ def fabricate_trace(f_after, d_used, grad=np.array([1.0, 0.0])):
         x_new=x1 + d_used * g1 / norm(g1),
         x2=x1 - 0.1 * p1,
         g1=g1,
-        g2=g1.copy(),
         p1=p1,
         theta=math.pi / 4,
         d_raw=d_used,
@@ -99,7 +92,7 @@ def reference_run_constrained(x0, obj, L, max_iters, seed):
         d_used = h_max * cot_theta
         x_new = x + d_used * g1 / grad_norm
         f_after = obj.value(x_new)
-        traces.append(StepTrace(x.copy(), x_new, x2, g1, g2, p1, theta, h_probe * cot_theta, d_used, False, f_after))
+        traces.append(StepTrace(x.copy(), x_new, x2, g1, p1, theta, h_probe * cot_theta, d_used, False, f_after))
         x = x_new
     return traces
 
@@ -132,7 +125,7 @@ class TestConstrainedOracle:
             ref = reference_run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed + 1000 + k)
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
-                for name in ("x1", "x_new", "x2", "g1", "g2", "p1", "theta", "d_used", "doubled", "f_after"):
+                for name in ("x1", "x_new", "x2", "g1", "p1", "theta", "d_used", "doubled", "f_after"):
                     assert same_bits(getattr(g, name), getattr(r, name)), name
                 assert g.d_raw == pytest.approx(r.d_raw, rel=1e-15, abs=0.0)
             lengths.append(len(got))
@@ -165,33 +158,47 @@ class TestCheckDescent:
         assert report.min_decrease_margin < 0
 
 
-class TestCheckArmijo:
+def one_step_wolfe(tr, f_before, obj, c1, c2=0.9):
+    """wolfe_report's (Armijo, curvature) verdicts on the one-step trajectory [tr]."""
+    report = wolfe_report([tr], [f_before], obj, c1=c1, c2=c2)
+    return report.armijo_pass[0], report.curvature_pass[0]
+
+
+class TestWolfeArmijo:
     def test_constrained_quadratic_step_passes(self):
         obj = isotropic_quadratic(4)
         x0 = np.full(4, 0.3)
         for tr in run_constrained(x0, obj, 1.0, 5, seed=3):
-            assert check_armijo(tr, obj.value(tr.x1), c1=0.5)
+            assert one_step_wolfe(tr, obj.value(tr.x1), obj, c1=0.5)[0]
 
     def test_zero_step_passes_by_equality(self):
         tr = fabricate_trace(f_after=2.0, d_used=0.0)
-        assert check_armijo(tr, 2.0, c1=0.5)
+        assert one_step_wolfe(tr, 2.0, isotropic_quadratic(2), c1=0.5)[0]
 
     def test_ascent_step_fails(self):
         tr = fabricate_trace(f_after=1.2, d_used=0.3)
-        assert not check_armijo(tr, 1.0, c1=0.5)
+        assert not one_step_wolfe(tr, 1.0, isotropic_quadratic(2), c1=0.5)[0]
+
+    def test_step_size_convention_is_d_used(self):
+        # f(x_new) <= f_before - c1 * d_used * ||grad||^2: with ||grad|| = 2,
+        # d_used = 0.5 and c1 = 0.25 the bound is f_before - 0.5, where the
+        # textbook step size d_used/||grad|| would give f_before - 0.25
+        grad = np.array([2.0, 0.0])
+        assert one_step_wolfe(fabricate_trace(0.5, 0.5, grad), 1.0, isotropic_quadratic(2), c1=0.25)[0]
+        assert not one_step_wolfe(fabricate_trace(0.6, 0.5, grad), 1.0, isotropic_quadratic(2), c1=0.25)[0]
 
 
-class TestCheckCurvature:
+class TestWolfeCurvature:
     def test_landing_at_stationary_point_passes(self):
         obj = isotropic_quadratic(2)
         tr = run_constrained(np.array([0.6, 0.0]), obj, 1.0, 1, seed=4)[0]
         # the constrained quadratic step lands at (numerically) zero gradient
-        assert check_curvature(tr, c2=0.9, obj=obj)
+        assert one_step_wolfe(tr, obj.value(tr.x1), obj, c1=1e-4)[1]
 
     def test_zero_length_step_fails_strict_bound(self):
         obj = isotropic_quadratic(2)
         tr = fabricate_trace(f_after=0.5, d_used=0.0)
-        assert not check_curvature(tr, c2=0.9, obj=obj)
+        assert not one_step_wolfe(tr, 0.5, obj, c1=1e-4)[1]
 
     def test_toy_b_fraction_reported_without_assertion(self):
         # measurement only: the curvature condition carries no guarantee
