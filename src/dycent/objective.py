@@ -139,17 +139,35 @@ def toy_b() -> Objective:
     return AnalyticObjective(2, value, grad, name="toy_b")
 
 
+class Quadratic(Objective):
+    """f(x) = x^T A x / 2 with gradient A x; f(x) = ||x||^2 / 2 with gradient x where a is None.
+
+    Evaluates with ndarray.dot, which for these shapes gives the bits of
+    the @ operator, and its overflow warning, without its ufunc dispatch.
+    """
+
+    def __init__(self, dim: int, a: np.ndarray | None, lipschitz_bound: float, name: str):
+        self.dim = dim
+        self.a = a
+        self.lipschitz_bound = lipschitz_bound
+        self.name = name
+
+    def value(self, x: ParamVector) -> float:
+        x = self._check_dim(x)
+        if self.a is None:
+            return 0.5 * float(x.dot(x))
+        return 0.5 * float(x.dot(self.a.dot(x)))
+
+    def gradient(self, x: ParamVector) -> ParamVector:
+        x = self._check_dim(x)
+        return x.copy() if self.a is None else self.a.dot(x)
+
+
 def isotropic_quadratic(n: int) -> Objective:
     """f(x) = ||x||^2 / 2 with gradient x; Lipschitz constant exactly 1."""
     if n < 1:
         raise DimensionError("quadratic dimension must be >= 1")
-    return AnalyticObjective(
-        n,
-        lambda x: 0.5 * float(x @ x),
-        lambda x: x.copy(),
-        lipschitz_bound=1.0,
-        name="isotropic_quadratic",
-    )
+    return Quadratic(n, None, lipschitz_bound=1.0, name="isotropic_quadratic")
 
 
 def spd_quadratic(n: int, seed: int, condition: float = 10.0) -> Objective:
@@ -168,13 +186,7 @@ def spd_quadratic(n: int, seed: int, condition: float = 10.0) -> Objective:
     a = q @ np.diag(eigs) @ q.T
     a = 0.5 * (a + a.T)
     lip = float(np.max(np.linalg.eigvalsh(a)))
-    return AnalyticObjective(
-        n,
-        lambda x: 0.5 * float(x @ (a @ x)),
-        lambda x: a @ x,
-        lipschitz_bound=lip,
-        name="spd_quadratic",
-    )
+    return Quadratic(n, a, lipschitz_bound=lip, name="spd_quadratic")
 
 
 def rosenbrock(n: int) -> Objective:

@@ -120,11 +120,12 @@ def maybe_double(d: float, d_avg: float, cfg: DycentConfig) -> tuple[float, bool
     return d, False
 
 
-def constrained_h(grad_norm: float, L: float, theta: float) -> float:
+def constrained_h(grad_norm: float, L: float, theta: float, tan_theta: float | None = None) -> float:
     """Largest probe distance admitted by the decrease bound: grad_norm * tan(theta) / L.
 
     Only meaningful for 0 < theta < pi/2; beyond that cot is nonpositive
-    and the constraint is vacuous, which is flagged as an error.
+    and the constraint is vacuous, which is flagged as an error. A caller
+    that holds math.tan(theta) already passes it as tan_theta.
     """
     if not L > 0:
         raise ValueError(f"L must be > 0, got {L}")
@@ -132,7 +133,7 @@ def constrained_h(grad_norm: float, L: float, theta: float) -> float:
         raise ValueError(
             f"constraint needs 0 < theta < pi/2 (cot > 0); got theta={theta}"
         )
-    return grad_norm * math.tan(theta) / L
+    return grad_norm * (math.tan(theta) if tan_theta is None else tan_theta) / L
 
 
 def dycent_step(
@@ -168,7 +169,8 @@ def dycent_step(
         raise NonFiniteStepError(f"probe gradient is not finite (norm {g2_norm})")
 
     theta = angle_between(g1, g2) + cfg.epsilon
-    d_raw = h / math.tan(theta)
+    tan_theta = math.tan(theta)
+    d_raw = h / tan_theta
     if not math.isfinite(d_raw):
         raise NonFiniteStepError(f"step size h*cot(theta) is not finite at theta={theta}")
 
@@ -176,7 +178,7 @@ def dycent_step(
         d_avg = update_average(state, cfg, d_raw)
         d_used, doubled = maybe_double(d_raw, d_avg, cfg)
     else:
-        d_used, doubled = constrained_h(g1_norm, lipschitz, theta) * (1.0 / math.tan(theta)), False
+        d_used, doubled = constrained_h(g1_norm, lipschitz, theta, tan_theta) * (1.0 / tan_theta), False
     if cfg.clamp_nonnegative_step:
         d_used = max(d_used, 0.0)
 

@@ -44,17 +44,29 @@ class WolfeReport:
     curvature_pass: list[bool]
 
 
+def _check_lengths(trajectory: list[StepTrace], f_before: list[float]) -> None:
+    if len(f_before) != len(trajectory):
+        raise ValueError(f"f_before has {len(f_before)} values for {len(trajectory)} steps")
+
+
 def check_descent(trajectory: list[StepTrace], f_before: list[float], L: float, tol: float = 1e-10) -> DescentReport:
-    """Verify f(x_new) <= f_before[k] - ||grad||^2/(2L) + tol on every step k; f_before[k] is f(x1)."""
-    violations = 0
-    min_margin = math.inf
-    for tr, f1 in zip(trajectory, f_before, strict=True):
-        grad_sq = float(np.dot(tr.g1, tr.g1))
-        margin = (f1 - tr.f_after) - grad_sq / (2.0 * L)
-        if margin < -tol:
-            violations += 1
-        min_margin = min(min_margin, margin)
-    return DescentReport(violations=violations, min_decrease_margin=min_margin)
+    """Verify f(x_new) <= f_before[k] - ||grad||^2/(2L) + tol on every step k; f_before[k] is f(x1).
+
+    One array pass over the steps: np.vecdot gives each ||g1||^2 with
+    np.dot's bits, and the margins are formed elementwise in the order a
+    per-step loop forms them. The minimum margin skips NaN margins, and an
+    empty trajectory has margin inf.
+    """
+    _check_lengths(trajectory, f_before)
+    if not trajectory:
+        return DescentReport(violations=0, min_decrease_margin=math.inf)
+    g1 = np.array([tr.g1 for tr in trajectory])
+    f_after = np.array([tr.f_after for tr in trajectory])
+    margin = (np.asarray(f_before, dtype=np.float64) - f_after) - np.vecdot(g1, g1) / (2.0 * L)
+    # a running min from inf keeps the first of equal margins and never takes a NaN
+    return DescentReport(
+        violations=int(np.count_nonzero(margin < -tol)), min_decrease_margin=min([math.inf, *margin.tolist()])
+    )
 
 
 def wolfe_report(
@@ -74,22 +86,29 @@ def wolfe_report(
     strong-Wolfe pair 0 < c1 < c2 < 1. The gradient at x_new is -g1 of the
     following step where that step starts at x_new bit for bit; otherwise obj
     evaluates it. So a consecutive trajectory costs one gradient evaluation,
-    for its last step.
+    for its last step. Both conditions are one array pass over the steps,
+    elementwise in the order a per-step loop evaluates them.
     """
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
-    report = WolfeReport(armijo_pass=[], curvature_pass=[])
-    for tr, f1, nxt in zip(trajectory, f_before, [*trajectory[1:], None], strict=True):
-        grad_sq = float(np.dot(tr.g1, tr.g1))
+    _check_lengths(trajectory, f_before)
+    if not trajectory:
+        return WolfeReport(armijo_pass=[], curvature_pass=[])
+    g1 = np.array([tr.g1 for tr in trajectory])
+    grad_sq = np.vecdot(g1, g1)
+    f_after = np.array([tr.f_after for tr in trajectory])
+    d_used = np.array([tr.d_used for tr in trajectory])
+    armijo = f_after <= np.asarray(f_before, dtype=np.float64) - c1 * d_used * grad_sq
+    g_new = np.empty_like(g1)
+    g_new[:-1] = -g1[1:]
+    for k, (tr, nxt) in enumerate(zip(trajectory, trajectory[1:])):
         # comparing bytes is the exact test and, unlike np.array_equal, cheaper
         # than an analytic gradient
-        if nxt is not None and nxt.x1.tobytes() == tr.x_new.tobytes():
-            g_new = -nxt.g1
-        else:
-            g_new = obj.gradient(tr.x_new)
-        report.armijo_pass.append(tr.f_after <= f1 - c1 * tr.d_used * grad_sq)
-        report.curvature_pass.append(abs(float(np.dot(g_new, tr.g1))) <= c2 * grad_sq)
-    return report
+        if nxt.x1.tobytes() != tr.x_new.tobytes():
+            g_new[k] = obj.gradient(tr.x_new)
+    g_new[-1] = obj.gradient(trajectory[-1].x_new)
+    curvature = np.abs(np.vecdot(g_new, g1)) <= c2 * grad_sq
+    return WolfeReport(armijo_pass=armijo.tolist(), curvature_pass=curvature.tolist())
 
 
 def run_constrained(x0: ParamVector, obj: Objective, L: float, max_iters: int, seed: int) -> list[StepTrace]:

@@ -74,7 +74,7 @@ def sample_perpendicular(g: ParamVector, rng: RngHandle) -> ParamVector:
     g_hat = g / ng
     while True:
         v = rng.standard_normal(g.size)
-        w = v - np.dot(v, g_hat) * g_hat
+        w = v - v.dot(g_hat) * g_hat
         nw = norm(w)
         if nw > RESAMPLE_THRESHOLD * norm(v):
             return w / nw
@@ -122,9 +122,9 @@ def angle_between(a: ParamVector, b: ParamVector) -> float:
         # product under/overflowed; renormalize and retry on unit vectors
         a = a / math.sqrt(daa)
         b = b / math.sqrt(dbb)
-        cos = float(np.dot(a, b)) / math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+        cos = float(a.dot(b)) / math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
     else:
-        cos = float(np.dot(a, b)) / denom
+        cos = float(a.dot(b)) / denom
     if not math.isfinite(cos):
         # the clamp below would turn NaN into 1, an angle of 0
         raise ValueError("angle with a non-finite vector is undefined")

@@ -2,13 +2,19 @@
 
 The oracles deliberately avoid the package's own gradient code paths so
 the checks stay two-sided: analytic gradients are compared against
-central finite differences computed here.
+central finite differences computed here. The reference forms (numpy
+scalar math for the toy surfaces, the @ operator for the quadratics, a
+per-step loop for each theory check) are the plain formulations whose
+bits the package's faster code must reproduce.
 """
+
+import math
 
 import numpy as np
 
 from dycent.objective import _TOY_B_LIMIT_R2
 from dycent.optimizer import DycentState, dycent_step, run_loop
+from dycent.theory import DescentReport, WolfeReport
 
 
 def dycent_run(x0, obj, cfg, max_iters, seed):
@@ -60,6 +66,47 @@ def numpy_toy_b():
         return dfdu * 2.0 * p
 
     return value, grad
+
+
+def matmul_quadratic(a):
+    """The quadratic's (value, gradient) as the @ operator forms them: x^T A x / 2
+    and A x, or ||x||^2 / 2 and x where a is None.
+
+    The package evaluates the quadratics with ndarray.dot; this is the
+    reference its bits are checked against.
+    """
+    if a is None:
+        return (lambda x: 0.5 * float(x @ x)), (lambda x: x.copy())
+    return (lambda x: 0.5 * float(x @ (a @ x))), (lambda x: a @ x)
+
+
+def scalar_check_descent(trajectory, f_before, L, tol=1e-10):
+    """theory.check_descent as a loop over the steps, one np.dot per step."""
+    violations = 0
+    min_margin = math.inf
+    for tr, f1 in zip(trajectory, f_before, strict=True):
+        grad_sq = float(np.dot(tr.g1, tr.g1))
+        margin = (f1 - tr.f_after) - grad_sq / (2.0 * L)
+        if margin < -tol:
+            violations += 1
+        min_margin = min(min_margin, margin)
+    return DescentReport(violations=violations, min_decrease_margin=min_margin)
+
+
+def scalar_wolfe_report(trajectory, f_before, obj, c1, c2=0.9):
+    """theory.wolfe_report as a loop over the steps, one np.dot per product."""
+    if not 0.0 < c1 < c2 < 1.0:
+        raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
+    report = WolfeReport(armijo_pass=[], curvature_pass=[])
+    for tr, f1, nxt in zip(trajectory, f_before, [*trajectory[1:], None], strict=True):
+        grad_sq = float(np.dot(tr.g1, tr.g1))
+        if nxt is not None and nxt.x1.tobytes() == tr.x_new.tobytes():
+            g_new = -nxt.g1
+        else:
+            g_new = obj.gradient(tr.x_new)
+        report.armijo_pass.append(tr.f_after <= f1 - c1 * tr.d_used * grad_sq)
+        report.curvature_pass.append(abs(float(np.dot(g_new, tr.g1))) <= c2 * grad_sq)
+    return report
 
 
 def central_diff_gradient(value_fn, x, step=1e-6):

@@ -15,7 +15,7 @@ from dycent.objective import (
 )
 from dycent.vecmath import DimensionError
 
-from oracles import central_diff_gradient, numpy_toy_a, numpy_toy_b, relative_error
+from oracles import central_diff_gradient, matmul_quadratic, numpy_toy_a, numpy_toy_b, relative_error
 
 
 def assert_gradient_matches_fd(obj, points, tol=1e-5):
@@ -207,3 +207,84 @@ class TestObjectiveInterface:
         obj = AnalyticObjective(2, lambda x: float(c @ x), lambda x: c.copy())
         assert obj.value(np.array([1.0, 1.0])) == 1.0
         assert np.array_equal(obj.gradient(np.zeros(2)), c)
+
+
+def quadratic_surfaces(n):
+    """(objective, its @-operator oracle) for both quadratics in n dimensions."""
+    spd = spd_quadratic(n, seed=101, condition=40.0)
+    return [(isotropic_quadratic(n), matmul_quadratic(None)), (spd, matmul_quadratic(spd.a))]
+
+
+def nonfinite_inputs(n):
+    """Vectors of dimension n with +-inf or NaN entries, and a finite one whose square overflows."""
+    out = []
+    for entries in ((math.inf,), (-math.inf,), (math.inf, -math.inf), (math.nan,), (math.inf, math.nan), (1e200,)):
+        x = np.linspace(-0.5, 0.5, n)
+        x[: len(entries)] = entries
+        out.append(x)
+    out.append(np.full(n, math.inf))
+    out.append(np.full(n, math.nan))
+    return out
+
+
+def warned(fn, *args):
+    """fn(*args) and the categories of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [w.category for w in caught]
+
+
+class TestQuadraticsMatchMatmul:
+    """The quadratics' ndarray.dot forms give the @ operator's bits, and its warnings."""
+
+    @staticmethod
+    def draws(rng, k, n):
+        """k points in n dimensions: uniform directions at magnitudes log-uniform in [1e-160, 1e160]."""
+        d = rng.standard_normal((k, n))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        return d * 10.0 ** rng.uniform(-160.0, 160.0, (k, 1))
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_bit_identical_on_100k_draws(self, n):
+        points = self.draws(np.random.default_rng(20230420 + n), 100_000, n)
+        for obj, (value, grad) in quadratic_surfaces(n):
+            with np.errstate(all="ignore"):  # the squares overflow at the large magnitudes, in both forms
+                got_v = np.array([obj.value(p) for p in points])
+                got_g = np.array([obj.gradient(p) for p in points])
+                want_v = np.array([value(p) for p in points])
+                want_g = np.array([grad(p) for p in points])
+            assert got_v.tobytes() == want_v.tobytes(), obj.name
+            assert got_g.tobytes() == want_g.tobytes(), obj.name
+            # the squares overflow, and fall below the normal range, on some draws
+            assert np.isinf(got_v).sum() > 1_000 and (got_v < np.finfo(np.float64).tiny).sum() > 1_000
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_vecdot_rows_match_per_row_dot_on_100k_draws(self, n):
+        rng = np.random.default_rng(20230421 + n)
+        x, y = self.draws(rng, 100_000, n), self.draws(rng, 100_000, n)
+        with np.errstate(all="ignore"):
+            for a, b in ((x, x), (x, y)):
+                assert np.vecdot(a, b).tobytes() == np.array([np.dot(p, q) for p, q in zip(a, b)]).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_non_finite_input_gives_the_same_output_and_warning(self, n):
+        for obj, (value, grad) in quadratic_surfaces(n):
+            for x in nonfinite_inputs(n):
+                got_v, got_v_warned = warned(obj.value, x)
+                want_v, want_v_warned = warned(value, x)
+                got_g, got_g_warned = warned(obj.gradient, x)
+                want_g, want_g_warned = warned(grad, x)
+                assert not math.isfinite(got_v)
+                assert np.float64(got_v).tobytes() == np.float64(want_v).tobytes(), (obj.name, x)
+                assert got_g.tobytes() == want_g.tobytes(), (obj.name, x)
+                assert (got_v_warned, got_g_warned) == (want_v_warned, want_g_warned), (obj.name, x)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_vecdot_on_non_finite_rows_gives_the_same_output_and_warning(self, n):
+        rows = np.array(nonfinite_inputs(n))
+        for other in (rows, np.linspace(-1.0, 1.0, rows.size).reshape(rows.shape)):
+            for p, q in zip(rows, other):
+                got, got_warned = warned(np.vecdot, p[None], q[None])
+                want, want_warned = warned(np.dot, p, q)
+                assert got.tobytes() == np.float64(want).tobytes() and got_warned == want_warned, (p, q)

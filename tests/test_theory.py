@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from dycent.objective import isotropic_quadratic, spd_quadratic, toy_b
+from dycent.objective import Objective, isotropic_quadratic, spd_quadratic, toy_b
 from dycent.optimizer import DycentConfig, StepTrace, constrained_h
-from dycent.theory import check_descent, run_constrained, wolfe_report
+from dycent.theory import DescentReport, WolfeReport, check_descent, run_constrained, wolfe_report
 from dycent.vecmath import angle_between, norm, sample_perpendicular
 
-from oracles import dycent_run
+from oracles import dycent_run, scalar_check_descent, scalar_wolfe_report
 
 
 def fabricate_trace(f_after, d_used, grad=np.array([1.0, 0.0])):
@@ -225,27 +226,128 @@ class TestWolfeReport:
             wolfe_report([], [], obj, c1=0.1, c2=1.0)
 
 
-def test_theory_suite_steps_are_gradient_descent_with_step_one_over_L():
-    # the seed-0 starts of harness.run_theory_suite, run here without writing
-    # its report: capping h at ||g|| tan(theta) / L and stepping h cot(theta)
-    # cancels theta, so each step is x - grad / L up to rounding
-    rng = np.random.default_rng(0)
+def suite_trajectories(seed):
+    """(objective, trajectory, f_before) for every start of harness.run_theory_suite at seed,
+    with f_before formed as the suite forms it."""
+    rng = np.random.default_rng(seed)
     suites = [
         (isotropic_quadratic(5), 200, 10),
         (spd_quadratic(8, seed=101, condition=10.0), 250, 20),
         (spd_quadratic(8, seed=202, condition=40.0), 250, 20),
     ]
-    steps = 0
     for obj, n_starts, n_steps in suites:
-        L = obj.lipschitz_bound
         for k in range(n_starts):
             direction = rng.standard_normal(obj.dim)
-            x0 = direction / np.linalg.norm(direction) * rng.uniform(0.1, 0.95)
-            traces = run_constrained(x0, obj, L, n_steps, seed=1000 + k)
-            x = x0
-            for tr in traces:
-                assert abs(tr.d_used * L / norm(tr.g1) - 1.0) <= 2.3e-16
-                x = x - obj.gradient(x) / L
-            assert norm(x - traces[-1].x_new) <= 1e-15 * norm(x0)
+            direction /= np.linalg.norm(direction)
+            x0 = direction * rng.uniform(0.1, 0.95)
+            traces = run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=seed + 1000 + k)
+            f_before = [obj.value(t.x1) for t in traces[:1]] + [t.f_after for t in traces[:-1]]
+            yield obj, traces, f_before
+
+
+class RecordedGradients(Objective):
+    """obj, recording the bytes of every point its gradient is evaluated at."""
+
+    def __init__(self, obj):
+        self.obj, self.dim, self.at = obj, obj.dim, []
+
+    def gradient(self, x):
+        self.at.append(x.tobytes())
+        return self.obj.gradient(x)
+
+
+def assert_checks_match_scalar_loops(trajectory, f_before, obj, L, c1):
+    """check_descent and wolfe_report give the per-step loops' verdicts and margin bits,
+    and evaluate the gradient at the same points in the same order."""
+    got, want = check_descent(trajectory, f_before, L), scalar_check_descent(trajectory, f_before, L)
+    assert got.violations == want.violations
+    assert np.float64(got.min_decrease_margin).tobytes() == np.float64(want.min_decrease_margin).tobytes()
+    got_obj, want_obj = RecordedGradients(obj), RecordedGradients(obj)
+    got = wolfe_report(trajectory, f_before, got_obj, c1=c1)
+    want = scalar_wolfe_report(trajectory, f_before, want_obj, c1=c1)
+    assert got.armijo_pass == want.armijo_pass
+    assert got.curvature_pass == want.curvature_pass
+    assert got_obj.at == want_obj.at
+    return got_obj.at
+
+
+class TestChecksMatchScalarLoops:
+    """The array passes of check_descent and wolfe_report against the per-step loops in oracles."""
+
+    @pytest.mark.parametrize("seed", [0, 203])
+    def test_theory_suite_trajectories(self, seed):
+        steps = evaluations = 0
+        for obj, traces, f_before in suite_trajectories(seed):
+            L = obj.lipschitz_bound
+            evaluations += len(assert_checks_match_scalar_loops(traces, f_before, obj, L, 1.0 / (2.0 * L)))
             steps += len(traces)
+        assert evaluations == 700  # one landing gradient per run, for its last step
+        assert steps > 10_000
+
+    def test_empty_trajectory(self):
+        assert check_descent([], [], 1.0) == scalar_check_descent([], [], 1.0) == DescentReport(0, math.inf)
+        obj = RecordedGradients(isotropic_quadratic(2))
+        assert wolfe_report([], [], obj, c1=0.5) == WolfeReport(armijo_pass=[], curvature_pass=[])
+        assert obj.at == []
+        # the loop zips the steps with their successors plus a None, one item too many
+        with pytest.raises(ValueError, match="longer"):
+            scalar_wolfe_report([], [], obj, c1=0.5)
+
+    def test_one_step(self):
+        obj = spd_quadratic(8, seed=101, condition=10.0)
+        tr = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 1, seed=2)
+        at = assert_checks_match_scalar_loops(tr, [obj.value(tr[0].x1)], obj, obj.lipschitz_bound, 0.4)
+        assert at == [tr[0].x_new.tobytes()]
+
+    def test_gap(self):
+        obj = spd_quadratic(8, seed=202, condition=40.0)
+        a = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 4, seed=3)
+        b = run_constrained(np.full(8, -0.2), obj, obj.lipschitz_bound, 3, seed=4)
+        f_before = [obj.value(t.x1) for t in a + b]
+        at = assert_checks_match_scalar_loops(a + b, f_before, obj, obj.lipschitz_bound, 0.4)
+        assert at == [a[-1].x_new.tobytes(), b[-1].x_new.tobytes()]
+
+    def test_landing_differs_from_next_start_only_in_the_sign_of_a_zero(self):
+        obj = spd_quadratic(3, seed=7)
+        a, b = run_constrained(np.array([0.3, 0.2, 0.1]), obj, obj.lipschitz_bound, 2, seed=5)
+        a = dataclasses.replace(a, x_new=np.array([0.0, 0.25, -0.5]))
+        b = dataclasses.replace(b, x1=np.array([-0.0, 0.25, -0.5]))
+        at = assert_checks_match_scalar_loops([a, b], [obj.value(a.x1), a.f_after], obj, obj.lipschitz_bound, 0.4)
+        assert at == [a.x_new.tobytes(), b.x_new.tobytes()]  # the bytes differ, so the gradient is evaluated
+
+    def test_nan_and_signed_zero_margins(self):
+        # the running minimum skips NaN margins and keeps the first of two equal zeros
+        tr = dataclasses.replace(fabricate_trace(f_after=0.0, d_used=0.0), g1=np.zeros(2))
+        for f_before in ([math.nan, -0.0, 0.0], [-0.0, math.nan, 0.0], [math.nan, math.nan, math.nan]):
+            assert_checks_match_scalar_loops([tr] * 3, f_before, isotropic_quadratic(2), 1.0, 0.5)
+        assert math.copysign(1.0, check_descent([tr] * 2, [-0.0, 0.0], 1.0).min_decrease_margin) == -1.0
+
+    @pytest.mark.parametrize("f_before", [[1.0], [1.0, 0.5, 0.2]])
+    def test_f_before_of_the_wrong_length_raises(self, f_before):
+        obj = spd_quadratic(2, seed=6)
+        traces = run_constrained(np.array([0.6, 0.4]), obj, obj.lipschitz_bound, 2, seed=6)
+        assert len(traces) == 2
+        for check in (
+            lambda fb: check_descent(traces, fb, 1.0),
+            lambda fb: scalar_check_descent(traces, fb, 1.0),
+            lambda fb: wolfe_report(traces, fb, obj, c1=0.5),
+            lambda fb: scalar_wolfe_report(traces, fb, obj, c1=0.5),
+        ):
+            with pytest.raises(ValueError):
+                check(f_before)
+
+
+def test_theory_suite_steps_are_gradient_descent_with_step_one_over_L():
+    # the seed-0 starts of harness.run_theory_suite, run here without writing
+    # its report: capping h at ||g|| tan(theta) / L and stepping h cot(theta)
+    # cancels theta, so each step is x - grad / L up to rounding
+    steps = 0
+    for obj, traces, _ in suite_trajectories(0):
+        L = obj.lipschitz_bound
+        x = x0 = traces[0].x1
+        for tr in traces:
+            assert abs(tr.d_used * L / norm(tr.g1) - 1.0) <= 2.3e-16
+            x = x - obj.gradient(x) / L
+        assert norm(x - traces[-1].x_new) <= 1e-15 * norm(x0)
+        steps += len(traces)
     assert steps == 10_327  # the suite's steps_checked at seed 0
