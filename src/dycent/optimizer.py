@@ -120,12 +120,11 @@ def maybe_double(d: float, d_avg: float, cfg: DycentConfig) -> tuple[float, bool
     return d, False
 
 
-def constrained_h(grad_norm: float, L: float, theta: float, tan_theta: float | None = None) -> float:
+def constrained_h(grad_norm: float, L: float, theta: float) -> float:
     """Largest probe distance admitted by the decrease bound: grad_norm * tan(theta) / L.
 
     Only meaningful for 0 < theta < pi/2; beyond that cot is nonpositive
-    and the constraint is vacuous, which is flagged as an error. A caller
-    that holds math.tan(theta) already passes it as tan_theta.
+    and the constraint is vacuous, which is flagged as an error.
     """
     if not L > 0:
         raise ValueError(f"L must be > 0, got {L}")
@@ -133,7 +132,7 @@ def constrained_h(grad_norm: float, L: float, theta: float, tan_theta: float | N
         raise ValueError(
             f"constraint needs 0 < theta < pi/2 (cot > 0); got theta={theta}"
         )
-    return grad_norm * (math.tan(theta) if tan_theta is None else tan_theta) / L
+    return grad_norm * math.tan(theta) / L
 
 
 def dycent_step(
@@ -178,7 +177,7 @@ def dycent_step(
         d_avg = update_average(state, cfg, d_raw)
         d_used, doubled = maybe_double(d_raw, d_avg, cfg)
     else:
-        d_used, doubled = constrained_h(g1_norm, lipschitz, theta, tan_theta) * (1.0 / tan_theta), False
+        d_used, doubled = constrained_h(g1_norm, lipschitz, theta) * (1.0 / tan_theta), False
     if cfg.clamp_nonnegative_step:
         d_used = max(d_used, 0.0)
 
