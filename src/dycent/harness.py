@@ -458,10 +458,9 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
             direction /= np.linalg.norm(direction)
             x0 = direction * rng.uniform(0.1, 0.95)
             traces = theory.run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
-            # each step starts where the one before landed, so f there is its f_after
-            f_before = [obj.value(t.x1) for t in traces[:1]] + [t.f_after for t in traces[:-1]]
-            report = theory.check_descent(traces, f_before, L, tol=1e-10)
-            wolfe = theory.wolfe_report(traces, f_before, obj, c1=1.0 / (2.0 * L), c2=0.9)
+            f0 = obj.value(x0)
+            report = theory.check_descent(traces, f0, L, tol=1e-10)
+            wolfe = theory.wolfe_report(traces, f0, obj, c1=1.0 / (2.0 * L), c2=0.9)
             obj_steps += len(traces)
             obj_viol += report.violations
             min_margin = min(min_margin, report.min_decrease_margin)

@@ -44,38 +44,45 @@ class WolfeReport:
     curvature_pass: list[bool]
 
 
-def _check_lengths(trajectory: list[StepTrace], f_before: list[float]) -> None:
-    if len(f_before) != len(trajectory):
-        raise ValueError(f"f_before has {len(f_before)} values for {len(trajectory)} steps")
+def _steps(trajectory: list[StepTrace], f0: float):
+    """(g1 rows, their squared norms, start values, end values) of a nonempty trajectory.
+
+    Step 0 starts at f0; step k starts where step k-1 landed, bit for bit,
+    so its start value is that step's f_after. A step that does not start
+    there raises ValueError before any evaluation.
+    """
+    for k, (tr, nxt) in enumerate(zip(trajectory, trajectory[1:]), 1):
+        # comparing bytes is the exact test and, unlike np.array_equal, cheap
+        if nxt.x1.tobytes() != tr.x_new.tobytes():
+            raise ValueError(f"step {k} does not start where step {k - 1} landed")
+    g1 = np.array([tr.g1 for tr in trajectory])
+    f_after = np.array([tr.f_after for tr in trajectory])
+    return g1, np.vecdot(g1, g1), np.concatenate(([float(f0)], f_after[:-1])), f_after
 
 
-def check_descent(trajectory: list[StepTrace], f_before: list[float], L: float, tol: float = 1e-10) -> DescentReport:
-    """Verify f(x_new) <= f_before[k] - ||grad||^2/(2L) + tol on every step k; f_before[k] is f(x1).
+def check_descent(trajectory: list[StepTrace], f0: float, L: float, tol: float = 1e-10) -> DescentReport:
+    """Verify f(x_new) <= f(x1) - ||grad||^2/(2L) + tol on every step of a run that starts at value f0.
 
     One array pass over the steps: np.vecdot gives each ||g1||^2 with
     np.dot's bits, and the margins are formed elementwise in the order a
-    per-step loop forms them. The minimum margin skips NaN margins, and an
-    empty trajectory has margin inf.
+    per-step loop forms them. A NaN margin is a violation; the minimum
+    margin skips it, and an empty trajectory has margin inf.
     """
-    _check_lengths(trajectory, f_before)
     if not trajectory:
         return DescentReport(violations=0, min_decrease_margin=math.inf)
-    g1 = np.array([tr.g1 for tr in trajectory])
-    f_after = np.array([tr.f_after for tr in trajectory])
-    margin = (np.asarray(f_before, dtype=np.float64) - f_after) - np.vecdot(g1, g1) / (2.0 * L)
+    g1, grad_sq, f_before, f_after = _steps(trajectory, f0)
+    margin = (f_before - f_after) - grad_sq / (2.0 * L)
     # a running min from inf keeps the first of equal margins and never takes a NaN
     return DescentReport(
-        violations=int(np.count_nonzero(margin < -tol)), min_decrease_margin=min([math.inf, *margin.tolist()])
+        violations=int(np.count_nonzero(~(margin >= -tol))), min_decrease_margin=min([math.inf, *margin.tolist()])
     )
 
 
-def wolfe_report(
-    trajectory: list[StepTrace], f_before: list[float], obj: Objective, c1: float, c2: float = 0.9
-) -> WolfeReport:
-    """Evaluate both Wolfe conditions on every step k of a trajectory; f_before[k] is f(x1).
+def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: float, c2: float = 0.9) -> WolfeReport:
+    """Evaluate both Wolfe conditions on every step of a run that starts at value f0.
 
-    With descent direction p = -grad(x1) = g1, step k passes
-    - sufficient decrease (Armijo) if f(x_new) <= f_before[k] - c1 * d_used * ||g1||^2,
+    With descent direction p = -grad(x1) = g1, a step passes
+    - sufficient decrease (Armijo) if f(x_new) <= f(x1) - c1 * d_used * ||g1||^2,
       with d_used in the place of the step size. The step moves d_used along
       the unit vector g1/||g1||, so the textbook step size is
       alpha = d_used/||g1||, and this bound asks ||g1|| times the textbook
@@ -83,30 +90,20 @@ def wolfe_report(
     - curvature if |grad(x_new)^T p| <= c2 |grad(x1)^T p|, measured for reporting only.
 
     Both conditions are checked, so the constants must form a valid
-    strong-Wolfe pair 0 < c1 < c2 < 1. The gradient at x_new is -g1 of the
-    following step where that step starts at x_new bit for bit; otherwise obj
-    evaluates it. So a consecutive trajectory costs one gradient evaluation,
-    for its last step. Both conditions are one array pass over the steps,
-    elementwise in the order a per-step loop evaluates them.
+    strong-Wolfe pair 0 < c1 < c2 < 1. Each step starts where the one
+    before landed, so the gradient at x_new is -g1 of the following step,
+    and obj evaluates one gradient, for the last step. Both conditions are
+    one array pass over the steps, elementwise in the order a per-step loop
+    evaluates them.
     """
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
-    _check_lengths(trajectory, f_before)
     if not trajectory:
         return WolfeReport(armijo_pass=[], curvature_pass=[])
-    g1 = np.array([tr.g1 for tr in trajectory])
-    grad_sq = np.vecdot(g1, g1)
-    f_after = np.array([tr.f_after for tr in trajectory])
+    g1, grad_sq, f_before, f_after = _steps(trajectory, f0)
     d_used = np.array([tr.d_used for tr in trajectory])
-    armijo = f_after <= np.asarray(f_before, dtype=np.float64) - c1 * d_used * grad_sq
-    g_new = np.empty_like(g1)
-    g_new[:-1] = -g1[1:]
-    for k, (tr, nxt) in enumerate(zip(trajectory, trajectory[1:])):
-        # comparing bytes is the exact test and, unlike np.array_equal, cheaper
-        # than an analytic gradient
-        if nxt.x1.tobytes() != tr.x_new.tobytes():
-            g_new[k] = obj.gradient(tr.x_new)
-    g_new[-1] = obj.gradient(trajectory[-1].x_new)
+    armijo = f_after <= f_before - c1 * d_used * grad_sq
+    g_new = np.vstack((-g1[1:], obj.gradient(trajectory[-1].x_new)))
     curvature = np.abs(np.vecdot(g_new, g1)) <= c2 * grad_sq
     return WolfeReport(armijo_pass=armijo.tolist(), curvature_pass=curvature.tolist())
 

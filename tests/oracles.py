@@ -87,7 +87,7 @@ def scalar_check_descent(trajectory, f_before, L, tol=1e-10):
     for tr, f1 in zip(trajectory, f_before, strict=True):
         grad_sq = float(np.dot(tr.g1, tr.g1))
         margin = (f1 - tr.f_after) - grad_sq / (2.0 * L)
-        if margin < -tol:
+        if not margin >= -tol:  # a NaN margin is a violation too
             violations += 1
         min_margin = min(min_margin, margin)
     return DescentReport(violations=violations, min_decrease_margin=min_margin)

@@ -53,7 +53,7 @@ def test_criterion_1_descent_bound(constrained_quadratic_steps):
     total = 0
     violations = 0
     for obj, L, traces in runs:
-        report = theory.check_descent(traces, [obj.value(tr.x1) for tr in traces], L, tol=1e-10)
+        report = theory.check_descent(traces, obj.value(traces[0].x1), L, tol=1e-10)
         total += len(traces)
         violations += report.violations
     assert total >= 10_000, f"only {total} constrained steps generated"
@@ -68,7 +68,7 @@ def test_criterion_2_armijo_sufficient_decrease(constrained_quadratic_steps):
     runs, _ = constrained_quadratic_steps
     checked = 0
     for obj, L, traces in runs:
-        report = theory.wolfe_report(traces, [obj.value(tr.x1) for tr in traces], obj, c1=1.0 / (2.0 * L))
+        report = theory.wolfe_report(traces, obj.value(traces[0].x1), obj, c1=1.0 / (2.0 * L))
         assert all(report.armijo_pass), "sufficient decrease failed"
         checked += len(report.armijo_pass)
     assert checked >= 10_000

@@ -2,8 +2,9 @@
 
 Each point is evaluated once: the stop check's gradient feeds the
 baseline update, a dycent step evaluates f only where it lands, the
-theory checks read each step's start value from the caller, and the Wolfe
-report takes each landing gradient from the step that starts there. The counts are
+theory checks take the run's start value from the caller and every later
+start value from the step before, and the Wolfe report takes each landing
+gradient from the step that starts there. The counts are
 taken by a wrapper defined here, not by package code, so a refactor that
 brings a duplicate evaluation back fails these tests.
 """
@@ -111,11 +112,6 @@ def test_run_constrained_two_gradients_one_value_per_step():
     assert obj.gradients == 2 * len(traces)
 
 
-def start_values(obj, traces):
-    """f at each step's start point, evaluated directly."""
-    return [obj.value(tr.x1) for tr in traces]
-
-
 @pytest.fixture(scope="module")
 def constrained_run():
     obj = spd_quadratic(5, seed=3)
@@ -125,26 +121,27 @@ def constrained_run():
 def test_wolfe_report_evaluates_only_the_last_landing_gradient(constrained_run):
     inner, traces = constrained_run
     obj = CountingObjective(inner)
-    wolfe_report(traces, start_values(inner, traces), obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
+    wolfe_report(traces, inner.value(traces[0].x1), obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
     assert (obj.gradients, obj.values) == (1, 0)
 
 
-def test_wolfe_report_evaluates_across_a_gap(constrained_run):
+def test_a_gap_is_refused_before_any_evaluation(constrained_run):
     inner, traces = constrained_run
     obj = CountingObjective(inner)
     gapped = traces[:7] + traces[8:]
-    wolfe_report(gapped, start_values(inner, gapped), obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
-    assert (obj.gradients, obj.values) == (2, 0)
+    with pytest.raises(ValueError, match="step 7 does not start where step 6 landed"):
+        wolfe_report(gapped, inner.value(traces[0].x1), obj, c1=1.0 / (2.0 * inner.lipschitz_bound))
+    assert (obj.gradients, obj.values) == (0, 0)
 
 
 def test_theory_checks_evaluate_no_value(constrained_run):
     inner, traces = constrained_run
     obj = CountingObjective(inner)
-    f_before = start_values(inner, traces)
-    # each step starts where the one before landed, so the run's own values give the same list
-    assert f_before[1:] == [tr.f_after for tr in traces[:-1]]
-    assert check_descent(traces, f_before, inner.lipschitz_bound).violations == 0
-    assert all(wolfe_report(traces, f_before, obj, c1=1.0 / (2.0 * inner.lipschitz_bound)).armijo_pass)
+    f0 = inner.value(traces[0].x1)
+    # each step starts where the one before landed, so its start value is that step's f_after
+    assert [inner.value(tr.x1) for tr in traces[1:]] == [tr.f_after for tr in traces[:-1]]
+    assert check_descent(traces, f0, inner.lipschitz_bound).violations == 0
+    assert all(wolfe_report(traces, f0, obj, c1=1.0 / (2.0 * inner.lipschitz_bound)).armijo_pass)
     assert obj.values == 0
 
 
@@ -168,12 +165,11 @@ def test_theory_suite_one_value_per_step_plus_one_per_run(monkeypatch, tmp_path)
 
 def test_wolfe_report_same_verdict_with_and_without_next(constrained_run):
     obj, traces = constrained_run
-    f_before = start_values(obj, traces)
     verdicts = []
     for c2 in np.linspace(0.02, 0.98, 49):  # brackets each step's ratio
-        joined = wolfe_report(traces, f_before, obj, c1=0.01, c2=c2)
+        joined = wolfe_report(traces, obj.value(traces[0].x1), obj, c1=0.01, c2=c2)
         # a one-step trajectory has no next step, so its landing gradient is evaluated
-        alone = [wolfe_report([tr], [f], obj, c1=0.01, c2=c2) for tr, f in zip(traces, f_before)]
+        alone = [wolfe_report([tr], obj.value(tr.x1), obj, c1=0.01, c2=c2) for tr in traces]
         assert joined.curvature_pass == [r.curvature_pass[0] for r in alone]
         assert joined.armijo_pass == [r.armijo_pass[0] for r in alone]
         verdicts += joined.curvature_pass

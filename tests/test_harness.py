@@ -476,6 +476,57 @@ class TestConfigFile:
         assert cfg.h_schedule == HSchedule(10.0, 1)
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+
+
+def spelled_per_section(text):
+    """A config text with its [DEFAULT] keys written out in every section, a section's own value winning."""
+    sections, name = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            name = line[1:-1]
+            sections[name] = {}
+        elif " = " in line:
+            key, value = line.split(" = ", 1)
+            sections[name][key] = value
+    defaults = sections.pop("DEFAULT")
+    return "".join(
+        f"[{n}]\n" + "".join(f"{k} = {v}\n" for k, v in {**defaults, **own}.items()) for n, own in sections.items()
+    )
+
+
+class TestDefaultSection:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_file_parses_as_its_per_section_spelling(self, path, tmp_path):
+        text = path.read_text()
+        assert "[DEFAULT]" in text
+        spelled = tmp_path / path.name
+        spelled.write_text(spelled_per_section(text))
+        assert parse_config_file(path) == parse_config_file(spelled)
+
+    def test_default_key_applies_to_every_section_and_a_section_value_wins(self, tmp_path):
+        path = tmp_path / "runs.ini"
+        path.write_text(
+            "[DEFAULT]\nobjective = toy_b\nx0 = toy_b_init\nmax_iters = 50\n"
+            "[a]\noptimizer = sgd\n[b]\noptimizer = adam\nmax_iters = 7\n"
+        )
+        a, b = parse_config_file(path)
+        assert (a.output_prefix, a.objective, a.x0, a.max_iters) == ("a", "toy_b", "toy_b_init", 50)
+        assert (b.output_prefix, b.objective, b.x0, b.max_iters) == ("b", "toy_b", "toy_b_init", 7)
+
+    def test_unknown_default_key_is_a_config_error_naming_a_section(self, tmp_path):
+        path = tmp_path / "runs.ini"
+        path.write_text("[DEFAULT]\nbogus = 1\n[a]\nobjective = toy_b\noptimizer = sgd\n")
+        with pytest.raises(ConfigError, match=r"\[a\] unknown key 'bogus'"):
+            parse_config_file(path)
+
+    def test_only_a_default_section_is_no_run_sections(self, tmp_path):
+        path = tmp_path / "runs.ini"
+        path.write_text("[DEFAULT]\nobjective = toy_b\noptimizer = sgd\n")
+        with pytest.raises(ConfigError, match="no run sections"):
+            parse_config_file(path)
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "runs.ini"

@@ -141,27 +141,27 @@ class TestCheckDescent:
             x0 = rng.standard_normal(3)
             x0 *= rng.uniform(0.1, 0.95) / np.linalg.norm(x0)
             traces = run_constrained(x0, obj, 1.0, 10, seed=k)
-            report = check_descent(traces, [obj.value(tr.x1) for tr in traces], 1.0, tol=1e-10)
+            report = check_descent(traces, obj.value(x0), 1.0, tol=1e-10)
             assert report.violations == 0
             assert report.min_decrease_margin >= -1e-10
             total += len(traces)
         assert total >= 100
 
     def test_empty_trajectory(self):
-        report = check_descent([], [], 1.0)
+        report = check_descent([], 0.0, 1.0)
         assert report.violations == 0
 
     def test_detects_fabricated_violation(self):
         # an f-increasing step can never satisfy the decrease bound
         bad = fabricate_trace(f_after=1.5, d_used=0.3)
-        report = check_descent([bad], [1.0], L=1.0, tol=1e-10)
+        report = check_descent([bad], 1.0, L=1.0, tol=1e-10)
         assert report.violations >= 1
         assert report.min_decrease_margin < 0
 
 
-def one_step_wolfe(tr, f_before, obj, c1, c2=0.9):
-    """wolfe_report's (Armijo, curvature) verdicts on the one-step trajectory [tr]."""
-    report = wolfe_report([tr], [f_before], obj, c1=c1, c2=c2)
+def one_step_wolfe(tr, f0, obj, c1, c2=0.9):
+    """wolfe_report's (Armijo, curvature) verdicts on the one-step trajectory [tr] that starts at value f0."""
+    report = wolfe_report([tr], f0, obj, c1=c1, c2=c2)
     return report.armijo_pass[0], report.curvature_pass[0]
 
 
@@ -181,9 +181,9 @@ class TestWolfeArmijo:
         assert not one_step_wolfe(tr, 1.0, isotropic_quadratic(2), c1=0.5)[0]
 
     def test_step_size_convention_is_d_used(self):
-        # f(x_new) <= f_before - c1 * d_used * ||grad||^2: with ||grad|| = 2,
-        # d_used = 0.5 and c1 = 0.25 the bound is f_before - 0.5, where the
-        # textbook step size d_used/||grad|| would give f_before - 0.25
+        # f(x_new) <= f0 - c1 * d_used * ||grad||^2: with ||grad|| = 2,
+        # d_used = 0.5 and c1 = 0.25 the bound is f0 - 0.5, where the
+        # textbook step size d_used/||grad|| would give f0 - 0.25
         grad = np.array([2.0, 0.0])
         assert one_step_wolfe(fabricate_trace(0.5, 0.5, grad), 1.0, isotropic_quadratic(2), c1=0.25)[0]
         assert not one_step_wolfe(fabricate_trace(0.6, 0.5, grad), 1.0, isotropic_quadratic(2), c1=0.25)[0]
@@ -205,7 +205,7 @@ class TestWolfeCurvature:
         # measurement only: the curvature condition carries no guarantee
         obj = toy_b()
         traces = dycent_run(np.array([3.0, 3.0]), obj, DycentConfig(h=1e-2), 100, seed=0)
-        report = wolfe_report(traces, [obj.value(tr.x1) for tr in traces], obj, c1=1e-4, c2=0.9)
+        report = wolfe_report(traces, obj.value(traces[0].x1), obj, c1=1e-4, c2=0.9)
         assert len(report.curvature_pass) == len(traces)
 
 
@@ -213,22 +213,20 @@ class TestWolfeReport:
     def test_rates_and_lengths(self):
         obj = spd_quadratic(4, seed=6)
         traces = run_constrained(np.full(4, 0.3), obj, obj.lipschitz_bound, 10, seed=5)
-        f_before = [obj.value(tr.x1) for tr in traces]
-        report = wolfe_report(traces, f_before, obj, c1=1.0 / (2.0 * obj.lipschitz_bound))
+        report = wolfe_report(traces, obj.value(traces[0].x1), obj, c1=1.0 / (2.0 * obj.lipschitz_bound))
         assert all(report.armijo_pass)
         assert len(report.armijo_pass) == len(traces)
 
     def test_rejects_invalid_constant_pair(self):
         obj = isotropic_quadratic(2)
         with pytest.raises(ValueError):
-            wolfe_report([], [], obj, c1=0.95, c2=0.9)
+            wolfe_report([], 0.0, obj, c1=0.95, c2=0.9)
         with pytest.raises(ValueError):
-            wolfe_report([], [], obj, c1=0.1, c2=1.0)
+            wolfe_report([], 0.0, obj, c1=0.1, c2=1.0)
 
 
-def suite_trajectories(seed):
-    """(objective, trajectory, f_before) for every start of harness.run_theory_suite at seed,
-    with f_before formed as the suite forms it."""
+def suite_starts(seed):
+    """(objective, start, step count, probe seed) for every start of harness.run_theory_suite at seed."""
     rng = np.random.default_rng(seed)
     suites = [
         (isotropic_quadratic(5), 200, 10),
@@ -239,10 +237,13 @@ def suite_trajectories(seed):
         for k in range(n_starts):
             direction = rng.standard_normal(obj.dim)
             direction /= np.linalg.norm(direction)
-            x0 = direction * rng.uniform(0.1, 0.95)
-            traces = run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=seed + 1000 + k)
-            f_before = [obj.value(t.x1) for t in traces[:1]] + [t.f_after for t in traces[:-1]]
-            yield obj, traces, f_before
+            yield obj, direction * rng.uniform(0.1, 0.95), n_steps, seed + 1000 + k
+
+
+def suite_trajectories(seed):
+    """(objective, trajectory, start value) for every start of harness.run_theory_suite at seed."""
+    for obj, x0, n_steps, probe_seed in suite_starts(seed):
+        yield obj, run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=probe_seed), obj.value(x0)
 
 
 class RecordedGradients(Objective):
@@ -256,19 +257,33 @@ class RecordedGradients(Objective):
         return self.obj.gradient(x)
 
 
-def assert_checks_match_scalar_loops(trajectory, f_before, obj, L, c1):
-    """check_descent and wolfe_report give the per-step loops' verdicts and margin bits,
-    and evaluate the gradient at the same points in the same order."""
-    got, want = check_descent(trajectory, f_before, L), scalar_check_descent(trajectory, f_before, L)
+def assert_checks_match_scalar_loops(trajectory, f0, obj, L, c1):
+    """check_descent and wolfe_report on a run that starts at value f0 give the per-step
+    loops' verdicts and margin bits, and evaluate the gradient at the same points in the
+    same order. The loops take each step's start value from an explicit list."""
+    f_before = [f0] + [t.f_after for t in trajectory[:-1]]
+    got, want = check_descent(trajectory, f0, L), scalar_check_descent(trajectory, f_before, L)
     assert got.violations == want.violations
     assert np.float64(got.min_decrease_margin).tobytes() == np.float64(want.min_decrease_margin).tobytes()
     got_obj, want_obj = RecordedGradients(obj), RecordedGradients(obj)
-    got = wolfe_report(trajectory, f_before, got_obj, c1=c1)
+    got = wolfe_report(trajectory, f0, got_obj, c1=c1)
     want = scalar_wolfe_report(trajectory, f_before, want_obj, c1=c1)
     assert got.armijo_pass == want.armijo_pass
     assert got.curvature_pass == want.curvature_pass
     assert got_obj.at == want_obj.at
     return got_obj.at
+
+
+def assert_refused(trajectory, obj, step):
+    """Both checks refuse trajectory, naming the step that does not start where the one
+    before landed, before any evaluation."""
+    recorded = RecordedGradients(obj)
+    match = f"step {step} does not start where step {step - 1} landed"
+    with pytest.raises(ValueError, match=match):
+        check_descent(trajectory, 0.0, obj.lipschitz_bound)
+    with pytest.raises(ValueError, match=match):
+        wolfe_report(trajectory, 0.0, recorded, c1=0.4)
+    assert recorded.at == []
 
 
 class TestChecksMatchScalarLoops:
@@ -277,17 +292,17 @@ class TestChecksMatchScalarLoops:
     @pytest.mark.parametrize("seed", [0, 203])
     def test_theory_suite_trajectories(self, seed):
         steps = evaluations = 0
-        for obj, traces, f_before in suite_trajectories(seed):
+        for obj, traces, f0 in suite_trajectories(seed):
             L = obj.lipschitz_bound
-            evaluations += len(assert_checks_match_scalar_loops(traces, f_before, obj, L, 1.0 / (2.0 * L)))
+            evaluations += len(assert_checks_match_scalar_loops(traces, f0, obj, L, 1.0 / (2.0 * L)))
             steps += len(traces)
         assert evaluations == 700  # one landing gradient per run, for its last step
         assert steps > 10_000
 
     def test_empty_trajectory(self):
-        assert check_descent([], [], 1.0) == scalar_check_descent([], [], 1.0) == DescentReport(0, math.inf)
+        assert check_descent([], 0.0, 1.0) == scalar_check_descent([], [], 1.0) == DescentReport(0, math.inf)
         obj = RecordedGradients(isotropic_quadratic(2))
-        assert wolfe_report([], [], obj, c1=0.5) == WolfeReport(armijo_pass=[], curvature_pass=[])
+        assert wolfe_report([], 0.0, obj, c1=0.5) == WolfeReport(armijo_pass=[], curvature_pass=[])
         assert obj.at == []
         # the loop zips the steps with their successors plus a None, one item too many
         with pytest.raises(ValueError, match="longer"):
@@ -296,45 +311,80 @@ class TestChecksMatchScalarLoops:
     def test_one_step(self):
         obj = spd_quadratic(8, seed=101, condition=10.0)
         tr = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 1, seed=2)
-        at = assert_checks_match_scalar_loops(tr, [obj.value(tr[0].x1)], obj, obj.lipschitz_bound, 0.4)
+        at = assert_checks_match_scalar_loops(tr, obj.value(tr[0].x1), obj, obj.lipschitz_bound, 0.4)
         assert at == [tr[0].x_new.tobytes()]
+
+    def test_nan_start_value_is_a_violation(self):
+        # a NaN margin fails the decrease check as it fails the Armijo check;
+        # the minimum margin skips it, so the theory JSON stays valid
+        obj = spd_quadratic(8, seed=101, condition=10.0)
+        tr = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 1, seed=2)
+        assert check_descent(tr, math.nan, obj.lipschitz_bound) == DescentReport(1, math.inf)
+        assert wolfe_report(tr, math.nan, obj, c1=0.4).armijo_pass == [False]
+        assert_checks_match_scalar_loops(tr, math.nan, obj, obj.lipschitz_bound, 0.4)
+
+    @pytest.mark.parametrize(
+        "f0, f_after",
+        [
+            (math.nan, [-0.0, 0.0, 0.0]),
+            (-0.0, [math.nan, math.nan, 0.0]),
+            (math.nan, [math.nan, math.nan, math.nan]),
+            (-0.0, [0.0, 0.0]),
+        ],
+    )
+    def test_nan_and_signed_zero_margins(self, f0, f_after):
+        # the running minimum skips NaN margins and keeps the first of two equal zeros
+        tr = dataclasses.replace(fabricate_trace(f_after=0.0, d_used=0.0), g1=np.zeros(2))
+        traces = [dataclasses.replace(tr, f_after=f) for f in f_after]
+        assert_checks_match_scalar_loops(traces, f0, isotropic_quadratic(2), 1.0, 0.5)
+        if f_after == [0.0, 0.0]:  # margins -0.0, then 0.0
+            assert math.copysign(1.0, check_descent(traces, f0, 1.0).min_decrease_margin) == -1.0
+
+
+class TestRefusesNonConsecutiveSteps:
+    """Each step's start value is the f_after of the step before, so a trajectory
+    whose steps do not join up bit for bit is refused."""
 
     def test_gap(self):
         obj = spd_quadratic(8, seed=202, condition=40.0)
-        a = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 4, seed=3)
-        b = run_constrained(np.full(8, -0.2), obj, obj.lipschitz_bound, 3, seed=4)
-        f_before = [obj.value(t.x1) for t in a + b]
-        at = assert_checks_match_scalar_loops(a + b, f_before, obj, obj.lipschitz_bound, 0.4)
-        assert at == [a[-1].x_new.tobytes(), b[-1].x_new.tobytes()]
+        traces = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
+        assert len(traces) == 10
+        assert_refused(traces[:7] + traces[8:], obj, 7)
 
     def test_landing_differs_from_next_start_only_in_the_sign_of_a_zero(self):
         obj = spd_quadratic(3, seed=7)
         a, b = run_constrained(np.array([0.3, 0.2, 0.1]), obj, obj.lipschitz_bound, 2, seed=5)
         a = dataclasses.replace(a, x_new=np.array([0.0, 0.25, -0.5]))
         b = dataclasses.replace(b, x1=np.array([-0.0, 0.25, -0.5]))
-        at = assert_checks_match_scalar_loops([a, b], [obj.value(a.x1), a.f_after], obj, obj.lipschitz_bound, 0.4)
-        assert at == [a.x_new.tobytes(), b.x_new.tobytes()]  # the bytes differ, so the gradient is evaluated
+        assert_refused([a, b], obj, 1)
 
-    def test_nan_and_signed_zero_margins(self):
-        # the running minimum skips NaN margins and keeps the first of two equal zeros
-        tr = dataclasses.replace(fabricate_trace(f_after=0.0, d_used=0.0), g1=np.zeros(2))
-        for f_before in ([math.nan, -0.0, 0.0], [-0.0, math.nan, 0.0], [math.nan, math.nan, math.nan]):
-            assert_checks_match_scalar_loops([tr] * 3, f_before, isotropic_quadratic(2), 1.0, 0.5)
-        assert math.copysign(1.0, check_descent([tr] * 2, [-0.0, 0.0], 1.0).min_decrease_margin) == -1.0
-
-    @pytest.mark.parametrize("f_before", [[1.0], [1.0, 0.5, 0.2]])
-    def test_f_before_of_the_wrong_length_raises(self, f_before):
+    def test_start_value_is_one_float(self):
         obj = spd_quadratic(2, seed=6)
         traces = run_constrained(np.array([0.6, 0.4]), obj, obj.lipschitz_bound, 2, seed=6)
-        assert len(traces) == 2
-        for check in (
-            lambda fb: check_descent(traces, fb, 1.0),
-            lambda fb: scalar_check_descent(traces, fb, 1.0),
-            lambda fb: wolfe_report(traces, fb, obj, c1=0.5),
-            lambda fb: scalar_wolfe_report(traces, fb, obj, c1=0.5),
-        ):
-            with pytest.raises(ValueError):
-                check(f_before)
+        f0 = obj.value(traces[0].x1)
+        assert check_descent(traces, np.float64(f0), 1.0) == check_descent(traces, f0, 1.0)
+        recorded = RecordedGradients(obj)
+        # a list of per-step start values is not a start value
+        with pytest.raises(TypeError):
+            check_descent(traces, [f0, traces[0].f_after], 1.0)
+        with pytest.raises(TypeError):
+            wolfe_report(traces, [f0, traces[0].f_after], recorded, c1=0.5)
+        assert recorded.at == []
+
+
+def test_unconstrained_stepper_against_the_descent_bound():
+    # measured only: the descent guarantee covers the constrained mode. The
+    # stepper at its defaults, from the seed-0 suite starts with their probe
+    # seeds and step counts, meets the bound on the isotropic quadratic and
+    # misses it on nearly every step of the two SPD quadratics.
+    counts = {}  # objective -> [steps, violations]
+    for obj, x0, n_steps, probe_seed in suite_starts(0):
+        traces = dycent_run(x0, obj, DycentConfig(), n_steps, probe_seed)
+        report = check_descent(traces, obj.value(x0), obj.lipschitz_bound)
+        steps_violations = counts.setdefault(obj, [0, 0])
+        steps_violations[0] += len(traces)
+        steps_violations[1] += report.violations
+    assert list(counts.values()) == [[2_000, 0], [5_000, 4_887], [5_000, 4_914]]
 
 
 def test_theory_suite_steps_are_gradient_descent_with_step_one_over_L():
