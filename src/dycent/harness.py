@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,23 +92,10 @@ class DivergedError(ArithmeticError):
 DIVERGENCE_FACTOR = 1e6
 
 
-@dataclass(frozen=True)
-class HSchedule:
-    """One-shot step decay: divide h (or lr) by decay_factor at at_epoch."""
-
-    decay_factor: float
-    at_epoch: int
-
-    def __post_init__(self):
-        if not self.decay_factor > 0:
-            raise ConfigError("h_decay_factor must be > 0")
-        if self.at_epoch < 0:
-            raise ConfigError("h_decay_at_epoch must be >= 0")
-
-
 @dataclass
 class RunConfig:
-    """Complete description of one experiment run."""
+    """Complete description of one experiment run. h_decay_factor and h_decay_at_epoch go together:
+    from epoch h_decay_at_epoch on, h (or lr) is divided by h_decay_factor."""
 
     objective: str
     optimizer: str
@@ -116,7 +104,8 @@ class RunConfig:
     seed: int = 0
     batch_size: int | None = None
     epochs: int | None = None
-    h_schedule: HSchedule | None = None
+    h_decay_factor: float | None = None
+    h_decay_at_epoch: int | None = None
     output_prefix: str = "run"
     objective_params: dict = field(default_factory=dict)
     optimizer_params: dict = field(default_factory=dict)
@@ -134,6 +123,15 @@ class RunConfig:
             raise ConfigError("max_iters must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if any(c and c in self.output_prefix for c in (os.sep, os.altsep, "\0")):
+            raise ConfigError(f"output_prefix {self.output_prefix!r} must not hold a path separator or NUL")
+        scheduled = self.h_decay_factor is not None
+        if scheduled != (self.h_decay_at_epoch is not None):
+            raise ConfigError("h_decay_factor and h_decay_at_epoch go together")
+        if scheduled and not self.h_decay_factor > 0:
+            raise ConfigError("h_decay_factor must be > 0")
+        if scheduled and self.h_decay_at_epoch < 0:
+            raise ConfigError("h_decay_at_epoch must be >= 0")
         if self.epochs is not None:
             if self.epochs < 1:
                 raise ConfigError("epochs must be >= 1")
@@ -141,11 +139,11 @@ class RunConfig:
                 raise ConfigError("epochs only apply to dataset-backed objectives")
             if self.batch_size is None or self.batch_size < 1:
                 raise ConfigError("epoch mode needs batch_size >= 1")
-            if self.h_schedule is not None and self.h_schedule.at_epoch >= self.epochs:
+            if scheduled and self.h_decay_at_epoch >= self.epochs:
                 raise ConfigError(
-                    f"h_decay_at_epoch {self.h_schedule.at_epoch} never applies in a run of {self.epochs} epochs"
+                    f"h_decay_at_epoch {self.h_decay_at_epoch} never applies in a run of {self.epochs} epochs"
                 )
-        elif self.batch_size is not None or self.h_schedule is not None:
+        elif self.batch_size is not None or scheduled:
             raise ConfigError("batch_size and h_decay_factor/h_decay_at_epoch apply only in epoch mode; set epochs")
 
 
@@ -199,9 +197,9 @@ def _prepare(cfg: RunConfig) -> tuple[Objective, np.ndarray, dict, list]:
     """cfg's objective, resolved start, config echo and optimizer configs, the second after the h schedule's
     decay; a bad optimizer setting or decay, a start of the wrong dimension, or dycent in 1-D raises ConfigError."""
     opt_cfgs = [_build_optimizer_config(cfg)]
-    if cfg.h_schedule:
+    if cfg.h_decay_factor is not None:
         rate = "h" if cfg.optimizer == "dycent" else "lr"
-        decayed = getattr(opt_cfgs[0], rate) / cfg.h_schedule.decay_factor
+        decayed = getattr(opt_cfgs[0], rate) / cfg.h_decay_factor
         if not 0.0 < decayed < math.inf:
             raise ConfigError(f"{rate} / h_decay_factor is {decayed}; it must be > 0 and finite")
         opt_cfgs.append(dataclasses.replace(opt_cfgs[0], **{rate: decayed}))
@@ -243,7 +241,9 @@ def config_echo(cfg: RunConfig, opt_cfg) -> dict:
         "seed": cfg.seed,
         "batch_size": cfg.batch_size,
         "epochs": cfg.epochs,
-        "h_schedule": dataclasses.asdict(cfg.h_schedule) if cfg.h_schedule else None,
+        # the schedule keeps its nested echo, so config hashes and file names do not move
+        "h_schedule": None if cfg.h_decay_factor is None
+        else {"decay_factor": cfg.h_decay_factor, "at_epoch": cfg.h_decay_at_epoch},
         "output_prefix": cfg.output_prefix,
     }
 
@@ -292,7 +292,7 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tupl
 
     def schedule():
         for epoch in range(cfg.epochs):
-            step = steps[-1] if cfg.h_schedule and epoch >= cfg.h_schedule.at_epoch else steps[0]
+            step = steps[-1] if cfg.h_decay_at_epoch is not None and epoch >= cfg.h_decay_at_epoch else steps[0]
             perm = shuffle_rng.permutation(len(data))
             for i in range(0, len(data), cfg.batch_size):
                 yield batch_step(step, perm[i : i + cfg.batch_size], i + cfg.batch_size >= len(data))
@@ -529,8 +529,8 @@ def run_angle_experiment(seed: int, out_dir: str | Path = ".", epochs: int = 60)
 
 # --- config-file parsing -----------------------------------------------
 
-# Every config-file key, by the part of RunConfig it sets, with the type its
-# value parses to. x0 is a preset name or comma-separated floats.
+# Every config-file key, by the part of RunConfig it sets (a run key names a
+# field), with the type its value parses to. x0 is a preset or comma-separated floats.
 _RUN_KEYS = {
     "objective": str, "optimizer": str, "x0": float, "max_iters": int, "seed": int, "batch_size": int,
     "epochs": int, "h_decay_factor": float, "h_decay_at_epoch": int, "output_prefix": str,
@@ -599,17 +599,12 @@ def parse_config_file(path: str | Path) -> list[RunConfig]:
             else:
                 valid = sorted(_RUN_KEYS.keys() | _OPT_KEYS.keys() | _OBJ_KEYS.keys())
                 raise ConfigError(f"[{section}] unknown key {key!r}; valid keys: {valid}")
-        h_decay_factor = run_kwargs.pop("h_decay_factor", None)
-        h_decay_at_epoch = run_kwargs.pop("h_decay_at_epoch", None)
-        if (h_decay_factor is None) != (h_decay_at_epoch is None):
-            raise ConfigError(f"[{section}] h_decay_factor and h_decay_at_epoch go together")
-        if h_decay_factor is not None:
-            run_kwargs["h_schedule"] = HSchedule(h_decay_factor, h_decay_at_epoch)
         if "objective" not in run_kwargs or "optimizer" not in run_kwargs:
             raise ConfigError(f"[{section}] needs at least 'objective' and 'optimizer'")
-        configs.append(
-            RunConfig(optimizer_params=opt_params, objective_params=obj_params, **run_kwargs)
-        )
+        try:
+            configs.append(RunConfig(optimizer_params=opt_params, objective_params=obj_params, **run_kwargs))
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
     if not configs:
         raise ConfigError(f"{path}: no run sections found")
     return configs

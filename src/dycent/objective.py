@@ -62,7 +62,6 @@ class AnalyticObjective(Objective):
         dim: int,
         value_fn: Callable[[np.ndarray], float],
         grad_fn: Callable[[np.ndarray], np.ndarray],
-        lipschitz_bound: float | None = None,
         name: str = "",
     ):
         if dim < 1:
@@ -70,7 +69,6 @@ class AnalyticObjective(Objective):
         self.dim = dim
         self._value_fn = value_fn
         self._grad_fn = grad_fn
-        self.lipschitz_bound = lipschitz_bound
         self.name = name
 
     def value(self, x: ParamVector) -> float:

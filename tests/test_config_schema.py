@@ -5,12 +5,14 @@ Output files are named by config_hash(config_echo(cfg, opt_cfg)), so a default t
 moves, or a value parsed as another type (4 against 4.0), renames them.
 """
 
+import dataclasses
+
 import pytest
 
 from dycent.harness import (
     OBJECTIVES,
+    _RUN_KEYS,
     ConfigError,
-    HSchedule,
     RunConfig,
     _build_optimizer_config,
     config_echo,
@@ -107,13 +109,17 @@ def test_every_key_parses_to_its_type(tmp_path):
     (cfg,) = parse_config_file(path)
     assert typed(cfg.optimizer_params) == typed(EXPECTED_OPTIMIZER_PARAMS)
     assert typed(cfg.objective_params) == typed(EXPECTED_OBJECTIVE_PARAMS)
-    run = (cfg.objective, cfg.optimizer, cfg.max_iters, cfg.seed, cfg.batch_size, cfg.epochs, cfg.output_prefix)
+    run = [getattr(cfg, key) for key in _RUN_KEYS if key != "x0"]
     assert [(type(v), v) for v in run] == [
-        (str, "moons_mlp"), (str, "dycent"), (int, 40), (int, 9), (int, 16), (int, 2), (str, "named"),
+        (str, "moons_mlp"), (str, "dycent"), (int, 40), (int, 9), (int, 16), (int, 2), (float, 4.0), (int, 1),
+        (str, "named"),
     ]
     assert [(type(v), v) for v in cfg.x0] == [(float, 1.0), (float, -2.5)]
-    assert cfg.h_schedule == HSchedule(4.0, 1)
-    assert (type(cfg.h_schedule.decay_factor), type(cfg.h_schedule.at_epoch)) == (float, int)
+
+
+def test_every_run_key_is_a_run_config_field():
+    # the parser hands each run key to RunConfig under its own name
+    assert set(_RUN_KEYS) == {f.name for f in dataclasses.fields(RunConfig)} - {"objective_params", "optimizer_params"}
 
 
 def test_unknown_key_lists_the_whole_key_set(tmp_path):

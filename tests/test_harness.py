@@ -16,7 +16,6 @@ from dycent.harness import (
     MOONS_TUNED_H,
     ConfigError,
     DivergedError,
-    HSchedule,
     RunConfig,
     config_hash,
     parse_config_file,
@@ -258,7 +257,7 @@ class TestHSchedule:
         sched = RunConfig(
             objective="moons_mlp", optimizer="sgd", x0="auto", seed=3,
             batch_size=32, epochs=4, optimizer_params={"lr": 0.5},
-            h_schedule=HSchedule(decay_factor=10.0, at_epoch=1),
+            h_decay_factor=10.0, h_decay_at_epoch=1,
             output_prefix="sched",
         )
         s_base = run_experiment(base, out_dir=tmp_path)
@@ -266,11 +265,39 @@ class TestHSchedule:
         assert s_base["final_f"] != s_sched["final_f"]
 
     def test_invalid_schedule(self):
-        # the messages name the config-file keys, not the dataclass fields
+        epochs = {"objective": "moons_mlp", "optimizer": "sgd", "batch_size": 32, "epochs": 3}
         with pytest.raises(ConfigError, match="^h_decay_factor must be > 0$"):
-            HSchedule(decay_factor=0.0, at_epoch=1)
+            RunConfig(**epochs, h_decay_factor=0.0, h_decay_at_epoch=1)
         with pytest.raises(ConfigError, match="^h_decay_at_epoch must be >= 0$"):
-            HSchedule(decay_factor=10.0, at_epoch=-1)
+            RunConfig(**epochs, h_decay_factor=10.0, h_decay_at_epoch=-1)
+        with pytest.raises(ConfigError, match="^h_decay_at_epoch 3 never applies in a run of 3 epochs$"):
+            RunConfig(**epochs, h_decay_factor=10.0, h_decay_at_epoch=3)
+        with pytest.raises(ConfigError, match="^batch_size and h_decay_factor/h_decay_at_epoch apply only in epoch"):
+            RunConfig(objective="toy_b", optimizer="sgd", h_decay_factor=10.0, h_decay_at_epoch=1)
+
+    @pytest.mark.parametrize("half", [{"h_decay_factor": 10.0}, {"h_decay_at_epoch": 1}], ids=["factor", "epoch"])
+    def test_half_a_schedule_is_refused(self, half):
+        with pytest.raises(ConfigError, match="^h_decay_factor and h_decay_at_epoch go together$"):
+            RunConfig(objective="moons_mlp", optimizer="sgd", batch_size=32, epochs=3, **half)
+
+    def test_half_a_schedule_in_a_file_names_its_section(self, tmp_path):
+        path = tmp_path / "runs.ini"
+        path.write_text("[r]\nobjective = moons_mlp\noptimizer = sgd\nbatch_size = 32\nepochs = 3\nh_decay_factor = 10\n")
+        with pytest.raises(ConfigError, match=r"^\[r\] h_decay_factor and h_decay_at_epoch go together$"):
+            parse_config_file(path)
+
+    def test_a_new_epoch_count_rechecks_the_schedule(self, tmp_path, capsys):
+        cfg = RunConfig(objective="moons_mlp", optimizer="sgd", batch_size=32, epochs=3,
+                        h_decay_factor=10.0, h_decay_at_epoch=2)
+        with pytest.raises(ConfigError, match="^h_decay_at_epoch 2 never applies in a run of 2 epochs$"):
+            dataclasses.replace(cfg, epochs=2)
+        # the --iters override sets the epochs of an epoch-mode section the same way
+        path = tmp_path / "runs.ini"
+        path.write_text("[r]\nobjective = moons_mlp\noptimizer = sgd\nbatch_size = 32\nepochs = 3\n"
+                        "h_decay_factor = 10\nh_decay_at_epoch = 2\n")
+        assert cli.main(["run", "--config", str(path), "--iters", "2", "--out", str(tmp_path / "out")]) == 2
+        assert "never applies in a run of 2 epochs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunComparison:
@@ -378,20 +405,19 @@ class TestRunComparison:
         assert "sgd" in txt and "adam" in txt
 
 
-def test_adam_on_the_shipped_moons_section_at_higher_learning_rates():
+def test_adam_on_the_shipped_moons_section_at_higher_learning_rates(tmp_path):
     # measured only, as the README states it: the moons table's Adam runs at
     # lr = 1e-3; at 1e-2 it ends at accuracy 1.0 at 4 of seeds 0-4, at 3e-2 at all 5
     config = Path(__file__).resolve().parent.parent / "configs" / "moons_dycent.ini"
-    adam = next(c for c in parse_config_file(config) if c.optimizer == "adam")
+    (adam,) = [c for c in parse_config_file(config) if c.output_prefix == "moons-adam"]
     perfect = {}
     for lr in (1e-2, 3e-2):
         finals = []
         for seed in range(5):
             cfg = dataclasses.replace(adam, seed=seed, optimizer_params={**adam.optimizer_params, "lr": lr})
-            obj, x0, _, opt_cfgs = harness._prepare(cfg)
-            records, stop_reason = harness._run(cfg, obj, x0, opt_cfgs)
-            assert stop_reason is None
-            finals.append(records[-1].acc_train)
+            summary = run_experiment(cfg, out_dir=tmp_path)
+            assert summary["stop_reason"] is None
+            finals.append(summary["final_train_accuracy"])
         perfect[lr] = finals.count(1.0)
     assert perfect == {1e-2: 4, 3e-2: 5}
 
@@ -473,7 +499,7 @@ class TestConfigFile:
             "batch_size = 32\nepochs = 3\nh_decay_factor = 10\nh_decay_at_epoch = 1\n"
         )
         (cfg,) = parse_config_file(path)
-        assert cfg.h_schedule == HSchedule(10.0, 1)
+        assert [(type(v), v) for v in (cfg.h_decay_factor, cfg.h_decay_at_epoch)] == [(float, 10.0), (int, 1)]
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
@@ -552,6 +578,24 @@ class TestCli:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[a]\n{run}[sub/b]\n{run}",
+            "[r]\n{run}output_prefix = ../escaped\n",
+            "[a\0b]\n{run}",
+        ],
+        ids=["slash-in-section", "prefix-leaves-out", "nul-in-section"],
+    )
+    def test_prefix_that_is_not_a_file_name_exits_2_and_writes_nothing(self, tmp_path, capsys, command, text):
+        path = tmp_path / "runs.ini"
+        path.write_text(text.format(run="objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nmax_iters = 3\n"))
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "must not hold a path separator or NUL" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["runs.ini"]
 
     def test_theory_subcommand(self, tmp_path, capsys):
         code = cli.main(["theory", "--seed", "1", "--out", str(tmp_path)])
