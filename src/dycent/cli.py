@@ -78,15 +78,17 @@ def main(argv=None) -> int:
             print(json.dumps(summary["angle_band"], sort_keys=True, indent=2))
             print(f"written: {summary['files']['trajectory_csv']}")
     except ConfigError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        kind, code, msg = "config", EXIT_CONFIG, str(exc)
     except (NonFiniteStepError, DivergedError) as exc:
-        print(f"error[numerical]: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        kind, code, msg = "numerical", EXIT_NUMERICAL, str(exc)
     except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+        kind, code, msg = "io", EXIT_IO, str(exc)
+    else:
+        return EXIT_OK
+    # a message may quote a section name or path from the input, so non-printable characters are escaped
+    msg = "".join(c if c.isprintable() else repr(c)[1:-1] for c in msg)
+    print(f"error[{kind}]: {msg}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -195,22 +195,26 @@ def _resolve_x0(cfg: RunConfig, auto_start: np.ndarray | None) -> np.ndarray:
 
 def _prepare(cfg: RunConfig) -> tuple[Objective, np.ndarray, dict, list]:
     """cfg's objective, resolved start, config echo and optimizer configs, the second after the h schedule's
-    decay; a bad optimizer setting or decay, a start of the wrong dimension, or dycent in 1-D raises ConfigError."""
-    opt_cfgs = [_build_optimizer_config(cfg)]
-    if cfg.h_decay_factor is not None:
-        rate = "h" if cfg.optimizer == "dycent" else "lr"
-        decayed = getattr(opt_cfgs[0], rate) / cfg.h_decay_factor
-        if not 0.0 < decayed < math.inf:
-            raise ConfigError(f"{rate} / h_decay_factor is {decayed}; it must be > 0 and finite")
-        opt_cfgs.append(dataclasses.replace(opt_cfgs[0], **{rate: decayed}))
-    echo = config_echo(cfg, opt_cfgs[0])
-    obj, auto_start = _build_objective(cfg)
-    x0 = _resolve_x0(cfg, auto_start)
-    if x0.shape != (obj.dim,):
-        raise ConfigError(f"x0 has dimension {x0.size}, objective needs {obj.dim}")
-    if cfg.optimizer == "dycent" and obj.dim < 2:
-        raise ConfigError(f"dycent needs dimension >= 2 to probe; {cfg.objective} has {obj.dim}")
-    return obj, x0, echo, opt_cfgs
+    decay; a bad optimizer setting or decay, a start of the wrong dimension, or dycent in 1-D raises ConfigError,
+    its message prefixed with [output_prefix] as parse_config_file prefixes a section's errors."""
+    try:
+        opt_cfgs = [_build_optimizer_config(cfg)]
+        if cfg.h_decay_factor is not None:
+            rate = "h" if cfg.optimizer == "dycent" else "lr"
+            decayed = getattr(opt_cfgs[0], rate) / cfg.h_decay_factor
+            if not 0.0 < decayed < math.inf:
+                raise ConfigError(f"{rate} / h_decay_factor is {decayed}; it must be > 0 and finite")
+            opt_cfgs.append(dataclasses.replace(opt_cfgs[0], **{rate: decayed}))
+        echo = config_echo(cfg, opt_cfgs[0])
+        obj, auto_start = _build_objective(cfg)
+        x0 = _resolve_x0(cfg, auto_start)
+        if x0.shape != (obj.dim,):
+            raise ConfigError(f"x0 has dimension {x0.size}, objective needs {obj.dim}")
+        if cfg.optimizer == "dycent" and obj.dim < 2:
+            raise ConfigError(f"dycent needs dimension >= 2 to probe; {cfg.objective} has {obj.dim}")
+        return obj, x0, echo, opt_cfgs
+    except ConfigError as exc:
+        raise ConfigError(f"[{cfg.output_prefix}] {exc}") from None
 
 
 def _build_optimizer_config(cfg: RunConfig) -> optimizer.DycentConfig | baselines.BaselineConfig:
@@ -305,7 +309,7 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tupl
 
 def write_trajectory_csv(path: Path, records: list[TrajectoryRecord]) -> None:
     lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(r.csv_row()) for r in records]
+    lines += [r.csv_row() for r in records]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -19,8 +19,16 @@ class TrajectoryRecord:
     doubled: bool | None = None
     acc_train: float | None = None
 
-    def csv_row(self) -> list[str]:
-        return [csv_cell(getattr(self, c)) for c in CSV_COLUMNS]
+    def csv_row(self) -> str:
+        """The record as one CSV row in CSV_COLUMNS order, each cell as csv_cell writes it."""
+        return (
+            f"{self.iter},{self.f!r},{self.grad_norm!r},"
+            f"{'' if self.theta_deg is None else repr(self.theta_deg)},"
+            f"{'' if self.d_raw is None else repr(self.d_raw)},"
+            f"{'' if self.d_used is None else repr(self.d_used)},"
+            f"{'' if self.doubled is None else 'true' if self.doubled else 'false'},"
+            f"{'' if self.acc_train is None else repr(self.acc_train)}"
+        )
 
 
 def csv_cell(v) -> str:

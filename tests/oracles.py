@@ -4,8 +4,8 @@ The oracles deliberately avoid the package's own gradient code paths so
 the checks stay two-sided: analytic gradients are compared against
 central finite differences computed here. The reference forms (numpy
 scalar math for the toy surfaces, the @ operator for the quadratics, a
-per-step loop for each theory check) are the plain formulations whose
-bits the package's faster code must reproduce.
+per-step loop for each theory check, a cell-by-cell CSV row) are the
+plain formulations whose bits the package's faster code must reproduce.
 """
 
 import math
@@ -14,6 +14,7 @@ import numpy as np
 
 from dycent.objective import _TOY_B_LIMIT_R2
 from dycent.optimizer import DycentState, dycent_step, run_loop
+from dycent.records import CSV_COLUMNS, csv_cell
 from dycent.theory import DescentReport, WolfeReport
 
 
@@ -107,6 +108,12 @@ def scalar_wolfe_report(trajectory, f_before, obj, c1, c2=0.9):
         report.armijo_pass.append(tr.f_after <= f1 - c1 * tr.d_used * grad_sq)
         report.curvature_pass.append(abs(float(np.dot(g_new, tr.g1))) <= c2 * grad_sq)
     return report
+
+
+def csv_row_by_cell(record):
+    """record's trajectory CSV row, one csv_cell per column: the reference
+    for TrajectoryRecord.csv_row, which formats the row in one f-string."""
+    return ",".join(csv_cell(getattr(record, c)) for c in CSV_COLUMNS)
 
 
 def central_diff_gradient(value_fn, x, step=1e-6):

@@ -344,7 +344,7 @@ class TestRunComparison:
             tmp_path, "objective = quadratic\noptimizer = sgd", "objective = quadratic\noptimizer = adam\nlr = -1"
         )
         assert code == cli.EXIT_CONFIG
-        assert "lr must be > 0" in capsys.readouterr().err
+        assert "error[config]: [b] lr must be > 0" in capsys.readouterr().err  # names the section
         assert not any((tmp_path / "out").iterdir())
 
     def test_every_decay_checked_before_the_first_run(self, tmp_path, capsys):
@@ -380,6 +380,25 @@ class TestRunComparison:
         assert code == cli.EXIT_CONFIG
         assert "dycent needs dimension >= 2" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "objective,optimizer,kwargs,message",
+        [
+            ("quadratic", "sgd", {"optimizer_params": {"h": 1.0}}, "unknown sgd parameters ['h']"),
+            ("quadratic", "sgd", {"objective_params": {"n": 3}}, "unknown quadratic parameters ['n']"),
+            ("toy_b", "sgd", {}, "toy_b has no automatic start"),
+            ("quadratic", "sgd", {"x0": "nope"}, "unknown x0 preset 'nope'"),
+            ("quadratic", "sgd", {"x0": (1.0, 2.0, 3.0)}, "x0 has dimension 3, objective needs 2"),
+            ("quadratic", "dycent", {"objective_params": {"dim": 1}}, "dycent needs dimension >= 2"),
+        ],
+        ids=["unknown-optimizer-param", "unknown-objective-param", "no-auto-start", "unknown-preset",
+             "x0-dimension", "dycent-1d"],
+    )
+    def test_prepare_errors_name_their_section(self, objective, optimizer, kwargs, message):
+        cfg = RunConfig(objective=objective, optimizer=optimizer, output_prefix="s", **kwargs)
+        with pytest.raises(ConfigError) as exc:
+            harness._prepare(cfg)
+        assert str(exc.value).startswith(f"[s] {message}")
 
     def test_each_section_built_once(self, tmp_path, monkeypatch):
         built = []
@@ -596,6 +615,20 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert "must not hold a path separator or NUL" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["runs.ini"]
+
+    @pytest.mark.parametrize(
+        "section,shown",
+        [("a\x1b[31mRED", "[a\\x1b[31mRED] unknown optimizer 'nope'"), ("a\0b", "[a\\x00b] unknown optimizer 'nope'")],
+        ids=["esc", "nul"],
+    )
+    def test_control_characters_in_a_message_are_escaped(self, tmp_path, section, shown):
+        path = tmp_path / "runs.ini"
+        path.write_text(f"[{section}]\nobjective = toy_b\noptimizer = nope\n")
+        proc = run_dycent("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stderr.startswith(f"error[config]: {shown}")
+        assert proc.stderr.endswith("\n") and not any(c < " " for c in proc.stderr[:-1])
+        assert not (tmp_path / "out").exists()
 
     def test_theory_subcommand(self, tmp_path, capsys):
         code = cli.main(["theory", "--seed", "1", "--out", str(tmp_path)])
