@@ -459,12 +459,11 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
         obj_steps = obj_viol = 0
         for k in range(n_starts):
             direction = rng.standard_normal(obj.dim)
-            direction /= np.linalg.norm(direction)
+            direction /= norm(direction)
             x0 = direction * rng.uniform(0.1, 0.95)
             traces = theory.run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
             f0 = obj.value(x0)
-            report = theory.check_descent(traces, f0, L, tol=1e-10)
-            wolfe = theory.wolfe_report(traces, f0, obj, c1=1.0 / (2.0 * L), c2=0.9)
+            report, wolfe = theory.check_run(traces, f0, obj, L, c1=1.0 / (2.0 * L), c2=0.9, tol=1e-10)
             obj_steps += len(traces)
             obj_viol += report.violations
             min_margin = min(min_margin, report.min_decrease_margin)

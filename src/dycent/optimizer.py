@@ -153,21 +153,24 @@ def dycent_step(
     """
     x1 = np.asarray(x, dtype=np.float64)
     g1 = -obj.gradient(x1)
-    g1_norm = norm(g1)
+    # each squared norm is formed once; norm() runs only where it overflowed, to rescale
+    g1_sq = float(np.vdot(g1, g1))
+    g1_norm = math.sqrt(g1_sq) if g1_sq < math.inf else norm(g1)
     if g1_norm == 0.0:
         raise ZeroGradientError("stationary point: gradient vanished")
     if not math.isfinite(g1_norm):
         raise NonFiniteStepError(f"gradient is not finite (norm {g1_norm})")
 
     h = cfg.h if lipschitz is None else 0.01 * g1_norm / lipschitz
-    p1 = sample_perpendicular(g1, state.rng)
+    p1 = sample_perpendicular(g1, state.rng, g_norm=g1_norm)
     x2 = x1 - h * p1
     g2 = -obj.gradient(x2)
-    g2_norm = norm(g2)
+    g2_sq = float(np.vdot(g2, g2))
+    g2_norm = math.sqrt(g2_sq) if g2_sq < math.inf else norm(g2)
     if not math.isfinite(g2_norm):
         raise NonFiniteStepError(f"probe gradient is not finite (norm {g2_norm})")
 
-    theta = angle_between(g1, g2) + cfg.epsilon
+    theta = angle_between(g1, g2, a_sq=g1_sq, b_sq=g2_sq) + cfg.epsilon
     tan_theta = math.tan(theta)
     d_raw = h / tan_theta
     if not math.isfinite(d_raw):

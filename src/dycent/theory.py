@@ -11,6 +11,7 @@ optimizer.dycent_step with lipschitz set; run_constrained is run_loop over
 a lazy sequence of max_iters of them, so no budget is built up front.
 Since theta cancels, that step is gradient descent with step 1/L up to
 rounding, and both guarantees are that method's textbook ones.
+check_run gives both checks' reports of one run and reads the run once.
 """
 
 import math
@@ -45,12 +46,14 @@ class WolfeReport:
 
 
 def _steps(trajectory: list[StepTrace], f0: float):
-    """(g1 rows, their squared norms, start values, end values) of a nonempty trajectory.
+    """(g1 rows, their squared norms, start values, end values) of a trajectory; None if it is empty.
 
     Step 0 starts at f0; step k starts where step k-1 landed, bit for bit,
     so its start value is that step's f_after. A step that does not start
     there raises ValueError before any evaluation.
     """
+    if not trajectory:
+        return None
     for k, (tr, nxt) in enumerate(zip(trajectory, trajectory[1:]), 1):
         # comparing bytes is the exact test and, unlike np.array_equal, cheap
         if nxt.x1.tobytes() != tr.x_new.tobytes():
@@ -58,6 +61,33 @@ def _steps(trajectory: list[StepTrace], f0: float):
     g1 = np.array([tr.g1 for tr in trajectory])
     f_after = np.array([tr.f_after for tr in trajectory])
     return g1, np.vecdot(g1, g1), np.concatenate(([float(f0)], f_after[:-1])), f_after
+
+
+def _descent(steps, L: float, tol: float) -> DescentReport:
+    if steps is None:
+        return DescentReport(violations=0, min_decrease_margin=math.inf)
+    g1, grad_sq, f_before, f_after = steps
+    margin = (f_before - f_after) - grad_sq / (2.0 * L)
+    # a running min from inf keeps the first of equal margins and never takes a NaN
+    return DescentReport(
+        violations=int(np.count_nonzero(~(margin >= -tol))), min_decrease_margin=min([math.inf, *margin.tolist()])
+    )
+
+
+def _wolfe(trajectory: list[StepTrace], steps, obj: Objective, c1: float, c2: float) -> WolfeReport:
+    if steps is None:
+        return WolfeReport(armijo_pass=[], curvature_pass=[])
+    g1, grad_sq, f_before, f_after = steps
+    d_used = np.array([tr.d_used for tr in trajectory])
+    armijo = f_after <= f_before - c1 * d_used * grad_sq
+    g_new = np.vstack((-g1[1:], obj.gradient(trajectory[-1].x_new)))
+    curvature = np.abs(np.vecdot(g_new, g1)) <= c2 * grad_sq
+    return WolfeReport(armijo_pass=armijo.tolist(), curvature_pass=curvature.tolist())
+
+
+def _require_wolfe_pair(c1: float, c2: float) -> None:
+    if not 0.0 < c1 < c2 < 1.0:
+        raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
 
 
 def check_descent(trajectory: list[StepTrace], f0: float, L: float, tol: float = 1e-10) -> DescentReport:
@@ -68,14 +98,7 @@ def check_descent(trajectory: list[StepTrace], f0: float, L: float, tol: float =
     per-step loop forms them. A NaN margin is a violation; the minimum
     margin skips it, and an empty trajectory has margin inf.
     """
-    if not trajectory:
-        return DescentReport(violations=0, min_decrease_margin=math.inf)
-    g1, grad_sq, f_before, f_after = _steps(trajectory, f0)
-    margin = (f_before - f_after) - grad_sq / (2.0 * L)
-    # a running min from inf keeps the first of equal margins and never takes a NaN
-    return DescentReport(
-        violations=int(np.count_nonzero(~(margin >= -tol))), min_decrease_margin=min([math.inf, *margin.tolist()])
-    )
+    return _descent(_steps(trajectory, f0), L, tol)
 
 
 def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: float, c2: float = 0.9) -> WolfeReport:
@@ -96,16 +119,17 @@ def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: flo
     one array pass over the steps, elementwise in the order a per-step loop
     evaluates them.
     """
-    if not 0.0 < c1 < c2 < 1.0:
-        raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
-    if not trajectory:
-        return WolfeReport(armijo_pass=[], curvature_pass=[])
-    g1, grad_sq, f_before, f_after = _steps(trajectory, f0)
-    d_used = np.array([tr.d_used for tr in trajectory])
-    armijo = f_after <= f_before - c1 * d_used * grad_sq
-    g_new = np.vstack((-g1[1:], obj.gradient(trajectory[-1].x_new)))
-    curvature = np.abs(np.vecdot(g_new, g1)) <= c2 * grad_sq
-    return WolfeReport(armijo_pass=armijo.tolist(), curvature_pass=curvature.tolist())
+    _require_wolfe_pair(c1, c2)
+    return _wolfe(trajectory, _steps(trajectory, f0), obj, c1, c2)
+
+
+def check_run(
+    trajectory: list[StepTrace], f0: float, obj: Objective, L: float, c1: float, c2: float = 0.9, tol: float = 1e-10
+) -> tuple[DescentReport, WolfeReport]:
+    """(check_descent(trajectory, f0, L, tol), wolfe_report(trajectory, f0, obj, c1, c2)), reading the run once."""
+    _require_wolfe_pair(c1, c2)
+    steps = _steps(trajectory, f0)
+    return _descent(steps, L, tol), _wolfe(trajectory, steps, obj, c1, c2)
 
 
 def run_constrained(x0: ParamVector, obj: Objective, L: float, max_iters: int, seed: int) -> list[StepTrace]:

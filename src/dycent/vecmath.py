@@ -57,16 +57,18 @@ def norm(a: ParamVector) -> float:
     return math.sqrt(sq)
 
 
-def sample_perpendicular(g: ParamVector, rng: RngHandle) -> ParamVector:
+def sample_perpendicular(g: ParamVector, rng: RngHandle, *, g_norm: float | None = None) -> ParamVector:
     """Unit vector drawn uniformly from the sphere of the hyperplane orthogonal to g.
 
     Draws a standard-normal vector, projects out the g-component, and
     normalizes; near-parallel draws (residual below RESAMPLE_THRESHOLD of
-    the draw) are resampled. A non-finite g raises ValueError instead.
+    the draw) are resampled. A caller that holds norm(g) may pass it as
+    g_norm; otherwise it is computed here. Either way a zero norm raises
+    ZeroGradientError and a non-finite one ValueError, before any draw.
     """
     if g.size < 2:
         raise DimensionError("no perpendicular direction exists in 1 dimension")
-    ng = norm(g)
+    ng = norm(g) if g_norm is None else g_norm
     if ng == 0.0:
         raise ZeroGradientError("cannot pick a direction perpendicular to the zero vector")
     if not math.isfinite(ng):
@@ -80,8 +82,13 @@ def sample_perpendicular(g: ParamVector, rng: RngHandle) -> ParamVector:
             return w / nw
 
 
-def angle_between(a: ParamVector, b: ParamVector) -> float:
+def angle_between(
+    a: ParamVector, b: ParamVector, *, a_sq: float | None = None, b_sq: float | None = None
+) -> float:
     """Angle in radians, in [0, pi], between two nonzero vectors.
+
+    A caller that holds a squared norm, float(np.vdot(a, a)) bit for bit,
+    may pass it as a_sq (or b_sq for b); otherwise it is computed here.
 
     The cosine is formed from raw inner products and clamped to [-1, 1]
     before arccos, so exact parallels (including a vs a) come out as
@@ -104,8 +111,8 @@ def angle_between(a: ParamVector, b: ParamVector) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
     # vdot runs np.dot's kernel, bit for bit, without np.dot's overflow warning
-    daa = float(np.vdot(a, a))
-    dbb = float(np.vdot(b, b))
+    daa = float(np.vdot(a, a)) if a_sq is None else a_sq
+    dbb = float(np.vdot(b, b)) if b_sq is None else b_sq
     if not (0.0 < daa < math.inf and 0.0 < dbb < math.inf):
         # a squared norm under- or overflowed (or is NaN): scaling each
         # vector to a largest |entry| of 1 keeps the angle

@@ -15,7 +15,7 @@ from dycent.optimizer import (
     maybe_double,
     update_average,
 )
-from dycent.vecmath import ZeroGradientError, norm
+from dycent.vecmath import ZeroGradientError, norm, sample_perpendicular
 
 from oracles import dycent_run
 
@@ -145,6 +145,18 @@ class TestDycentStep:
         with pytest.raises(NonFiniteStepError, match="probe gradient is not finite"):
             dycent_step(x, obj, DycentConfig(), state_with())
 
+    def test_gradients_with_overflowing_squares(self):
+        # g1 . g1 and g2 . g2 overflow: the step takes norm()'s rescaled
+        # value, and the angle its rescaled cosine, as direct calls would
+        obj = AnalyticObjective(2, lambda p: 0.0, lambda p: np.array([-1e200, -1.0]))
+        x = np.array([0.5, -0.5])
+        cfg = DycentConfig()
+        x_new, tr = dycent_step(x, obj, cfg, state_with())
+        assert tr.theta == cfg.epsilon
+        assert np.array_equal(tr.p1, sample_perpendicular(tr.g1, np.random.default_rng(0)))
+        assert np.array_equal(x_new, x + tr.d_used * tr.g1 / norm(tr.g1))
+        assert x_new[0] == pytest.approx(0.5 + cfg.h / math.tan(cfg.epsilon), rel=1e-15)
+
     def test_non_finite_value_at_new_point_raises(self):
         x = np.array([0.6, -0.8])
         obj = AnalyticObjective(2, lambda p: 1.0 if np.array_equal(p, x) else math.inf, lambda p: p)
@@ -240,6 +252,52 @@ class TestSpdQuadraticOracle:
         d_cf = cfg.h / math.tan(theta_cf)
         assert abs(tr.d_raw - d_cf) <= 1e-8 * abs(d_cf)
         assert np.array_equal(x_new, tr.x1 + tr.d_used * tr.g1 / norm(tr.g1))
+
+
+class TestSpdQuadraticDivergence:
+    """Why the stepper diverges on the default spd_quadratic run (dim 5,
+    condition 10, start all ones, h = 1e-3): the step's geometry, not the
+    resolution of the angle.
+
+    With g2 = g1 + h A p1 and p1 perpendicular to g1, cot(theta) is
+    (||g1|| + h (A p1).g1_hat) / (h ||(A p1) across g1||), so for small h
+    the step h cot(theta) tends to ||g1|| / ||(A p1) across g1||: a
+    curvature across g1, which says nothing about how far f falls along it.
+    """
+
+    obj = spd_quadratic(5, seed=0, condition=10.0)
+    cfg = DycentConfig(h=1e-3)
+
+    def across_curvature_step(self, tr):
+        a_p1 = self.obj.gradient(tr.p1)  # exact: A @ p1
+        g1_hat = tr.g1 / np.linalg.norm(tr.g1)
+        return np.linalg.norm(tr.g1) / np.linalg.norm(a_p1 - (a_p1 @ g1_hat) * g1_hat)
+
+    def test_small_h_step_is_the_across_curvature_closed_form(self):
+        x0 = np.ones(5)
+        worst = 0.0
+        for seed in range(1_000):
+            _, tr = dycent_step(x0, self.obj, self.cfg, state_with(seed))
+            worst = max(worst, abs(tr.d_raw / self.across_curvature_step(tr) - 1.0))
+        assert worst <= 1e-3  # 2.0e-4 over these probes
+
+    def test_first_step_overshoots_the_line_minimum(self):
+        x0 = np.ones(5)
+        traces = dycent_run(x0, self.obj, self.cfg, 4, seed=0)
+        g1 = traces[0].g1
+        line_min = np.linalg.norm(g1) ** 3 / (g1 @ self.obj.gradient(g1))  # ||g1||^3 / (g1^T A g1)
+        # the measured angle is the exact one to 1e-8, and the step still overshoots 2.6x
+        q = self.cfg.h * self.obj.gradient(traces[0].p1)
+        g1_norm = np.linalg.norm(g1)
+        along = q @ g1 / g1_norm
+        theta_exact = math.atan2(np.linalg.norm(q - along * g1 / g1_norm), g1_norm + along) + self.cfg.epsilon
+        assert traces[0].theta == pytest.approx(theta_exact, rel=1e-8)
+        assert traces[0].theta == pytest.approx(2.722e-4, rel=1e-3)
+        assert traces[0].d_used == pytest.approx(3.673, rel=1e-3)
+        assert line_min == pytest.approx(1.391, rel=1e-3)
+        assert self.obj.value(x0) == pytest.approx(1.097, rel=1e-3)
+        assert traces[0].f_after == pytest.approx(2.627, rel=1e-3)
+        assert traces[3].f_after == pytest.approx(44.38, rel=1e-3)
 
 
 class TestRadialOracle:

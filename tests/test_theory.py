@@ -6,7 +6,7 @@ import pytest
 
 from dycent.objective import Objective, isotropic_quadratic, spd_quadratic, toy_b
 from dycent.optimizer import DycentConfig, StepTrace, constrained_h
-from dycent.theory import DescentReport, WolfeReport, check_descent, run_constrained, wolfe_report
+from dycent.theory import DescentReport, WolfeReport, check_descent, check_run, run_constrained, wolfe_report
 from dycent.vecmath import angle_between, norm, sample_perpendicular
 
 from oracles import dycent_run, scalar_check_descent, scalar_wolfe_report
@@ -283,6 +283,8 @@ def assert_refused(trajectory, obj, step):
         check_descent(trajectory, 0.0, obj.lipschitz_bound)
     with pytest.raises(ValueError, match=match):
         wolfe_report(trajectory, 0.0, recorded, c1=0.4)
+    with pytest.raises(ValueError, match=match):
+        check_run(trajectory, 0.0, recorded, obj.lipschitz_bound, c1=0.4)
     assert recorded.at == []
 
 
@@ -339,6 +341,58 @@ class TestChecksMatchScalarLoops:
         assert_checks_match_scalar_loops(traces, f0, isotropic_quadratic(2), 1.0, 0.5)
         if f_after == [0.0, 0.0]:  # margins -0.0, then 0.0
             assert math.copysign(1.0, check_descent(traces, f0, 1.0).min_decrease_margin) == -1.0
+
+
+def same_reports(got, want):
+    """Two (DescentReport, WolfeReport) pairs are equal, the minimum margin bit for bit."""
+    (got_d, got_w), (want_d, want_w) = got, want
+    assert got_d.violations == want_d.violations
+    assert np.float64(got_d.min_decrease_margin).tobytes() == np.float64(want_d.min_decrease_margin).tobytes()
+    assert got_w == want_w
+
+
+class TestCheckRun:
+    """check_run reads a run once and reports what check_descent and wolfe_report report."""
+
+    def test_theory_suite_runs(self):
+        steps = 0
+        for obj, traces, f0 in suite_trajectories(0):
+            L = obj.lipschitz_bound
+            got_obj, want_obj = RecordedGradients(obj), RecordedGradients(obj)
+            got = check_run(traces, f0, got_obj, L, c1=1.0 / (2.0 * L), c2=0.9, tol=1e-10)
+            want = (
+                check_descent(traces, f0, L, tol=1e-10),
+                wolfe_report(traces, f0, want_obj, c1=1.0 / (2.0 * L), c2=0.9),
+            )
+            same_reports(got, want)
+            assert got_obj.at == want_obj.at == [traces[-1].x_new.tobytes()]
+            steps += len(traces)
+        assert steps == 10_327
+
+    def test_empty_run(self):
+        # a zero-gradient start logs no step
+        obj = RecordedGradients(spd_quadratic(8, seed=101, condition=10.0))
+        traces = run_constrained(np.zeros(8), obj, obj.obj.lipschitz_bound, 20, seed=1000)
+        assert traces == []
+        got = check_run(traces, 0.0, obj, obj.obj.lipschitz_bound, c1=0.4)
+        assert got == (DescentReport(0, math.inf), WolfeReport(armijo_pass=[], curvature_pass=[]))
+        same_reports(got, (check_descent(traces, 0.0, 1.0), wolfe_report(traces, 0.0, obj, c1=0.4)))
+        assert obj.at == [np.zeros(8).tobytes()]  # run_constrained's own gradient, none from the checks
+
+    def test_tolerance_and_curvature_constant(self):
+        obj = spd_quadratic(8, seed=202, condition=40.0)
+        traces = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
+        f0 = obj.value(traces[0].x1)
+        for tol, c2 in [(0.0, 0.5), (1e-3, 0.99), (-1.0, 0.2)]:
+            got = check_run(traces, f0, obj, 2.0, c1=0.1, c2=c2, tol=tol)
+            same_reports(got, (check_descent(traces, f0, 2.0, tol), wolfe_report(traces, f0, obj, 0.1, c2)))
+
+    @pytest.mark.parametrize("c1, c2", [(0.0, 0.9), (0.5, 0.5), (0.5, 1.0)])
+    def test_rejects_invalid_constant_pair_before_reading_the_run(self, c1, c2):
+        obj = RecordedGradients(isotropic_quadratic(2))
+        with pytest.raises(ValueError, match="0 < c1 < c2 < 1"):
+            check_run([fabricate_trace(0.0, 0.5), fabricate_trace(0.0, 0.5)], 0.0, obj, 1.0, c1=c1, c2=c2)
+        assert obj.at == []
 
 
 class TestRefusesNonConsecutiveSteps:

@@ -16,6 +16,17 @@ from dycent.vecmath import (
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+# any float, NaN and Inf included, so squares can under- or overflow
+any_float = st.floats(width=64)
+
+
+def outcome(fn, *args, **kwargs):
+    """The bytes of fn's float64 result, or the type and message of the ValueError it raised."""
+    try:
+        with np.errstate(all="ignore"):  # both calls see the same inputs; only their results matter here
+            return np.asarray(fn(*args, **kwargs), dtype=np.float64).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def nonzero_vectors(min_dim=2, max_dim=12):
@@ -114,6 +125,29 @@ class TestSamplePerpendicular:
             assert abs(np.dot(p, g)) <= 1e-10 * np.linalg.norm(g)
             assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
 
+    @given(st.lists(any_float, min_size=2, max_size=12), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(values=[1e200, 1.0], seed=0)  # the square overflows and norm rescales
+    @example(values=[1e-170, 0.0], seed=0)  # the square underflows: zero norm
+    @example(values=[math.inf, 1.0], seed=0)  # no direction: ValueError
+    @settings(max_examples=200)
+    def test_norm_passed_gives_the_same_bits(self, values, seed):
+        # dycent_step hands over the norm it already holds
+        g = np.array(values)
+        expected = outcome(sample_perpendicular, g, np.random.default_rng(seed))
+        assert outcome(sample_perpendicular, g, np.random.default_rng(seed), g_norm=norm(g)) == expected
+
+    @pytest.mark.parametrize(
+        "g_norm, error", [(0.0, ZeroGradientError), (math.nan, ValueError), (math.inf, ValueError)]
+    )
+    def test_passed_norm_is_checked_before_any_draw(self, g_norm, error, bounded_rng):
+        with pytest.raises(error, match="perpendicular"):
+            sample_perpendicular(np.array([1.0, 1.0]), bounded_rng, g_norm=g_norm)
+        assert bounded_rng.left == 100
+
+    def test_norm_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            sample_perpendicular(np.array([1.0, 1.0]), np.random.default_rng(0), 1.0)
+
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=2, max_value=16))
     @settings(max_examples=50)
     def test_deterministic_for_seed(self, seed, dim):
@@ -162,6 +196,23 @@ class TestAngleBetween:
             warnings.simplefilter("error")
             got = angle_between(np.array(a), np.array(b))
         assert got == pytest.approx(math.pi / 4, rel=1e-15)
+
+    @given(st.lists(st.tuples(any_float, any_float), min_size=1, max_size=12))
+    @example(pairs=[(1e200, 1.0), (0.0, 1.0)])  # a's square overflows
+    @example(pairs=[(1e-200, 1e-200), (0.0, 1e-200)])  # both squares underflow
+    @example(pairs=[(3e-162, 1e150), (0.0, 1e150)])  # the subnormal precision limit
+    @example(pairs=[(1e-170, 1.0), (0.0, 1.0)])  # one square underflows to 0
+    @example(pairs=[(1.0, 1.0), (0.0, 0.0)])  # the zero vector
+    @example(pairs=[(1.0, math.nan), (0.0, 1.0)])  # no angle: ValueError
+    @settings(max_examples=300)
+    def test_squares_passed_give_the_same_bits(self, pairs):
+        # dycent_step hands over both squared norms it already holds
+        a, b = (np.array(v) for v in zip(*pairs))
+        a_sq, b_sq = float(np.vdot(a, a)), float(np.vdot(b, b))
+        expected = outcome(angle_between, a, b)
+        assert outcome(angle_between, a, b, a_sq=a_sq, b_sq=b_sq) == expected
+        assert outcome(angle_between, a, b, a_sq=a_sq) == expected
+        assert outcome(angle_between, a, b, b_sq=b_sq) == expected
 
     @given(nonzero_vectors(), nonzero_vectors())
     @settings(max_examples=200)
