@@ -35,9 +35,6 @@ from .vecmath import (
     sample_perpendicular,
 )
 
-D_AVG_INIT_MODES = ("first_step", "zero")
-
-
 class NonFiniteStepError(ArithmeticError):
     """A gradient, value or step size came out NaN/Inf; run_loop sets
     logged to the items logged before the step."""
@@ -53,18 +50,12 @@ class DycentConfig:
     beta: EMA decay for the average step size.
     epsilon: radians added to the measured angle to bound cot.
     enable_doubling: double steps that fall below the EMA.
-    clamp_nonnegative_step: floor the step at 0 (off by default; cot can
-        legitimately go negative when the angle exceeds 90 degrees).
-    d_avg_init_mode: "first_step" seeds the EMA with the first step size
-        (so the first step never doubles); "zero" starts the EMA at 0.
     """
 
     h: float = 1e-2
     beta: float = 0.9
     epsilon: float = 1e-8
     enable_doubling: bool = True
-    clamp_nonnegative_step: bool = False
-    d_avg_init_mode: str = "first_step"
 
     def __post_init__(self):
         if not self.h > 0:
@@ -73,10 +64,6 @@ class DycentConfig:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.d_avg_init_mode not in D_AVG_INIT_MODES:
-            raise ValueError(
-                f"d_avg_init_mode must be one of {D_AVG_INIT_MODES}, got {self.d_avg_init_mode!r}"
-            )
 
 
 @dataclass
@@ -105,8 +92,8 @@ class StepTrace:
 
 
 def update_average(state: DycentState, cfg: DycentConfig, d: float) -> float:
-    """Fold step size d into the EMA; first call may seed it, per config."""
-    if cfg.d_avg_init_mode == "first_step" and state.step_count == 0:
+    """Fold step size d into the EMA; the first step seeds it, so that step never doubles."""
+    if state.step_count == 0:
         state.d_avg = d
     else:
         state.d_avg = cfg.beta * state.d_avg + (1.0 - cfg.beta) * d
@@ -181,8 +168,6 @@ def dycent_step(
         d_used, doubled = maybe_double(d_raw, d_avg, cfg)
     else:
         d_used, doubled = constrained_h(g1_norm, lipschitz, theta) * (1.0 / tan_theta), False
-    if cfg.clamp_nonnegative_step:
-        d_used = max(d_used, 0.0)
 
     x_new = x1 + d_used * g1 / g1_norm
     state.step_count += 1

@@ -25,7 +25,7 @@ from .optimizer import StepTrace
 from .vecmath import ParamVector
 
 # The stepper settings of a constrained run: its probe distance and step come
-# from L, so it reads only epsilon (and clamp_nonnegative_step, which is off).
+# from L, so it reads only epsilon.
 CONSTRAINED_CONFIG = optimizer.DycentConfig(epsilon=1e-12)
 
 

@@ -71,8 +71,6 @@ h = 0.5
 beta = 0
 epsilon = 1e-6
 enable_doubling = no
-clamp_nonnegative_step = on
-d_avg_init_mode = zero
 lr = 1
 momentum = 0.5
 beta1 = 0.8
@@ -89,8 +87,7 @@ init_seed = 11
 """
 
 EXPECTED_OPTIMIZER_PARAMS = {
-    "h": 0.5, "beta": 0.0, "epsilon": 1e-6, "enable_doubling": False,
-    "clamp_nonnegative_step": True, "d_avg_init_mode": "zero", "lr": 1.0,
+    "h": 0.5, "beta": 0.0, "epsilon": 1e-6, "enable_doubling": False, "lr": 1.0,
     "momentum": 0.5, "beta1": 0.8, "beta2": 0.99, "eps": 1e-7,
 }
 EXPECTED_OBJECTIVE_PARAMS = {

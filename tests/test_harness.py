@@ -195,7 +195,12 @@ class TestRunExperiment:
         assert echo["optimizer_params"]["beta"] == 0.9
         assert echo["optimizer_params"]["epsilon"] == 1e-8
         assert echo["optimizer_params"]["enable_doubling"] is True
+        # constants for two removed settings, so config hashes do not move
+        assert echo["optimizer_params"]["clamp_nonnegative_step"] is False
+        assert echo["optimizer_params"]["d_avg_init_mode"] == "first_step"
         assert echo["seed"] == 7
+        baseline = run_experiment(toy_b_cfg("sgd"), out_dir=tmp_path)["config"]["optimizer_params"]
+        assert not baseline.keys() & {"clamp_nonnegative_step", "d_avg_init_mode"}
 
     def test_output_named_by_config_hash(self, tmp_path):
         cfg = toy_b_cfg("dycent")
@@ -771,11 +776,14 @@ class TestCli:
             "objective = toy_b\noptimizer sgd\n",
             # numpy refuses a 7.3 TiB request at once
             "objective = quadratic\noptimizer = sgd\ndim = 1000000000000\n",
+            # removed dycent settings; the summary still echoes their one value
+            "objective = toy_b\noptimizer = dycent\nx0 = toy_b_init\nmax_iters = 5\nclamp_nonnegative_step = on\n",
+            "objective = toy_b\noptimizer = dycent\nx0 = toy_b_init\nmax_iters = 5\nd_avg_init_mode = zero\n",
         ],
         ids=[
             "x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d", "batch-no-epochs", "schedule-no-epochs",
             "schedule-past-last-epoch", "h-decays-to-0", "lr-decays-to-0", "lr-decays-to-inf", "duplicate-section",
-            "duplicate-key", "line-without-equals", "oversized-objective",
+            "duplicate-key", "line-without-equals", "oversized-objective", "clamp-removed", "init-mode-removed",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, section):
@@ -784,6 +792,9 @@ class TestCli:
         assert "error[config]" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+        for removed in ("clamp_nonnegative_step", "d_avg_init_mode"):
+            if removed in section:
+                assert f"unknown key {removed!r}" in proc.stderr
 
     @pytest.mark.parametrize(
         "content", [b"objective = toy_b\noptimizer = sgd\n", b"\xff\xfe[r]\nobjective = toy_b\n"],
