@@ -61,6 +61,13 @@ class TestUpdateAverage:
             st_.step_count += 1
             assert got == d
 
+    def test_later_steps_fold_into_average(self):
+        cfg = DycentConfig(beta=0.9)
+        st_ = state_with()
+        update_average(st_, cfg, 1.0)
+        st_.step_count += 1
+        assert update_average(st_, cfg, 0.0) == pytest.approx(0.9)
+
 
 class TestMaybeDouble:
     def test_doubles_below_average(self):
@@ -185,6 +192,20 @@ class TestDycentStep:
         x, tr1 = dycent_step(x, obj, cfg, st_)
         assert tr1.doubled
         assert tr1.d_used == 2.0 * tr1.d_raw
+
+    def test_obtuse_angle_step_goes_backwards(self):
+        # radius chosen so the probe straddles a ripple's orientation flip:
+        # the two gradients point oppositely, theta > pi/2, and the negative
+        # cot step is taken as is, back up the gradient
+        obj = toy_b()
+        cfg = DycentConfig(h=0.7, enable_doubling=False)
+        st_ = state_with(11)
+        seen_negative = False
+        for _ in range(10):
+            _, tr = dycent_step(np.array([2.1, 0.0]), obj, cfg, st_)
+            assert tr.d_used == tr.d_raw
+            seen_negative |= tr.d_used < 0.0
+        assert seen_negative
 
     def test_step_count_increments(self):
         st_ = state_with(0)
