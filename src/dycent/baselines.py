@@ -36,10 +36,20 @@ METHODS = (
 
 _ADAM_FAMILY = ("adam", "adabelief", "diffgrad", "angulargrad_cos", "angulargrad_tan")
 
+# A 0-d float64 array as an operand skips the conversion numpy makes of a
+# Python float on every array operation; the IEEE operation, and so the bits,
+# are the same.
+_ONE = np.array(1.0)
+_HALF = np.array(0.5)
 
-@dataclass
+
+@dataclass(frozen=True)
 class BaselineConfig:
-    """Hyperparameters; only the fields the chosen method uses are consulted."""
+    """Hyperparameters; only the fields the chosen method uses are consulted.
+
+    Frozen, so the 0-d constants built from the fields cannot go stale: a
+    different config is built with dataclasses.replace, which builds them anew.
+    """
 
     method: str = "sgd"
     lr: float = 1e-3
@@ -61,6 +71,9 @@ class BaselineConfig:
             raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
         if not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
+        # in the order baseline_step unpacks them
+        constants = (self.lr, self.momentum, self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2, self.eps)
+        object.__setattr__(self, "_constants", tuple(np.array(c, dtype=np.float64) for c in constants))
 
 
 @dataclass
@@ -81,43 +94,48 @@ def angular_coefficient(prev_grad: np.ndarray, grad: np.ndarray, flavor: str) ->
     """Elementwise tanh-squashed coefficient from the angle between
     successive gradient components, treated as slopes of two lines."""
     with np.errstate(divide="ignore"):  # 1 + prev*g == 0: perpendicular lines, tan = inf, theta = 90 deg
-        tan_theta = np.abs((prev_grad - grad) / (1.0 + prev_grad * grad))
+        tan_theta = np.abs((prev_grad - grad) / (_ONE + prev_grad * grad))
     theta = np.arctan(tan_theta)
     if flavor == "cos":
-        return 0.5 * np.tanh(np.abs(np.cos(theta))) + 0.5
-    return 0.5 * np.tanh(np.abs(np.tan(theta))) + 0.5
+        return _HALF * np.tanh(np.abs(np.cos(theta))) + _HALF
+    return _HALF * np.tanh(np.abs(np.tan(theta))) + _HALF
 
 
 def friction_coefficient(prev_grad: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """diffGrad's elementwise sigmoid of the gradient change, in (0, 1)."""
-    return 1.0 / (1.0 + np.exp(-np.abs(prev_grad - grad)))
+    return _ONE / (_ONE + np.exp(-np.abs(prev_grad - grad)))
 
 
 def baseline_step(x: ParamVector, g: ParamVector, cfg: BaselineConfig, state: BaselineState) -> ParamVector:
-    """One canonical update of the configured method from x, g being the objective's gradient at x; deterministic."""
+    """One canonical update of the configured method from x, g being the objective's gradient at x; deterministic.
+    A gradient or a state of another shape than x raises DimensionError before the state changes."""
     x = np.asarray(x, dtype=np.float64)
     if state.m.shape != x.shape:
         raise DimensionError(f"state dimension {state.m.shape} != parameter dimension {x.shape}")
+    if g.shape != x.shape:
+        raise DimensionError(f"gradient dimension {g.shape} != parameter dimension {x.shape}")
     t = state.step_count + 1
+    lr, momentum, beta1, one_minus_beta1, beta2, one_minus_beta2, eps = cfg._constants
 
     if cfg.method == "sgd":
-        x_new = x - cfg.lr * g
+        x_new = x - lr * g
     elif cfg.method == "sgdm":
-        state.m = cfg.momentum * state.m + g
-        x_new = x - cfg.lr * state.m
+        state.m = momentum * state.m + g
+        x_new = x - lr * state.m
     elif cfg.method == "rmsprop":
-        state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-        x_new = x - cfg.lr * g / (np.sqrt(state.v) + cfg.eps)
+        state.v = beta2 * state.v + one_minus_beta2 * g * g
+        x_new = x - lr * g / (np.sqrt(state.v) + eps)
     elif cfg.method in _ADAM_FAMILY:
-        state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+        state.m = beta1 * state.m + one_minus_beta1 * g
         if cfg.method == "adabelief":
             diff = g - state.m
-            state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * diff * diff + cfg.eps
+            state.v = beta2 * state.v + one_minus_beta2 * diff * diff + eps
         else:
-            state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+            state.v = beta2 * state.v + one_minus_beta2 * g * g
+        # the bias corrections change every step, so they stay Python floats
         m_hat = state.m / (1.0 - cfg.beta1**t)
         v_hat = state.v / (1.0 - cfg.beta2**t)
-        step = cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        step = lr * m_hat / (np.sqrt(v_hat) + eps)
         if cfg.method == "diffgrad":
             step = friction_coefficient(state.prev_grad, g) * step
         elif cfg.method == "angulargrad_cos":

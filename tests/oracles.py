@@ -4,7 +4,8 @@ The oracles deliberately avoid the package's own gradient code paths so
 the checks stay two-sided: analytic gradients are compared against
 central finite differences computed here. The reference forms (numpy
 scalar math for the toy surfaces, the @ operator for the quadratics, a
-per-step loop for each theory check, a cell-by-cell CSV row) are the
+per-step loop for each theory check, a cell-by-cell CSV row, baseline
+updates with Python-float constants) are the
 plain formulations whose bits the package's faster code must reproduce.
 """
 
@@ -114,6 +115,45 @@ def csv_row_by_cell(record):
     """record's trajectory CSV row, one csv_cell per column: the reference
     for TrajectoryRecord.csv_row, which formats the row in one f-string."""
     return ",".join(csv_cell(getattr(record, c)) for c in CSV_COLUMNS)
+
+
+def python_float_baseline_step(x, g, cfg, state):
+    """One baseline update with the config's Python floats as array operands:
+    the reference for baseline_step, which reads 0-d arrays built once per config."""
+    x = np.asarray(x, dtype=np.float64)
+    t = state.step_count + 1
+
+    if cfg.method == "sgd":
+        x_new = x - cfg.lr * g
+    elif cfg.method == "sgdm":
+        state.m = cfg.momentum * state.m + g
+        x_new = x - cfg.lr * state.m
+    elif cfg.method == "rmsprop":
+        state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+        x_new = x - cfg.lr * g / (np.sqrt(state.v) + cfg.eps)
+    else:  # the Adam family
+        state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+        if cfg.method == "adabelief":
+            diff = g - state.m
+            state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * diff * diff + cfg.eps
+        else:
+            state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+        m_hat = state.m / (1.0 - cfg.beta1**t)
+        v_hat = state.v / (1.0 - cfg.beta2**t)
+        step = cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        prev = state.prev_grad
+        if cfg.method == "diffgrad":
+            step = 1.0 / (1.0 + np.exp(-np.abs(prev - g))) * step
+        elif cfg.method.startswith("angulargrad_"):
+            with np.errstate(divide="ignore"):  # 1 + prev*g == 0: tan = inf, theta = 90 deg
+                theta = np.arctan(np.abs((prev - g) / (1.0 + prev * g)))
+            trig = np.cos if cfg.method == "angulargrad_cos" else np.tan
+            step = (0.5 * np.tanh(np.abs(trig(theta))) + 0.5) * step
+        x_new = x - step
+
+    state.prev_grad = g
+    state.step_count = t
+    return x_new
 
 
 def central_diff_gradient(value_fn, x, step=1e-6):

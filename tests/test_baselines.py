@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -17,10 +19,47 @@ from dycent.baselines import (
 from dycent.objective import AnalyticObjective, isotropic_quadratic, toy_a
 from dycent.optimizer import run_loop
 from dycent.vecmath import DimensionError
+from oracles import python_float_baseline_step
 
 bounded_arrays = st.lists(
     st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=8
 ).map(lambda v: np.asarray(v, dtype=np.float64))
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_states(a, b):
+    for name in ("m", "v", "prev_grad"):
+        assert_same_bits(getattr(a, name), getattr(b, name))
+    assert a.step_count == b.step_count
+
+
+@st.composite
+def gradient_runs(draw):
+    """A start point and 1-5 gradients to step with, all of one dimension in 1-8."""
+    dim = draw(st.integers(min_value=1, max_value=8))
+    vectors = st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=dim, max_size=dim).map(
+        lambda v: np.asarray(v, dtype=np.float64)
+    )
+    return draw(vectors), draw(st.lists(vectors, min_size=1, max_size=5))
+
+
+fractions = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+hyperparameters = st.fixed_dictionaries(
+    {
+        "lr": st.floats(min_value=1e-6, max_value=1.0),
+        "momentum": fractions,
+        "beta1": fractions,
+        "beta2": fractions,
+        "eps": st.floats(min_value=1e-12, max_value=0.1),
+    }
+)
+# two gradients whose second components make 1 + prev*g == 0: theta = 90 deg
+_PERPENDICULAR_RUN = (np.zeros(2), [np.array([0.0, 1.0]), np.array([0.0, -1.0])])
 
 
 def baseline_records(x0, obj, cfg, n):
@@ -72,6 +111,19 @@ class TestSgdFamily:
         x0 = np.ones(3)
         with pytest.raises(DimensionError, match="state dimension"):
             baseline_step(x0, obj.gradient(x0), BaselineConfig(method="sgd"), BaselineState.zeros(2))
+
+    @pytest.mark.parametrize("g_shape", [(1,), (3,)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_gradient_of_another_dimension_rejected(self, method, g_shape):
+        # a (1,) gradient would broadcast over a 2-D point, a (3,) one would fail inside numpy
+        cfg = BaselineConfig(method=method, lr=0.1)
+        x0 = np.array([1.0, -2.0])
+        state = BaselineState.zeros(2)
+        baseline_step(x0, np.array([0.5, 0.25]), cfg, state)
+        before = copy.deepcopy(state)
+        with pytest.raises(DimensionError, match="gradient dimension"):
+            baseline_step(x0, np.ones(g_shape), cfg, state)
+        assert_same_states(state, before)
 
 
 class TestAdamFamily:
@@ -128,6 +180,51 @@ class TestAdamFamily:
         )
         coeff = angular_coefficient(np.zeros(2), g, flavor)
         assert ang_x == pytest.approx(coeff * adam_x, rel=1e-14)
+
+
+class TestConstants:
+    @pytest.mark.parametrize("method", METHODS)
+    @given(hyper=hyperparameters, run=gradient_runs())
+    @example(hyper={"lr": 0.1, "momentum": 0.9, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}, run=_PERPENDICULAR_RUN)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_python_float_constants(self, method, hyper, run):
+        # the 0-d constants are the same IEEE operands as the config's Python floats
+        x, grads = run
+        cfg = BaselineConfig(method=method, **hyper)
+        state, ref_state = BaselineState.zeros(x.size), BaselineState.zeros(x.size)
+        for g in grads:
+            x_new = baseline_step(x, g, cfg, state)
+            ref_x_new = python_float_baseline_step(x, g, cfg, ref_state)
+            assert_same_bits(x_new, ref_x_new)
+            assert_same_states(state, ref_state)
+            x = x_new
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_replace_builds_fresh_constants(self, method):
+        cfg = BaselineConfig(method=method, lr=0.3, momentum=0.5, beta1=0.8, beta2=0.99, eps=1e-6)
+        replaced = dataclasses.replace(cfg, lr=cfg.lr / 10)
+        fresh = BaselineConfig(method=method, lr=cfg.lr / 10, momentum=0.5, beta1=0.8, beta2=0.99, eps=1e-6)
+        # the reference reads the replaced config's fields, so it also sees constants that disagree with them
+        x = fresh_x = ref_x = np.array([1.0, -2.0])
+        state, fresh_state, ref_state = BaselineState.zeros(2), BaselineState.zeros(2), BaselineState.zeros(2)
+        for g in (np.array([0.5, -1.5]), np.array([-0.25, 2.0]), np.array([1.0, 1.0])):
+            x = baseline_step(x, g, replaced, state)
+            fresh_x = baseline_step(fresh_x, g, fresh, fresh_state)
+            ref_x = python_float_baseline_step(ref_x, g, replaced, ref_state)
+            for other_x, other_state in ((fresh_x, fresh_state), (ref_x, ref_state)):
+                assert_same_bits(x, other_x)
+                assert_same_states(state, other_state)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = BaselineConfig(method="adam")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lr = 0.5
+
+    def test_asdict_holds_the_six_fields(self):
+        cfg = BaselineConfig(method="rmsprop", lr=0.01)
+        assert dataclasses.asdict(cfg) == {
+            "method": "rmsprop", "lr": 0.01, "momentum": 0.9, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+        }
 
 
 class TestCoefficients:
