@@ -459,21 +459,17 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
     per_objective = []
     for name, obj, n_starts, n_steps in suites:
         L = obj.lipschitz_bound
-        obj_steps = obj_viol = 0
-        for k in range(n_starts):
+        starts = []
+        for _ in range(n_starts):
             direction = rng.standard_normal(obj.dim)
             direction /= norm(direction)
-            x0 = direction * rng.uniform(0.1, 0.95)
-            traces = theory.run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
-            f0 = obj.value(x0)
-            report, wolfe = theory.check_run(traces, f0, obj, L, c1=1.0 / (2.0 * L), c2=c2, tol=tol)
-            obj_steps += len(traces)
-            obj_viol += report.violations
-            min_margin = min(min_margin, report.min_decrease_margin)
-            armijo += wolfe.armijo_pass
-            curvature += wolfe.curvature_pass
+            starts.append(direction * rng.uniform(0.1, 0.95))
+        report, wolfe = theory.run_suite(obj, starts, n_steps, seed, c1=1.0 / (2.0 * L), c2=c2, tol=tol)
+        min_margin = min(min_margin, report.min_decrease_margin)
+        armijo += wolfe.armijo_pass
+        curvature += wolfe.curvature_pass
         per_objective.append(
-            {"objective": name, "lipschitz": L, "steps": obj_steps, "violations": obj_viol}
+            {"objective": name, "lipschitz": L, "steps": len(wolfe.armijo_pass), "violations": report.violations}
         )
 
     report = {

@@ -42,9 +42,13 @@ class NonFiniteStepError(ArithmeticError):
     logged: list
 
 
-@dataclass
+@dataclass(frozen=True)
 class DycentConfig:
     """Hyperparameters of the angle-probed stepper.
+
+    Frozen, so a config shared between runs (theory.CONSTRAINED_CONFIG is
+    read by every constrained run) cannot be changed under them; a
+    different config is built with dataclasses.replace.
 
     h: perpendicular probe distance (parameter-space units).
     beta: EMA decay for the average step size.
@@ -75,9 +79,13 @@ class DycentState:
     step_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class StepTrace:
-    """Record of one step; the probe gradient is not kept, and re-evaluating it at x2 re-checks the angle."""
+    """Record of one step; the probe gradient is not kept, and re-evaluating it at x2 re-checks the angle.
+
+    x1 is np.asarray(x) of the x dycent_step was passed, not a copy, so in
+    run_loop step k+1's x1 is the very array step k returned as x_new.
+    """
 
     x1: ParamVector
     x_new: ParamVector  # x1 + d_used * g1 / ||g1||, the point dycent_step returns
@@ -137,9 +145,14 @@ def dycent_step(
     Raises ZeroGradientError at stationary points (the caller decides
     whether to stop or perturb) and NonFiniteStepError if either gradient,
     the step size or f_after is not finite.
+
+    The trace's x1 is np.asarray(x) as passed, not a copy: a float64 array
+    x is kept itself, so it must not be changed in place while the trace
+    is in use.
     """
     x1 = np.asarray(x, dtype=np.float64)
-    g1 = -obj.gradient(x1)
+    grad1 = obj.gradient(x1)
+    g1 = -grad1
     # each squared norm is formed once; norm() runs only where it overflowed, to rescale
     g1_sq = float(np.vdot(g1, g1))
     g1_norm = math.sqrt(g1_sq) if g1_sq < math.inf else norm(g1)
@@ -151,13 +164,14 @@ def dycent_step(
     h = cfg.h if lipschitz is None else 0.01 * g1_norm / lipschitz
     p1 = sample_perpendicular(g1, state.rng, g_norm=g1_norm)
     x2 = x1 - h * p1
-    g2 = -obj.gradient(x2)
-    g2_sq = float(np.vdot(g2, g2))
-    g2_norm = math.sqrt(g2_sq) if g2_sq < math.inf else norm(g2)
+    # the angle of the two gradients is that of their negatives, bit for bit
+    grad2 = obj.gradient(x2)
+    g2_sq = float(np.vdot(grad2, grad2))
+    g2_norm = math.sqrt(g2_sq) if g2_sq < math.inf else norm(grad2)
     if not math.isfinite(g2_norm):
         raise NonFiniteStepError(f"probe gradient is not finite (norm {g2_norm})")
 
-    theta = angle_between(g1, g2, a_sq=g1_sq, b_sq=g2_sq) + cfg.epsilon
+    theta = angle_between(grad1, grad2, a_sq=g1_sq, b_sq=g2_sq) + cfg.epsilon
     tan_theta = math.tan(theta)
     d_raw = h / tan_theta
     if not math.isfinite(d_raw):
@@ -176,7 +190,7 @@ def dycent_step(
         raise NonFiniteStepError(f"value at the new point is not finite ({f_after})")
 
     trace = StepTrace(
-        x1=x1.copy(),
+        x1=x1,
         x_new=x_new,
         x2=x2,
         g1=g1,
@@ -197,9 +211,11 @@ def run_loop(x0: ParamVector, steps) -> tuple[list, str | None, ParamVector]:
     that return (x_new, item); the loop takes each in turn from x0. A
     ZeroGradientError ends the run as "zero_gradient_start" before any
     item, "stationary_point" after. A NonFiniteStepError propagates with
-    its logged set to the items so far.
+    its logged set to the items so far. x0 is copied once, so a later change
+    to the caller's array does not reach the items; each step then starts on
+    the very array the step before returned.
     """
-    x = np.asarray(x0, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64)
     items: list = []
     for step in steps:
         try:

@@ -11,7 +11,9 @@ optimizer.dycent_step with lipschitz set; run_constrained is run_loop over
 a lazy sequence of max_iters of them, so no budget is built up front.
 Since theta cancels, that step is gradient descent with step 1/L up to
 rounding, and both guarantees are that method's textbook ones.
-check_run gives both checks' reports of one run and reads the run once.
+check_run gives both checks' reports of one run and reads the run once;
+run_suite runs and checks a sub-suite of starts, reading each run as it
+finishes and checking all their steps in one array pass.
 """
 
 import math
@@ -45,28 +47,53 @@ class WolfeReport:
     curvature_pass: list[bool]
 
 
-def _steps(trajectory: list[StepTrace], f0: float):
-    """(g1 rows, their squared norms, start values, end values) of a trajectory; None if it is empty.
+def _read_run(trajectory: list[StepTrace], f0: float, obj: Objective | None = None):
+    """(g1 rows, [start values, end values, d_used], landing gradient) of a run; None if it is empty.
 
     Step 0 starts at f0; step k starts where step k-1 landed, bit for bit,
     so its start value is that step's f_after. A step that does not start
-    there raises ValueError before any evaluation.
+    there raises ValueError before any evaluation. With obj given, the
+    gradient at the last step's landing point is evaluated, else it is None.
     """
     if not trajectory:
         return None
-    for k, (tr, nxt) in enumerate(zip(trajectory, trajectory[1:]), 1):
-        # comparing bytes is the exact test and, unlike np.array_equal, cheap
-        if nxt.x1.tobytes() != tr.x_new.tobytes():
+    for k in range(1, len(trajectory)):
+        x1, landed = trajectory[k].x1, trajectory[k - 1].x_new
+        # run_loop starts each step on the array the step before returned, so
+        # identity settles a run's steps; comparing bytes is the exact test
+        if x1 is not landed and x1.tobytes() != landed.tobytes():
             raise ValueError(f"step {k} does not start where step {k - 1} landed")
-    g1 = np.array([tr.g1 for tr in trajectory])
-    f_after = np.array([tr.f_after for tr in trajectory])
-    return g1, np.vecdot(g1, g1), np.concatenate(([float(f0)], f_after[:-1])), f_after
+    f_after = [tr.f_after for tr in trajectory]
+    scalars = np.array([[float(f0), *f_after[:-1]], f_after, [tr.d_used for tr in trajectory]])
+    landing = None if obj is None else obj.gradient(trajectory[-1].x_new)
+    return np.array([tr.g1 for tr in trajectory]), scalars, landing
 
 
-def _descent(steps, L: float, tol: float) -> DescentReport:
-    if steps is None:
+def _join(runs: list):
+    """The rows of _read_run's runs, Nones skipped, as (g1, ||g1||^2, f_before,
+    f_after, d_used, g_new); None if no run has a step.
+
+    Each step starts where the one before landed, so the gradient at a
+    step's landing point is -g1 of the step after it, and the run's landing
+    gradient for its last step. g_new is None where no landing was read.
+    """
+    runs = [run for run in runs if run is not None]
+    if not runs:
+        return None
+    g1 = np.concatenate([run[0] for run in runs])
+    f_before, f_after, d_used = np.concatenate([run[1] for run in runs], axis=1)
+    g_new = None
+    if runs[0][2] is not None:
+        g_new = np.empty_like(g1)
+        np.negative(g1[1:], out=g_new[:-1])
+        g_new[np.cumsum([len(run[0]) for run in runs]) - 1] = [run[2] for run in runs]
+    return g1, np.vecdot(g1, g1), f_before, f_after, d_used, g_new
+
+
+def _descent(rows, L: float, tol: float) -> DescentReport:
+    if rows is None:
         return DescentReport(violations=0, min_decrease_margin=math.inf)
-    g1, grad_sq, f_before, f_after = steps
+    g1, grad_sq, f_before, f_after, d_used, g_new = rows
     margin = (f_before - f_after) - grad_sq / (2.0 * L)
     # a running min from inf keeps the first of equal margins and never takes a NaN
     return DescentReport(
@@ -74,13 +101,11 @@ def _descent(steps, L: float, tol: float) -> DescentReport:
     )
 
 
-def _wolfe(trajectory: list[StepTrace], steps, obj: Objective, c1: float, c2: float) -> WolfeReport:
-    if steps is None:
+def _wolfe(rows, c1: float, c2: float) -> WolfeReport:
+    if rows is None:
         return WolfeReport(armijo_pass=[], curvature_pass=[])
-    g1, grad_sq, f_before, f_after = steps
-    d_used = np.array([tr.d_used for tr in trajectory])
+    g1, grad_sq, f_before, f_after, d_used, g_new = rows
     armijo = f_after <= f_before - c1 * d_used * grad_sq
-    g_new = np.vstack((-g1[1:], obj.gradient(trajectory[-1].x_new)))
     curvature = np.abs(np.vecdot(g_new, g1)) <= c2 * grad_sq
     return WolfeReport(armijo_pass=armijo.tolist(), curvature_pass=curvature.tolist())
 
@@ -98,7 +123,7 @@ def check_descent(trajectory: list[StepTrace], f0: float, L: float, tol: float =
     per-step loop forms them. A NaN margin is a violation; the minimum
     margin skips it, and an empty trajectory has margin inf.
     """
-    return _descent(_steps(trajectory, f0), L, tol)
+    return _descent(_join([_read_run(trajectory, f0)]), L, tol)
 
 
 def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: float, c2: float = 0.9) -> WolfeReport:
@@ -120,7 +145,7 @@ def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: flo
     evaluates them.
     """
     _require_wolfe_pair(c1, c2)
-    return _wolfe(trajectory, _steps(trajectory, f0), obj, c1, c2)
+    return _wolfe(_join([_read_run(trajectory, f0, obj)]), c1, c2)
 
 
 def check_run(
@@ -128,8 +153,30 @@ def check_run(
 ) -> tuple[DescentReport, WolfeReport]:
     """(check_descent(trajectory, f0, L, tol), wolfe_report(trajectory, f0, obj, c1, c2)), reading the run once."""
     _require_wolfe_pair(c1, c2)
-    steps = _steps(trajectory, f0)
-    return _descent(steps, L, tol), _wolfe(trajectory, steps, obj, c1, c2)
+    rows = _join([_read_run(trajectory, f0, obj)])
+    return _descent(rows, L, tol), _wolfe(rows, c1, c2)
+
+
+def run_suite(
+    obj: Objective, starts, n_steps: int, seed: int, c1: float, c2: float = 0.9, tol: float = 1e-10
+) -> tuple[DescentReport, WolfeReport]:
+    """Constrained runs on obj from each of starts, checked as check_run checks one run.
+
+    Run k takes n_steps steps at L = obj.lipschitz_bound with its own
+    generator, seeded seed + 1000 + k. Each run is read as it finishes,
+    its start value and its landing gradient evaluated right after it, so
+    no trace outlives its run; one descent pass and one Wolfe pass then
+    cover the rows of all runs, in order. Empty runs add no rows.
+    """
+    _require_wolfe_pair(c1, c2)
+    L = obj.lipschitz_bound
+    # run_constrained is looked up here at each call, so a wrapper put on it reaches every run
+    runs = [
+        _read_run(run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k), obj.value(x0), obj)
+        for k, x0 in enumerate(starts)
+    ]
+    rows = _join(runs)
+    return _descent(rows, L, tol), _wolfe(rows, c1, c2)
 
 
 def run_constrained(x0: ParamVector, obj: Objective, L: float, max_iters: int, seed: int) -> list[StepTrace]:

@@ -77,8 +77,10 @@ def sample_perpendicular(g: ParamVector, rng: RngHandle, *, g_norm: float | None
     while True:
         v = rng.standard_normal(g.size)
         w = v - v.dot(g_hat) * g_hat
-        nw = norm(w)
-        if nw > RESAMPLE_THRESHOLD * norm(v):
+        # v and w are finite with entries of order 1, so their squares cannot
+        # overflow and these are norm()'s bits without its rescale check
+        nw = math.sqrt(float(w.dot(w)))
+        if nw > RESAMPLE_THRESHOLD * math.sqrt(float(v.dot(v))):
             return w / nw
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,10 +12,13 @@ from dycent.optimizer import (
     DycentConfig,
     DycentState,
     NonFiniteStepError,
+    StepTrace,
     dycent_step,
     maybe_double,
+    run_loop,
     update_average,
 )
+from dycent.theory import CONSTRAINED_CONFIG
 from dycent.vecmath import ZeroGradientError, norm, sample_perpendicular
 
 from oracles import dycent_run
@@ -44,6 +48,17 @@ class TestConfigValidation:
         assert cfg.beta == 0.9
         assert cfg.epsilon == 1e-8
         assert cfg.enable_doubling
+
+    def test_frozen(self):
+        # every constrained run reads the one shared config, so no run may change it
+        for cfg in (DycentConfig(), CONSTRAINED_CONFIG):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cfg.epsilon = 1.0
+        assert CONSTRAINED_CONFIG == DycentConfig(epsilon=1e-12)
+        assert dataclasses.replace(CONSTRAINED_CONFIG, h=0.5) == DycentConfig(h=0.5, epsilon=1e-12)
+        assert dataclasses.asdict(CONSTRAINED_CONFIG) == {
+            "h": 1e-2, "beta": 0.9, "epsilon": 1e-12, "enable_doubling": True
+        }
 
 
 class TestUpdateAverage:
@@ -409,3 +424,48 @@ class TestRun:
     def test_stationary_start_returns_empty(self):
         traces = dycent_run(np.array([-2.0, 0.0]), toy_a(), DycentConfig(), 100, seed=0)
         assert traces == []
+
+
+class TestStartAliasing:
+    """A step's trace keeps the array it started on; run_loop copies x0 once, so
+    each step starts on the array the step before returned."""
+
+    def test_caller_start_is_copied_once(self):
+        x0 = np.array([3.0, 3.0])
+        traces = dycent_run(x0, toy_b(), DycentConfig(h=1e-2), 5, seed=21)
+        assert traces[0].x1 is not x0
+        x0[:] = 7.0
+        assert traces[0].x1.tolist() == [3.0, 3.0]
+
+    def test_each_step_starts_on_the_array_the_step_before_returned(self):
+        obj = spd_quadratic(4, seed=6)
+        traces = dycent_run(np.full(4, 0.7), obj, DycentConfig(h=1e-2), 20, seed=3)
+        assert len(traces) == 20
+        for tr, nxt in zip(traces, traces[1:]):
+            assert nxt.x1 is tr.x_new
+
+    def test_run_loop_returns_the_last_step_array(self):
+        obj = isotropic_quadratic(3)
+        state = state_with(seed=2)
+        def step(i, x):
+            return dycent_step(x, obj, DycentConfig(h=0.05), state)
+        traces, stop, x = run_loop(np.array([0.3, -0.2, 0.1]), (step for _ in range(4)))
+        assert stop is None and x is traces[-1].x_new
+
+    def test_direct_step_keeps_the_float64_array_passed(self):
+        x = np.array([0.4, 0.2])
+        _, tr = dycent_step(x, isotropic_quadratic(2), DycentConfig(h=0.01), state_with())
+        assert tr.x1 is x
+        # other input is converted, as np.asarray converts it
+        _, tr = dycent_step([0.4, 0.2], isotropic_quadratic(2), DycentConfig(h=0.01), state_with())
+        assert tr.x1.dtype == np.float64 and tr.x1.tolist() == [0.4, 0.2]
+
+    def test_docstrings_state_the_rule(self):
+        for doc in (dycent_step.__doc__, StepTrace.__doc__):
+            assert "np.asarray(x)" in doc and "not a copy" in doc
+
+    def test_trace_has_slots(self):
+        _, tr = dycent_step(np.array([0.4, 0.2]), isotropic_quadratic(2), DycentConfig(h=0.01), state_with())
+        assert not hasattr(tr, "__dict__")
+        with pytest.raises(AttributeError):
+            tr.extra = 1

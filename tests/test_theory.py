@@ -6,7 +6,16 @@ import pytest
 
 from dycent.objective import Objective, isotropic_quadratic, spd_quadratic, toy_b
 from dycent.optimizer import DycentConfig, StepTrace, constrained_h
-from dycent.theory import DescentReport, WolfeReport, check_descent, check_run, run_constrained, wolfe_report
+from dycent import theory
+from dycent.theory import (
+    DescentReport,
+    WolfeReport,
+    check_descent,
+    check_run,
+    run_constrained,
+    run_suite,
+    wolfe_report,
+)
 from dycent.vecmath import angle_between, norm, sample_perpendicular
 
 from oracles import dycent_run, scalar_check_descent, scalar_wolfe_report
@@ -250,7 +259,10 @@ class RecordedGradients(Objective):
     """obj, recording the bytes of every point its gradient is evaluated at."""
 
     def __init__(self, obj):
-        self.obj, self.dim, self.at = obj, obj.dim, []
+        self.obj, self.dim, self.lipschitz_bound, self.at = obj, obj.dim, obj.lipschitz_bound, []
+
+    def value(self, x):
+        return self.obj.value(x)
 
     def gradient(self, x):
         self.at.append(x.tobytes())
@@ -455,3 +467,134 @@ def test_theory_suite_steps_are_gradient_descent_with_step_one_over_L():
         assert norm(x - traces[-1].x_new) <= 1e-15 * norm(x0)
         steps += len(traces)
     assert steps == 10_327  # the suite's steps_checked at seed 0
+
+
+def sub_suites(seed):
+    """(objective, starts, step count) of each sub-suite of harness.run_theory_suite at seed."""
+    grouped = {}
+    for obj, x0, n_steps, _ in suite_starts(seed):
+        grouped.setdefault(obj, (obj, [], n_steps))[1].append(x0)
+    return list(grouped.values())
+
+
+def runs_on_inner(monkeypatch, runs=None):
+    """Make theory.run_constrained run on a RecordedGradients' inner objective, so
+    the recorder sees only the checks' gradients; logs each run's probe seed in runs."""
+    inner_run = theory.run_constrained
+
+    def run(x0, obj, L, max_iters, seed):
+        if runs is not None:
+            runs.append(seed)
+        return inner_run(x0, obj.obj, L, max_iters, seed=seed)
+
+    monkeypatch.setattr(theory, "run_constrained", run)
+
+
+def per_run_checks(obj, starts, n_steps, seed, c1, c2=0.9, tol=1e-10):
+    """The sub-suite checked run by run with check_run, summed as the harness summed it;
+    returns (DescentReport, WolfeReport, landing points in order, steps per run)."""
+    L = obj.lipschitz_bound
+    recorded = RecordedGradients(obj)
+    violations, min_margin, armijo, curvature, lengths = 0, math.inf, [], [], []
+    for k, x0 in enumerate(starts):
+        traces = run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
+        report, wolfe = check_run(traces, obj.value(x0), recorded, L, c1=c1, c2=c2, tol=tol)
+        violations += report.violations
+        min_margin = min(min_margin, report.min_decrease_margin)
+        armijo += wolfe.armijo_pass
+        curvature += wolfe.curvature_pass
+        lengths.append(len(traces))
+    return DescentReport(violations, min_margin), WolfeReport(armijo, curvature), recorded.at, lengths
+
+
+class TestRunSuite:
+    """run_suite checks a sub-suite's rows in one pass and reports what check_run
+    reports run by run."""
+
+    @pytest.mark.parametrize("seed", [0, 203])
+    def test_matches_per_run_checks(self, seed, monkeypatch):
+        want = [per_run_checks(obj, starts, n, seed, 1.0 / (2.0 * obj.lipschitz_bound))
+                for obj, starts, n in sub_suites(seed)]
+        runs = []
+        runs_on_inner(monkeypatch, runs)
+        steps = 0
+        for (obj, starts, n_steps), (want_d, want_w, want_at, lengths) in zip(sub_suites(seed), want):
+            recorded = RecordedGradients(obj)
+            got = run_suite(recorded, starts, n_steps, seed, c1=1.0 / (2.0 * obj.lipschitz_bound))
+            same_reports(got, (want_d, want_w))
+            # one landing gradient per run that has a step, in run order
+            assert recorded.at == want_at
+            assert len(want_at) == sum(1 for n in lengths if n)
+            steps += sum(lengths)
+        assert runs == [seed + 1000 + k for _, starts, _ in sub_suites(seed) for k in range(len(starts))]
+        assert len(runs) == 700
+        assert steps > 10_000
+
+    def test_tolerance_and_curvature_constant(self):
+        obj = spd_quadratic(8, seed=202, condition=40.0)
+        starts = [np.full(8, 0.3), np.full(8, -0.2), np.linspace(-0.5, 0.5, 8)]
+        for tol, c2 in [(0.0, 0.5), (1e-3, 0.99), (-1.0, 0.2)]:
+            got = run_suite(obj, starts, 10, 4, c1=0.01, c2=c2, tol=tol)
+            same_reports(got, per_run_checks(obj, starts, 10, 4, c1=0.01, c2=c2, tol=tol)[:2])
+
+    def test_empty_run_in_the_middle_is_skipped(self, monkeypatch):
+        obj = spd_quadratic(8, seed=101, condition=10.0)
+        starts = [np.full(8, 0.3), np.zeros(8), np.full(8, -0.4)]  # the zero start is stationary
+        want_d, want_w, want_at, lengths = per_run_checks(obj, starts, 20, 9, c1=0.05)
+        assert lengths == [20, 0, 20]
+        runs_on_inner(monkeypatch)
+        recorded = RecordedGradients(obj)
+        same_reports(run_suite(recorded, starts, 20, 9, c1=0.05), (want_d, want_w))
+        assert len(want_w.armijo_pass) == 40
+        assert recorded.at == want_at and len(want_at) == 2
+
+    def test_only_empty_runs(self, monkeypatch):
+        obj = RecordedGradients(isotropic_quadratic(3))
+        runs_on_inner(monkeypatch)
+        got = run_suite(obj, [np.zeros(3), np.zeros(3)], 5, 0, c1=0.5)
+        assert got == (DescentReport(0, math.inf), WolfeReport(armijo_pass=[], curvature_pass=[]))
+        assert obj.at == []
+        assert run_suite(obj, [], 5, 0, c1=0.5) == got
+
+    def test_run_that_does_not_join_up_is_refused(self, monkeypatch):
+        obj = spd_quadratic(8, seed=202, condition=40.0)
+        inner_run = theory.run_constrained
+        first = []
+
+        def gapped_second_run(x0, obj, L, max_iters, seed):
+            traces = inner_run(x0, obj.obj, L, max_iters, seed=seed)
+            if not first:
+                first.append(traces[-1].x_new.tobytes())
+                return traces
+            return traces[:7] + traces[8:]
+
+        monkeypatch.setattr(theory, "run_constrained", gapped_second_run)
+        recorded = RecordedGradients(obj)
+        starts = [np.full(8, 0.3), np.full(8, -0.3), np.full(8, 0.1)]
+        with pytest.raises(ValueError, match="step 7 does not start where step 6 landed"):
+            run_suite(recorded, starts, 10, 3, c1=0.01)
+        # the first run's landing gradient, none for the refused run, and no third run
+        assert recorded.at == first
+
+    @pytest.mark.parametrize("c1, c2", [(0.0, 0.9), (0.5, 0.5), (0.5, 1.0)])
+    def test_rejects_invalid_constant_pair_before_any_run(self, c1, c2, monkeypatch):
+        runs = []
+        runs_on_inner(monkeypatch, runs)
+        with pytest.raises(ValueError, match="0 < c1 < c2 < 1"):
+            run_suite(RecordedGradients(isotropic_quadratic(2)), [np.ones(2)], 3, 0, c1=c1, c2=c2)
+        assert runs == []
+
+
+class TestStartAliasing:
+    def test_caller_start_is_copied_once(self):
+        obj = spd_quadratic(5, seed=3)
+        x0 = np.full(5, 0.5)
+        traces = run_constrained(x0, obj, obj.lipschitz_bound, 10, seed=2)
+        x0[:] = 9.0
+        assert traces[0].x1.tolist() == [0.5] * 5
+
+    def test_each_step_starts_on_the_array_the_step_before_returned(self):
+        obj = spd_quadratic(8, seed=101, condition=10.0)
+        traces = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 20, seed=1)
+        assert len(traces) == 20
+        assert all(nxt.x1 is tr.x_new for tr, nxt in zip(traces, traces[1:]))

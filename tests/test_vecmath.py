@@ -148,6 +148,37 @@ class TestSamplePerpendicular:
         with pytest.raises(TypeError):
             sample_perpendicular(np.array([1.0, 1.0]), np.random.default_rng(0), 1.0)
 
+    @given(st.lists(any_float, min_size=2, max_size=12), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(values=[1e200, 1.0], seed=0)  # the square overflows and norm rescales
+    @example(values=[1e-170, 0.0], seed=0)  # the square underflows: zero norm
+    @example(values=[0.0, -3.0, 0.0], seed=5)  # signed zeros
+    @example(values=[math.nan, 1.0], seed=0)  # no direction: ValueError
+    @settings(max_examples=200)
+    def test_negated_gradient_gives_the_same_bits(self, values, seed):
+        # g_hat changes sign and so does each draw's component along it, so
+        # their product, and with it the draw's residual, keeps its bits
+        g = np.array(values)
+        expected = outcome(sample_perpendicular, g, np.random.default_rng(seed))
+        assert outcome(sample_perpendicular, -g, np.random.default_rng(seed)) == expected
+        assert outcome(sample_perpendicular, -g, np.random.default_rng(seed), g_norm=norm(g)) == expected
+
+    @given(nonzero_vectors(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200)
+    def test_draw_norms_are_norm_bits(self, g, seed):
+        # the draw and its residual are normalized with sqrt(w.dot(w)), which
+        # is norm's value wherever the square does not overflow
+        g_hat = g / norm(g)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            v = rng.standard_normal(g.size)
+            w = v - v.dot(g_hat) * g_hat
+            assert math.sqrt(float(v.dot(v))) == norm(v)
+            assert math.sqrt(float(w.dot(w))) == norm(w)
+        p = sample_perpendicular(g, np.random.default_rng(seed))
+        v = np.random.default_rng(seed).standard_normal(g.size)
+        w = v - v.dot(g_hat) * g_hat
+        assert p.tobytes() == (w / norm(w)).tobytes()
+
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=2, max_value=16))
     @settings(max_examples=50)
     def test_deterministic_for_seed(self, seed, dim):
@@ -213,6 +244,24 @@ class TestAngleBetween:
         assert outcome(angle_between, a, b, a_sq=a_sq, b_sq=b_sq) == expected
         assert outcome(angle_between, a, b, a_sq=a_sq) == expected
         assert outcome(angle_between, a, b, b_sq=b_sq) == expected
+
+    @given(st.lists(st.tuples(any_float, any_float), min_size=1, max_size=12))
+    @example(pairs=[(1e200, 1.0), (0.0, 1.0)])  # a's square overflows
+    @example(pairs=[(1e-200, 1e-200), (0.0, 1e-200)])  # both squares underflow
+    @example(pairs=[(3e-162, 1e150), (0.0, 1e150)])  # the subnormal precision limit
+    @example(pairs=[(1e-170, 1.0), (0.0, 1.0)])  # one square underflows to 0
+    @example(pairs=[(1e200, 1e200), (1e-200, 1e-200)])  # the product of the squares leaves the range
+    @example(pairs=[(1.0, math.nan), (0.0, 1.0)])  # no angle: ValueError
+    @settings(max_examples=300)
+    def test_negating_both_gives_the_same_bits(self, pairs):
+        # dycent_step measures the angle of the two gradients, not of their negatives
+        a, b = (np.array(v) for v in zip(*pairs))
+        a_sq, b_sq = float(np.vdot(a, a)), float(np.vdot(b, b))
+        expected = outcome(angle_between, a, b)
+        assert outcome(angle_between, -a, -b) == expected
+        assert outcome(angle_between, -a, -b, a_sq=a_sq, b_sq=b_sq) == expected
+        assert outcome(angle_between, -a, -b, a_sq=a_sq) == expected
+        assert outcome(angle_between, -a, -b, b_sq=b_sq) == expected
 
     @given(nonzero_vectors(), nonzero_vectors())
     @settings(max_examples=200)
