@@ -34,7 +34,7 @@ PINNED_HASHES = [
     ("rosenbrock", "adam", 0, {}, "abb1b0493d"),
     ("moons_mlp", "dycent", 0, {}, "136770fcf9"),
     ("moons_mlp", "adam", 0, {}, "740b916fdb"),
-    ("spd_quadratic", "dycent", 0, {"dim": 8, "condition": 40.0}, "a5abbf23f8"),
+    ("spd_quadratic", "dycent", 0, {"dim": 8}, "a25c834ad8"),
     ("spd_quadratic", "adam", 0, {"dim": 3}, "d4cdaddbcc"),
     ("moons_mlp", "dycent", 0, {"init_seed": 5, "n": 100}, "f50e47bfa3"),
     # init_seed defaults to the run seed, so leaving it out and giving it
