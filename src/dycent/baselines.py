@@ -36,44 +36,40 @@ METHODS = (
 
 _ADAM_FAMILY = ("adam", "adabelief", "diffgrad", "angulargrad_cos", "angulargrad_tan")
 
+# Momentum, the moment decays and the denominator floor, at their published defaults.
+MOMENTUM = 0.9
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 # A 0-d float64 array as an operand skips the conversion numpy makes of a
 # Python float on every array operation; the IEEE operation, and so the bits,
 # are the same.
 _ONE = np.array(1.0)
 _HALF = np.array(0.5)
+_MOMENTUM = np.array(MOMENTUM)
+_BETA1, _ONE_MINUS_BETA1 = np.array(BETA1), np.array(1.0 - BETA1)
+_BETA2, _ONE_MINUS_BETA2 = np.array(BETA2), np.array(1.0 - BETA2)
+_EPS = np.array(EPS)
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Hyperparameters; only the fields the chosen method uses are consulted.
+    """The method and its learning rate; the other settings are the module constants.
 
-    Frozen, so the 0-d constants built from the fields cannot go stale: a
-    different config is built with dataclasses.replace, which builds them anew.
+    Frozen, so the 0-d lr built from the field cannot go stale: a different
+    config is built with dataclasses.replace, which builds it anew.
     """
 
     method: str = "sgd"
     lr: float = 1e-3
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; valid: {METHODS}")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        # in the order baseline_step unpacks them
-        constants = (self.lr, self.momentum, self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2, self.eps)
-        object.__setattr__(self, "_constants", tuple(np.array(c, dtype=np.float64) for c in constants))
+        object.__setattr__(self, "_lr", np.array(self.lr, dtype=np.float64))
 
 
 @dataclass
@@ -115,27 +111,27 @@ def baseline_step(x: ParamVector, g: ParamVector, cfg: BaselineConfig, state: Ba
     if g.shape != x.shape:
         raise DimensionError(f"gradient dimension {g.shape} != parameter dimension {x.shape}")
     t = state.step_count + 1
-    lr, momentum, beta1, one_minus_beta1, beta2, one_minus_beta2, eps = cfg._constants
+    lr = cfg._lr
 
     if cfg.method == "sgd":
         x_new = x - lr * g
     elif cfg.method == "sgdm":
-        state.m = momentum * state.m + g
+        state.m = _MOMENTUM * state.m + g
         x_new = x - lr * state.m
     elif cfg.method == "rmsprop":
-        state.v = beta2 * state.v + one_minus_beta2 * g * g
-        x_new = x - lr * g / (np.sqrt(state.v) + eps)
+        state.v = _BETA2 * state.v + _ONE_MINUS_BETA2 * g * g
+        x_new = x - lr * g / (np.sqrt(state.v) + _EPS)
     elif cfg.method in _ADAM_FAMILY:
-        state.m = beta1 * state.m + one_minus_beta1 * g
+        state.m = _BETA1 * state.m + _ONE_MINUS_BETA1 * g
         if cfg.method == "adabelief":
             diff = g - state.m
-            state.v = beta2 * state.v + one_minus_beta2 * diff * diff + eps
+            state.v = _BETA2 * state.v + _ONE_MINUS_BETA2 * diff * diff + _EPS
         else:
-            state.v = beta2 * state.v + one_minus_beta2 * g * g
+            state.v = _BETA2 * state.v + _ONE_MINUS_BETA2 * g * g
         # the bias corrections change every step, so they stay Python floats
-        m_hat = state.m / (1.0 - cfg.beta1**t)
-        v_hat = state.v / (1.0 - cfg.beta2**t)
-        step = lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat = state.m / (1.0 - BETA1**t)
+        v_hat = state.v / (1.0 - BETA2**t)
+        step = lr * m_hat / (np.sqrt(v_hat) + _EPS)
         if cfg.method == "diffgrad":
             step = friction_coefficient(state.prev_grad, g) * step
         elif cfg.method == "angulargrad_cos":

@@ -3,8 +3,7 @@
 Runs single experiments (one optimizer on one objective), head-to-head
 comparisons sharing an objective and start, the theory suite, and the
 angle-logging experiment; emits one trajectory CSV and one JSON summary
-per run, with output files named by a hash of the full config so re-runs
-and parallel sweeps never collide.
+per run, their file names taken from a hash of the run's full config.
 """
 
 import dataclasses
@@ -30,11 +29,9 @@ X0_PRESETS: dict[str, tuple[float, ...]] = {
 }
 
 
-def _two_moons_mlp(n, noise, data_seed, hidden_dim, activation, init_seed):
-    data = mlmodels.make_two_moons(n=n, noise=noise, seed=data_seed)
-    spec = mlmodels.MlpSpec(
-        input_dim=2, hidden_dim=hidden_dim, num_classes=2, activation=activation, init_seed=init_seed
-    )
+def _two_moons_mlp(n, noise, hidden_dim, init_seed):
+    data = mlmodels.make_two_moons(n=n, noise=noise, seed=0)
+    spec = mlmodels.MlpSpec(input_dim=2, hidden_dim=hidden_dim, num_classes=2, init_seed=init_seed)
     return mlmodels.MlpObjective(spec, data), mlmodels.initial_params(spec)
 
 
@@ -49,23 +46,26 @@ _OBJECTIVE_TABLE = {
     "toy_b": (lambda: (objectives.toy_b(), None), {}, False),
     "quadratic": (lambda dim: (objectives.isotropic_quadratic(dim), np.full(dim, 1.0)), {"dim": 2}, False),
     "spd_quadratic": (
-        lambda dim, data_seed, condition: (
-            objectives.spd_quadratic(dim, seed=data_seed, condition=condition), np.full(dim, 1.0)
-        ),
-        {"dim": 5, "data_seed": 0, "condition": 10.0},
-        False,
+        lambda dim: (objectives.spd_quadratic(dim, seed=0, condition=10.0), np.full(dim, 1.0)), {"dim": 5}, False
     ),
     "rosenbrock": (
         lambda dim: (objectives.rosenbrock(dim), np.tile([-1.2, 1.0], (dim + 1) // 2)[:dim]), {"dim": 2}, False
     ),
-    "moons_mlp": (
-        _two_moons_mlp,
-        {"n": 200, "noise": 0.1, "data_seed": 0, "hidden_dim": 16, "activation": "relu", "init_seed": None},
-        True,
-    ),
+    "moons_mlp": (_two_moons_mlp, {"n": 200, "noise": 0.1, "hidden_dim": 16, "init_seed": None}, True),
 }
 OBJECTIVES = tuple(_OBJECTIVE_TABLE)
 OPTIMIZERS = ("dycent",) + baselines.METHODS
+
+# Settings fixed at one value that a config cannot set, by run kind.
+# config_echo echoes them, so config hashes and file names match those
+# written when they were config keys.
+_FIXED_ECHO = {
+    "dycent": {"clamp_nonnegative_step": False, "d_avg_init_mode": "first_step"},
+    "baseline": {"momentum": baselines.MOMENTUM, "beta1": baselines.BETA1, "beta2": baselines.BETA2,
+                 "eps": baselines.EPS},
+    "spd_quadratic": {"data_seed": 0, "condition": 10.0},
+    "moons_mlp": {"data_seed": 0, "activation": "relu"},
+}
 
 # Tuned probe settings for the two-moons MLP runs. On this surface the raw
 # probe angle can shrink below float resolution (the batch loss is nearly
@@ -237,11 +237,10 @@ def config_echo(cfg: RunConfig, opt_cfg) -> dict:
     """The run's full configuration with every default filled in; opt_cfg is _build_optimizer_config(cfg)."""
     return {
         "objective": cfg.objective,
-        "objective_params": _objective_params(cfg),
+        "objective_params": _objective_params(cfg) | _FIXED_ECHO.get(cfg.objective, {}),
         "optimizer": cfg.optimizer,
-        # dycent echoes two removed settings at their one value, so config hashes and file names do not move
         "optimizer_params": dataclasses.asdict(opt_cfg)
-        | ({"clamp_nonnegative_step": False, "d_avg_init_mode": "first_step"} if cfg.optimizer == "dycent" else {}),
+        | _FIXED_ECHO["dycent" if cfg.optimizer == "dycent" else "baseline"],
         "x0": list(cfg.x0) if not isinstance(cfg.x0, str) else cfg.x0,
         "max_iters": cfg.max_iters,
         "seed": cfg.seed,

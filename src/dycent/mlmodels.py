@@ -2,7 +2,7 @@
 plus synthetic datasets, for exercising the optimizers in the
 stochastic/minibatch regime at desk scale.
 
-The model is a single-hidden-layer MLP over a flattened parameter vector
+The model is a single-hidden-layer ReLU MLP over a flattened parameter vector
 [W1 | b1 | W2 | b2] with softmax cross-entropy loss; the gradient is exact
 backpropagation, which keeps finite-difference checks meaningful.
 """
@@ -13,8 +13,6 @@ import numpy as np
 
 from .objective import BatchContext, Objective
 from .vecmath import DimensionError, ParamVector
-
-ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass
@@ -50,14 +48,11 @@ class MlpSpec:
     input_dim: int
     hidden_dim: int
     num_classes: int
-    activation: str = "relu"
     init_seed: int = 0
 
     def __post_init__(self):
         if min(self.input_dim, self.hidden_dim, self.num_classes) < 1:
             raise ValueError("all dimensions must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
     @property
     def param_count(self) -> int:
@@ -148,7 +143,7 @@ class MlpObjective(Objective):
     def _forward(self, unpacked, x: np.ndarray):
         w1, b1, w2, b2 = unpacked
         z1 = x @ w1 + b1
-        a1 = np.maximum(z1, 0.0) if self.spec.activation == "relu" else np.tanh(z1)
+        a1 = np.maximum(z1, 0.0)
         logits = a1 @ w2 + b2
         return z1, a1, logits
 
@@ -180,10 +175,7 @@ class MlpObjective(Objective):
         gw2 = a1.T @ dlogits
         gb2 = dlogits.sum(axis=0)
         da1 = dlogits @ unpacked[2].T
-        if self.spec.activation == "relu":
-            dz1 = da1 * (z1 > 0.0)
-        else:
-            dz1 = da1 * (1.0 - a1 * a1)
+        dz1 = da1 * (z1 > 0.0)
         gw1 = self._rows.T @ dz1
         gb1 = dz1.sum(axis=0)
         return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])

@@ -118,29 +118,32 @@ def csv_row_by_cell(record):
 
 
 def python_float_baseline_step(x, g, cfg, state):
-    """One baseline update with the config's Python floats as array operands:
-    the reference for baseline_step, which reads 0-d arrays built once per config."""
+    """One baseline update with Python floats as array operands: the config's
+    lr, and the published defaults written out here (momentum 0.9, beta1 0.9,
+    beta2 0.999, eps 1e-8). The reference for baseline_step, which reads 0-d
+    arrays: module constants and an lr built once per config."""
+    momentum, beta1, beta2, eps = 0.9, 0.9, 0.999, 1e-8
     x = np.asarray(x, dtype=np.float64)
     t = state.step_count + 1
 
     if cfg.method == "sgd":
         x_new = x - cfg.lr * g
     elif cfg.method == "sgdm":
-        state.m = cfg.momentum * state.m + g
+        state.m = momentum * state.m + g
         x_new = x - cfg.lr * state.m
     elif cfg.method == "rmsprop":
-        state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-        x_new = x - cfg.lr * g / (np.sqrt(state.v) + cfg.eps)
+        state.v = beta2 * state.v + (1.0 - beta2) * g * g
+        x_new = x - cfg.lr * g / (np.sqrt(state.v) + eps)
     else:  # the Adam family
-        state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+        state.m = beta1 * state.m + (1.0 - beta1) * g
         if cfg.method == "adabelief":
             diff = g - state.m
-            state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * diff * diff + cfg.eps
+            state.v = beta2 * state.v + (1.0 - beta2) * diff * diff + eps
         else:
-            state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-        m_hat = state.m / (1.0 - cfg.beta1**t)
-        v_hat = state.v / (1.0 - cfg.beta2**t)
-        step = cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            state.v = beta2 * state.v + (1.0 - beta2) * g * g
+        m_hat = state.m / (1.0 - beta1**t)
+        v_hat = state.v / (1.0 - beta2**t)
+        step = cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
         prev = state.prev_grad
         if cfg.method == "diffgrad":
             step = 1.0 / (1.0 + np.exp(-np.abs(prev - g))) * step

@@ -48,16 +48,7 @@ def gradient_runs(draw):
     return draw(vectors), draw(st.lists(vectors, min_size=1, max_size=5))
 
 
-fractions = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-hyperparameters = st.fixed_dictionaries(
-    {
-        "lr": st.floats(min_value=1e-6, max_value=1.0),
-        "momentum": fractions,
-        "beta1": fractions,
-        "beta2": fractions,
-        "eps": st.floats(min_value=1e-12, max_value=0.1),
-    }
-)
+learning_rates = st.floats(min_value=1e-6, max_value=1.0)
 # two gradients whose second components make 1 + prev*g == 0: theta = 90 deg
 _PERPENDICULAR_RUN = (np.zeros(2), [np.array([0.0, 1.0]), np.array([0.0, -1.0])])
 
@@ -78,10 +69,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             BaselineConfig(method="adamw")
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"lr": 0.0}, {"momentum": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"eps": 0.0}],
-    )
+    @pytest.mark.parametrize("kwargs", [{"lr": 0.0}, {"lr": -1.0}, {"lr": math.nan}])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             BaselineConfig(method="adam", **kwargs)
@@ -94,17 +82,6 @@ class TestSgdFamily:
         x0 = np.array([1.0, 0.0])
         x = baseline_step(x0, obj.gradient(x0), cfg, BaselineState.zeros(2))
         assert np.array_equal(x, np.array([0.9, 0.0]))
-
-    def test_sgdm_with_zero_momentum_equals_sgd(self):
-        obj = isotropic_quadratic(3)
-        x0 = np.array([1.0, -2.0, 0.5])
-        sgd_records = baseline_records(x0, obj, BaselineConfig(method="sgd", lr=0.05), 50)
-        sgdm_records = baseline_records(
-            x0, obj, BaselineConfig(method="sgdm", lr=0.05, momentum=0.0), 50
-        )
-        for a, b in zip(sgd_records, sgdm_records):
-            assert a.f == b.f
-            assert a.grad_norm == b.grad_norm
 
     def test_state_of_another_dimension_rejected(self):
         obj = isotropic_quadratic(3)
@@ -135,7 +112,7 @@ class TestAdamFamily:
         cfg = BaselineConfig(method="adam", lr=1e-3)
         x0 = np.zeros(3)
         x1 = baseline_step(x0, obj.gradient(x0), cfg, BaselineState.zeros(3))
-        expected = -cfg.lr * g / (np.abs(g) + cfg.eps)
+        expected = -cfg.lr * g / (np.abs(g) + 1e-8)
         assert np.array_equal(x1, expected)
         assert np.all(np.sign(x1) == -np.sign(g))
         assert np.linalg.norm(x1 - (-cfg.lr * np.sign(g))) <= cfg.lr * 1e-4
@@ -146,8 +123,8 @@ class TestAdamFamily:
         cfg = BaselineConfig(method="adam")
         state = BaselineState.zeros(2)
         baseline_step(np.zeros(2), obj.gradient(np.zeros(2)), cfg, state)
-        m_hat = state.m / (1.0 - cfg.beta1)
-        v_hat = state.v / (1.0 - cfg.beta2)
+        m_hat = state.m / (1.0 - 0.9)
+        v_hat = state.v / (1.0 - 0.999)
         assert m_hat == pytest.approx(g, rel=1e-14)
         assert v_hat == pytest.approx(g * g, rel=1e-14)
 
@@ -157,7 +134,7 @@ class TestAdamFamily:
         cfg = BaselineConfig(method="adabelief")
         state = BaselineState.zeros(1)
         baseline_step(np.zeros(1), obj.gradient(np.zeros(1)), cfg, state)
-        expected_v = (1.0 - cfg.beta2) * (g - state.m) ** 2 + cfg.eps
+        expected_v = (1.0 - 0.999) * (g - state.m) ** 2 + 1e-8
         assert state.v == pytest.approx(expected_v, rel=1e-14)
 
     def test_diffgrad_is_friction_scaled_adam(self):
@@ -184,13 +161,13 @@ class TestAdamFamily:
 
 class TestConstants:
     @pytest.mark.parametrize("method", METHODS)
-    @given(hyper=hyperparameters, run=gradient_runs())
-    @example(hyper={"lr": 0.1, "momentum": 0.9, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}, run=_PERPENDICULAR_RUN)
+    @given(lr=learning_rates, run=gradient_runs())
+    @example(lr=0.1, run=_PERPENDICULAR_RUN)
     @settings(max_examples=50, deadline=None)
-    def test_matches_python_float_constants(self, method, hyper, run):
-        # the 0-d constants are the same IEEE operands as the config's Python floats
+    def test_matches_python_float_constants(self, method, lr, run):
+        # the 0-d constants are the same IEEE operands as the reference's Python floats
         x, grads = run
-        cfg = BaselineConfig(method=method, **hyper)
+        cfg = BaselineConfig(method=method, lr=lr)
         state, ref_state = BaselineState.zeros(x.size), BaselineState.zeros(x.size)
         for g in grads:
             x_new = baseline_step(x, g, cfg, state)
@@ -201,10 +178,10 @@ class TestConstants:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_replace_builds_fresh_constants(self, method):
-        cfg = BaselineConfig(method=method, lr=0.3, momentum=0.5, beta1=0.8, beta2=0.99, eps=1e-6)
+        cfg = BaselineConfig(method=method, lr=0.3)
         replaced = dataclasses.replace(cfg, lr=cfg.lr / 10)
-        fresh = BaselineConfig(method=method, lr=cfg.lr / 10, momentum=0.5, beta1=0.8, beta2=0.99, eps=1e-6)
-        # the reference reads the replaced config's fields, so it also sees constants that disagree with them
+        fresh = BaselineConfig(method=method, lr=cfg.lr / 10)
+        # the reference reads the replaced config's lr field, so it also sees a 0-d lr that disagrees with it
         x = fresh_x = ref_x = np.array([1.0, -2.0])
         state, fresh_state, ref_state = BaselineState.zeros(2), BaselineState.zeros(2), BaselineState.zeros(2)
         for g in (np.array([0.5, -1.5]), np.array([-0.25, 2.0]), np.array([1.0, 1.0])):
@@ -220,11 +197,9 @@ class TestConstants:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.lr = 0.5
 
-    def test_asdict_holds_the_six_fields(self):
+    def test_asdict_holds_the_two_fields(self):
         cfg = BaselineConfig(method="rmsprop", lr=0.01)
-        assert dataclasses.asdict(cfg) == {
-            "method": "rmsprop", "lr": 0.01, "momentum": 0.9, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-        }
+        assert dataclasses.asdict(cfg) == {"method": "rmsprop", "lr": 0.01}
 
 
 class TestCoefficients:

@@ -72,28 +72,17 @@ beta = 0
 epsilon = 1e-6
 enable_doubling = no
 lr = 1
-momentum = 0.5
-beta1 = 0.8
-beta2 = 0.99
-eps = 1e-7
 dim = 3
 n = 50
 noise = 0
-data_seed = 4
-condition = 4
 hidden_dim = 8
-activation = tanh
 init_seed = 11
 """
 
 EXPECTED_OPTIMIZER_PARAMS = {
     "h": 0.5, "beta": 0.0, "epsilon": 1e-6, "enable_doubling": False, "lr": 1.0,
-    "momentum": 0.5, "beta1": 0.8, "beta2": 0.99, "eps": 1e-7,
 }
-EXPECTED_OBJECTIVE_PARAMS = {
-    "dim": 3, "n": 50, "noise": 0.0, "data_seed": 4, "condition": 4.0,
-    "hidden_dim": 8, "activation": "tanh", "init_seed": 11,
-}
+EXPECTED_OBJECTIVE_PARAMS = {"dim": 3, "n": 50, "noise": 0.0, "hidden_dim": 8, "init_seed": 11}
 
 
 def typed(d: dict) -> dict:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dycent import harness, mlmodels, optimizer
+from dycent import harness, mlmodels, objective as objectives, optimizer
 from dycent.harness import (
     MOONS_TUNED_EPSILON,
     MOONS_TUNED_H,
@@ -195,17 +195,32 @@ class TestRunExperiment:
         assert echo["optimizer_params"]["beta"] == 0.9
         assert echo["optimizer_params"]["epsilon"] == 1e-8
         assert echo["optimizer_params"]["enable_doubling"] is True
-        # constants for two removed settings, so config hashes do not move
+        # each run kind echoes its removed settings at their one value, so config hashes do not move
         assert echo["optimizer_params"]["clamp_nonnegative_step"] is False
         assert echo["optimizer_params"]["d_avg_init_mode"] == "first_step"
         assert echo["seed"] == 7
         baseline = run_experiment(toy_b_cfg("sgd"), out_dir=tmp_path)["config"]["optimizer_params"]
-        assert not baseline.keys() & {"clamp_nonnegative_step", "d_avg_init_mode"}
+        assert baseline == {"method": "sgd", "lr": 1e-2, "momentum": 0.9, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
 
     def test_output_named_by_config_hash(self, tmp_path):
         cfg = toy_b_cfg("dycent")
         summary = run_experiment(cfg, out_dir=tmp_path)
         assert config_hash(harness._prepare(cfg)[2]) in summary["files"]["trajectory_csv"]
+
+    @pytest.mark.parametrize("objective", ["spd_quadratic", "moons_mlp"])
+    def test_objective_is_the_one_its_echo_names(self, objective):
+        # data_seed, condition and activation are fixed in the builders but echoed from a separate table
+        obj, x0, echo, _ = harness._prepare(RunConfig(objective=objective, optimizer="sgd"))
+        p = echo["objective_params"]
+        if objective == "spd_quadratic":
+            ref = objectives.spd_quadratic(p["dim"], seed=p["data_seed"], condition=p["condition"])
+        else:
+            assert p["activation"] == "relu"  # the MLP's one activation
+            data = mlmodels.make_two_moons(p["n"], p["noise"], seed=p["data_seed"])
+            ref = mlmodels.MlpObjective(MlpSpec(2, p["hidden_dim"], 2, init_seed=p["init_seed"]), data)
+        x = x0 + np.random.default_rng(4).standard_normal(x0.size)
+        assert obj.value(x) == ref.value(x)
+        assert obj.gradient(x).tobytes() == ref.gradient(x).tobytes()
 
 
 class TestAutomaticStart:
@@ -242,7 +257,7 @@ class TestAutomaticStart:
         cfg = RunConfig(objective="moons_mlp", optimizer="sgd", max_iters=1, seed=3)
         run_experiment(cfg, out_dir=tmp_path)
         (x0,) = starts
-        spec = MlpSpec(input_dim=2, hidden_dim=16, num_classes=2, activation="relu", init_seed=3)
+        spec = MlpSpec(input_dim=2, hidden_dim=16, num_classes=2, init_seed=3)
         assert x0.tobytes() == initial_params(spec).tobytes()
 
     @pytest.mark.parametrize("objective", ["toy_a", "toy_b"])
@@ -758,7 +773,7 @@ class TestCli:
             "objective = toy_b\noptimizer = sgd\nx0 = 1,zz\n",
             "objective = toy_b\noptimizer = sgd\nx0 = nan,1\n",
             "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nlr = 1%\n",
-            "objective = moons_mlp\noptimizer = sgd\nactivation = gelu\n",
+            "objective = moons_mlp\noptimizer = sgd\nactivation = tanh\n",
             "objective = quadratic\noptimizer = dycent\ndim = 1\n",
             "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nmax_iters = 5\nbatch_size = 4\n",
             "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nmax_iters = 5\n"
@@ -776,7 +791,7 @@ class TestCli:
             "objective = toy_b\noptimizer sgd\n",
             # numpy refuses a 7.3 TiB request at once
             "objective = quadratic\noptimizer = sgd\ndim = 1000000000000\n",
-            # removed dycent settings; the summary still echoes their one value
+            # removed settings; the summary still echoes their one value
             "objective = toy_b\noptimizer = dycent\nx0 = toy_b_init\nmax_iters = 5\nclamp_nonnegative_step = on\n",
             "objective = toy_b\noptimizer = dycent\nx0 = toy_b_init\nmax_iters = 5\nd_avg_init_mode = zero\n",
         ],
@@ -792,7 +807,7 @@ class TestCli:
         assert "error[config]" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
-        for removed in ("clamp_nonnegative_step", "d_avg_init_mode"):
+        for removed in ("clamp_nonnegative_step", "d_avg_init_mode", "activation"):
             if removed in section:
                 assert f"unknown key {removed!r}" in proc.stderr
 

@@ -32,7 +32,7 @@ def train_adam(obj, spec, iters=500, lr=0.05):
 class TestTwoMoons:
     def test_noiseless_moons_are_learnable(self):
         data = make_two_moons(200, 0.0, seed=0)
-        spec = MlpSpec(2, 16, 2, "tanh", init_seed=0)
+        spec = MlpSpec(2, 16, 2, init_seed=0)
         params = train_adam(MlpObjective(spec, data), spec)
         assert accuracy(MlpObjective(spec, data), params) == 1.0
 
@@ -70,13 +70,12 @@ class TestDataset:
 
 
 class TestBackprop:
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
-    def test_gradient_matches_finite_differences(self, activation, scale, rng):
+    def test_gradient_matches_finite_differences(self, scale, rng):
         # the module's keystone check: exact backprop vs a central-difference
         # oracle at random parameter points across initialization scales
         data = make_two_moons(64, 0.1, seed=5)
-        spec = MlpSpec(2, 8, 2, activation, init_seed=0)
+        spec = MlpSpec(2, 8, 2, init_seed=0)
         obj = MlpObjective(spec, data)
         for _ in range(20):
             x = scale * rng.standard_normal(spec.param_count)
@@ -85,7 +84,7 @@ class TestBackprop:
 
     def test_uniform_logits_give_log_num_classes(self):
         data = make_two_moons(50, 0.1, seed=2)
-        spec = MlpSpec(2, 16, 2, "relu", init_seed=0)
+        spec = MlpSpec(2, 16, 2, init_seed=0)
         obj = MlpObjective(spec, data)
         assert obj.value(np.zeros(spec.param_count)) == pytest.approx(math.log(2), rel=1e-12)
 
@@ -96,7 +95,7 @@ class TestBackprop:
             labels=np.concatenate([data.labels, data.labels]),
             num_classes=2,
         )
-        spec = MlpSpec(2, 8, 2, "tanh", init_seed=1)
+        spec = MlpSpec(2, 8, 2, init_seed=1)
         x = rng.standard_normal(spec.param_count)
         assert MlpObjective(spec, data).value(x) == pytest.approx(
             MlpObjective(spec, doubled).value(x), rel=1e-12
@@ -111,7 +110,7 @@ class TestBackprop:
 class TestBatching:
     def setup_method(self):
         self.data = make_two_moons(60, 0.1, seed=6)
-        self.spec = MlpSpec(2, 8, 2, "tanh", init_seed=2)
+        self.spec = MlpSpec(2, 8, 2, init_seed=2)
         self.obj = MlpObjective(self.spec, self.data)
         self.x = initial_params(self.spec)
 
@@ -166,7 +165,7 @@ def oracle_loss_and_gradient(spec, data, x, batch=None):
 
     def forward():
         z1 = rows @ w1 + b1
-        a1 = np.maximum(z1, 0.0) if spec.activation == "relu" else np.tanh(z1)
+        a1 = np.maximum(z1, 0.0)
         return z1, a1, a1 @ w2 + b2
 
     _, _, logits = forward()
@@ -183,7 +182,7 @@ def oracle_loss_and_gradient(spec, data, x, batch=None):
     gw2 = a1.T @ dlogits
     gb2 = dlogits.sum(axis=0)
     da1 = dlogits @ w2.T
-    dz1 = da1 * (z1 > 0.0) if spec.activation == "relu" else da1 * (1.0 - a1 * a1)
+    dz1 = da1 * (z1 > 0.0)
     gw1 = rows.T @ dz1
     gb1 = dz1.sum(axis=0)
     return loss, np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
@@ -194,7 +193,7 @@ def same_bits(a, b):
 
 
 MEMO_DATA = make_two_moons(40, 0.1, seed=8)
-MEMO_SPEC = MlpSpec(2, 8, 2, "tanh", init_seed=3)
+MEMO_SPEC = MlpSpec(2, 8, 2, init_seed=3)
 
 
 class TestPinnedPass:
@@ -202,15 +201,14 @@ class TestPinnedPass:
     bits of the reference formulas, and no pin or edit leaves them stale."""
 
     @given(
-        activation=st.sampled_from(["relu", "tanh"]),
         seed=st.integers(0, 2**16),
         scale=st.sampled_from([0.3, 1.0, 3.0]),
         batch=st.none() | st.lists(st.integers(0, len(MEMO_DATA) - 1), min_size=1, max_size=40),
         value_first=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_bits_match_reference_formulas(self, activation, seed, scale, batch, value_first):
-        spec = MlpSpec(2, 8, 2, activation, init_seed=0)
+    def test_bits_match_reference_formulas(self, seed, scale, batch, value_first):
+        spec = MlpSpec(2, 8, 2, init_seed=0)
         obj = MlpObjective(spec, MEMO_DATA)
         x = scale * np.random.default_rng(seed).standard_normal(spec.param_count)
         if batch is not None:
@@ -281,7 +279,7 @@ class TestPinnedPass:
 class TestAccuracy:
     def test_zero_params_on_balanced_data(self):
         data = make_two_moons(100, 0.1, seed=7)
-        spec = MlpSpec(2, 16, 2, "relu", init_seed=0)
+        spec = MlpSpec(2, 16, 2, init_seed=0)
         # all logits equal: argmax tie-breaks to class 0, half the rows
         assert accuracy(MlpObjective(spec, data), np.zeros(spec.param_count)) == 0.5
 
@@ -293,7 +291,7 @@ class TestAccuracy:
 
     def test_reads_every_row_while_a_batch_is_pinned(self):
         data = make_two_moons(40, 0.1, seed=8)
-        spec = MlpSpec(2, 4, 2, "tanh", init_seed=3)
+        spec = MlpSpec(2, 4, 2, init_seed=3)
         params = initial_params(spec)
         batch = np.arange(8)
         obj = MlpObjective(spec, data)
@@ -307,7 +305,7 @@ class TestAccuracy:
 
 class TestInitialParams:
     def test_deterministic_in_seed(self):
-        spec = MlpSpec(2, 16, 2, "relu", init_seed=9)
+        spec = MlpSpec(2, 16, 2, init_seed=9)
         assert np.array_equal(initial_params(spec), initial_params(spec))
 
     def test_param_count(self):
