@@ -83,6 +83,18 @@ class TestSgdFamily:
         x = baseline_step(x0, obj.gradient(x0), cfg, BaselineState.zeros(2))
         assert np.array_equal(x, np.array([0.9, 0.0]))
 
+    def test_sgdm_hand_steps_use_momentum_0_9(self):
+        # a constant gradient: the velocity is g, then 0.9*g + g
+        g = np.array([1.0, -2.0])
+        obj = constant_gradient_objective(g)
+        cfg = BaselineConfig(method="sgdm", lr=0.5)
+        state = BaselineState.zeros(2)
+        x1 = baseline_step(np.zeros(2), obj.gradient(np.zeros(2)), cfg, state)
+        assert np.array_equal(x1, -0.5 * g)
+        x2 = baseline_step(x1, obj.gradient(x1), cfg, state)
+        assert np.array_equal(state.m, 0.9 * g + g)
+        assert np.array_equal(x2, x1 - 0.5 * (0.9 * g + g))
+
     def test_state_of_another_dimension_rejected(self):
         obj = isotropic_quadratic(3)
         x0 = np.ones(3)

@@ -115,3 +115,24 @@ def test_unknown_key_lists_the_whole_key_set(tmp_path):
         parse_config_file(path)
     every_key = [line.split(" = ")[0] for line in EVERY_KEY.strip().splitlines()[1:]]
     assert str(info.value).endswith(f"valid keys: {sorted(every_key)}")
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        "objective = toy_b\noptimizer = sgdm\nmomentum = 0.5\n",
+        "objective = toy_b\noptimizer = adam\nbeta1 = 0.8\n",
+        "objective = toy_b\noptimizer = adam\nbeta2 = 0.99\n",
+        "objective = toy_b\noptimizer = rmsprop\neps = 1e-7\n",
+        "objective = moons_mlp\noptimizer = sgd\nactivation = tanh\n",
+        "objective = moons_mlp\noptimizer = sgd\ndata_seed = 4\n",
+        "objective = spd_quadratic\noptimizer = sgd\ncondition = 4\n",
+    ],
+)
+def test_a_removed_setting_is_an_unknown_key(tmp_path, section):
+    # the summary echoes each at its one value, but a file cannot set it
+    removed = section.splitlines()[-1].split(" = ")[0]
+    path = tmp_path / "removed.ini"
+    path.write_text("[r]\n" + section)
+    with pytest.raises(ConfigError, match=f"unknown key {removed!r}"):
+        parse_config_file(path)

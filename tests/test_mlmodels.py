@@ -70,12 +70,14 @@ class TestDataset:
 
 
 class TestBackprop:
+    @pytest.mark.parametrize("hidden_dim", [1, 8])
     @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
-    def test_gradient_matches_finite_differences(self, scale, rng):
+    def test_gradient_matches_finite_differences(self, scale, hidden_dim, rng):
         # the module's keystone check: exact backprop vs a central-difference
-        # oracle at random parameter points across initialization scales
+        # oracle at random parameter points across initialization scales, for
+        # a single hidden unit and for a layer of them
         data = make_two_moons(64, 0.1, seed=5)
-        spec = MlpSpec(2, 8, 2, init_seed=0)
+        spec = MlpSpec(2, hidden_dim, 2, init_seed=0)
         obj = MlpObjective(spec, data)
         for _ in range(20):
             x = scale * rng.standard_normal(spec.param_count)
