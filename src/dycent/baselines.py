@@ -147,22 +147,41 @@ def baseline_step(x: ParamVector, g: ParamVector, cfg: BaselineConfig, state: Ba
     return x_new
 
 
-def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
+def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState, *, reuse_unmoved: bool = False):
     """baseline_step as a run_loop step that logs a TrajectoryRecord; the
     gradient of the stop check is the one the update uses. A gradient or a
-    new value that is not finite raises NonFiniteStepError."""
+    new value that is not finite raises NonFiniteStepError.
+
+    With reuse_unmoved, for an objective that no batch change can reach: a
+    step whose new point has the bytes of its start evaluates nothing new.
+    Its value is the one the step before logged, and the next step, if it
+    starts on the point returned, takes the gradient and its norm this step
+    already holds. Byte equality tells 0.0 from -0.0. The records are those
+    of evaluating at every step.
+    """
+    carry = None  # (point returned, its value, its (gradient, norm) if the step did not move)
 
     def step(i, x):
-        g = obj.gradient(x)
-        grad_norm = norm(g)
-        if grad_norm == 0.0:
-            raise ZeroGradientError("stationary point: gradient vanished")
-        if not math.isfinite(grad_norm):
-            raise NonFiniteStepError(f"gradient is not finite (norm {grad_norm})")
+        nonlocal carry
+        start = carry if carry is not None and carry[0] is x else None
+        if start is not None and start[2] is not None:
+            g, grad_norm = start[2]
+        else:
+            g = obj.gradient(x)
+            grad_norm = norm(g)
+            if grad_norm == 0.0:
+                raise ZeroGradientError("stationary point: gradient vanished")
+            if not math.isfinite(grad_norm):
+                raise NonFiniteStepError(f"gradient is not finite (norm {grad_norm})")
         x_new = baseline_step(x, g, cfg, state)
-        f_new = obj.value(x_new)
-        if not math.isfinite(f_new):
-            raise NonFiniteStepError(f"value at the new point is not finite ({f_new})")
+        unmoved = reuse_unmoved and x_new.tobytes() == x.tobytes()
+        if unmoved and start is not None:
+            f_new = start[1]
+        else:
+            f_new = obj.value(x_new)
+            if not math.isfinite(f_new):
+                raise NonFiniteStepError(f"value at the new point is not finite ({f_new})")
+        carry = (x_new, f_new, (g, grad_norm) if unmoved else None)
         return x_new, TrajectoryRecord(iter=i, f=f_new, grad_norm=grad_norm)
 
     return step

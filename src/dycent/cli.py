@@ -55,6 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "iters", None) is not None and args.iters < 1:  # theory takes no --iters
+            raise ConfigError(f"--iters must be >= 1, got {args.iters}")
         if args.command == "run":
             cfgs = _apply_overrides(parse_config_file(args.config), args)
             prepared = [_prepare(c) for c in cfgs]  # every section is built and checked before any run

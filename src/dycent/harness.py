@@ -276,8 +276,8 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tupl
             return step
     else:
         blstate = baselines.BaselineState.zeros(x0.size)
-        def stepper(opt_cfg):
-            return baselines.baseline_stepper(obj, opt_cfg, blstate)
+        def stepper(opt_cfg):  # an epoch step pins a new batch, so only a run without epochs may reuse
+            return baselines.baseline_stepper(obj, opt_cfg, blstate, reuse_unmoved=cfg.epochs is None)
     steps = [stepper(c) for c in opt_cfgs]  # the second, if any, after the h schedule's decay
 
     if cfg.epochs is None:

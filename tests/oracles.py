@@ -5,7 +5,8 @@ the checks stay two-sided: analytic gradients are compared against
 central finite differences computed here. The reference forms (numpy
 scalar math for the toy surfaces, the @ operator for the quadratics, a
 per-step loop for each theory check, a cell-by-cell CSV row, baseline
-updates with Python-float constants) are the
+updates with Python-float constants, a baseline run that evaluates at
+every step) are the
 plain formulations whose bits the package's faster code must reproduce.
 """
 
@@ -13,10 +14,12 @@ import math
 
 import numpy as np
 
+from dycent.baselines import BaselineState
 from dycent.objective import _TOY_B_LIMIT_R2
 from dycent.optimizer import DycentState, dycent_step, run_loop
-from dycent.records import CSV_COLUMNS, csv_cell
+from dycent.records import CSV_COLUMNS, TrajectoryRecord, csv_cell
 from dycent.theory import DescentReport, WolfeReport
+from dycent.vecmath import norm
 
 
 def dycent_run(x0, obj, cfg, max_iters, seed):
@@ -157,6 +160,26 @@ def python_float_baseline_step(x, g, cfg, state):
     state.prev_grad = g
     state.step_count = t
     return x_new
+
+
+def every_step_baseline_run(x0, obj, cfg, max_iters):
+    """Up to max_iters baseline updates from x0, each evaluating the gradient
+    at its start and the value where it lands, even where the update leaves
+    the point's bytes as they were; returns the records a run logs.
+
+    Stops at a vanishing gradient, as a run does; the reference for the
+    baseline stepper, which evaluates nothing at a point it did not leave.
+    """
+    state = BaselineState.zeros(len(x0))
+    x = np.array(x0, dtype=np.float64)
+    records = []
+    for i in range(max_iters):
+        g = obj.gradient(x)
+        if norm(g) == 0.0:
+            break
+        x = python_float_baseline_step(x, g, cfg, state)
+        records.append(TrajectoryRecord(iter=i, f=obj.value(x), grad_norm=norm(g)))
+    return records
 
 
 def central_diff_gradient(value_fn, x, step=1e-6):

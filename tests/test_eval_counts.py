@@ -1,7 +1,11 @@
 """Objective evaluations per step, pinned per driver.
 
 Each point is evaluated once: the stop check's gradient feeds the
-baseline update, a dycent step evaluates f only where it lands, the
+baseline update, a baseline step that lands on the bytes it started on
+evaluates nothing new in a run without batches (its value is the one the
+step before logged, and the next step takes its gradient), while each
+epoch step, which pins a new batch, evaluates anew; a dycent step
+evaluates f only where it lands, the
 theory checks take the run's start value from the caller and every later
 start value from the step before, and the Wolfe report takes each landing
 gradient from the step that starts there. The counts are
@@ -9,15 +13,21 @@ taken by a wrapper defined here, not by package code, so a refactor that
 brings a duplicate evaluation back fails these tests.
 """
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dycent import harness
+from dycent import baselines, harness
 from dycent.harness import RunConfig, run_experiment
-from dycent.objective import spd_quadratic
+from dycent.objective import isotropic_quadratic, spd_quadratic
+from dycent.optimizer import run_loop
 from dycent.theory import check_descent, run_constrained, wolfe_report
+from oracles import every_step_baseline_run
+
+TOY_B_COMPARE = Path(__file__).resolve().parent.parent / "configs" / "toy_b_compare.ini"
 
 
 class CountingObjective:
@@ -74,6 +84,109 @@ def test_deterministic_baseline_one_gradient_one_value_per_step(counted, tmp_pat
     )
     assert steps == 200
     assert (obj.gradients, obj.values) == (steps, steps)
+
+
+def counted_run(cfg):
+    """cfg's records, run on a counting objective, and that objective."""
+    obj, x0, _, opt_cfgs = harness._prepare(cfg)
+    counting = CountingObjective(obj)
+    records, _ = harness._run(cfg, counting, x0, opt_cfgs)
+    return records, counting
+
+
+@pytest.fixture
+def moves(monkeypatch):
+    """Whether each baseline update left its point's bytes, in step order."""
+    moved = []
+    step = baselines.baseline_step
+
+    def spy(x, g, cfg, state):
+        x_new = step(x, g, cfg, state)
+        moved.append(x_new.tobytes() != np.asarray(x).tobytes())
+        return x_new
+
+    monkeypatch.setattr(baselines, "baseline_step", spy)
+    return moved
+
+
+def same_records(got, ref):
+    """Field for field, each float by its repr, so 0.0 and -0.0 differ."""
+    return list(map(repr, got)) == list(map(repr, ref))
+
+
+def test_baseline_that_never_moves_evaluates_its_start_once(moves):
+    cfg = RunConfig(objective="quadratic", optimizer="sgd", max_iters=50, optimizer_params={"lr": 1e-300})
+    records, obj = counted_run(cfg)
+    assert len(records) == 50 and not any(moves)
+    assert (obj.gradients, obj.values) == (1, 1)
+    ref = every_step_baseline_run(np.ones(2), obj.inner, baselines.BaselineConfig("sgd", 1e-300), 50)
+    assert same_records(records, ref)
+
+
+def test_a_step_from_negative_to_positive_zero_moved(moves):
+    # the update of x[0] is -0.0, which takes -0.0 to 0.0: equal as floats, but toy_a's value tells them apart
+    cfg = RunConfig(objective="toy_a", optimizer="sgd", x0=(-0.0, 1e-15), max_iters=3, optimizer_params={"lr": 1e-300})
+    records, obj = counted_run(cfg)
+    assert moves == [True, False, False]
+    assert (obj.gradients, obj.values) == (2, 1)
+    assert repr(obj.inner.value(np.array([-0.0, 1e-15]))) == "0.0"
+    assert [repr(r.f) for r in records] == ["-0.0"] * 3
+
+
+def test_a_direct_stepper_evaluates_every_step():
+    obj = CountingObjective(isotropic_quadratic(2))
+    step = baselines.baseline_stepper(obj, baselines.BaselineConfig("sgd", 1e-300), baselines.BaselineState.zeros(2))
+    records = run_loop(np.ones(2), (step for _ in range(5)))[0]
+    assert len(records) == 5
+    assert (obj.gradients, obj.values) == (5, 5)
+
+
+# Gradient and value evaluations of each baseline over the shipped toy_b
+# compare's 1000 steps: every method but rmsprop settles where its update
+# rounds to zero, and from there evaluates nothing new.
+TOY_B_COUNTS = {
+    "sgd": (781, 780),
+    "sgdm": (607, 606),
+    "adam": (627, 626),
+    "rmsprop": (1000, 1000),
+    "adabelief": (645, 644),
+    "diffgrad": (619, 618),
+    "angulargrad_cos": (624, 623),
+    "angulargrad_tan": (624, 623),
+}
+
+
+def test_toy_b_compare_baselines_evaluate_only_where_they_moved(moves):
+    cfgs = [dataclasses.replace(c, seed=0) for c in harness.parse_config_file(TOY_B_COMPARE)]
+    counts = {}
+    for cfg in cfgs:
+        if cfg.optimizer == "dycent":
+            continue
+        moves.clear()
+        records, obj = counted_run(cfg)
+        assert len(records) == cfg.max_iters == len(moves)
+        counts[cfg.optimizer] = (obj.gradients, obj.values)
+        # the first step evaluates both; after it, a step at an unmoved point takes no gradient,
+        # and an unmoved step no value
+        assert counts[cfg.optimizer] == (1 + sum(moves[:-1]), 1 + sum(moves[1:]))
+        ref = every_step_baseline_run(
+            harness._resolve_x0(cfg, None), obj.inner, baselines.BaselineConfig(cfg.optimizer, **cfg.optimizer_params),
+            cfg.max_iters,
+        )
+        assert same_records(records, ref)
+    assert counts == TOY_B_COUNTS
+
+
+def test_epoch_baseline_that_never_moves_evaluates_every_step(moves):
+    # every weight nonzero, so no update of size 1e-300 * g changes a byte
+    cfg = RunConfig(
+        objective="moons_mlp", optimizer="sgd", x0=(0.5,) * 82, batch_size=32, epochs=2,
+        objective_params={"n": 100}, optimizer_params={"lr": 1e-300},
+    )
+    records, obj = counted_run(cfg)
+    assert len(records) == 2 * 4 and not any(moves)
+    # each step pins a new batch, so the point it did not leave has a new value and gradient
+    assert (obj.gradients, obj.values) == (8, 8)
 
 
 def test_deterministic_dycent_two_gradients_one_value_per_step(counted, tmp_path):

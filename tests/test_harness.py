@@ -666,6 +666,17 @@ class TestCli:
             cli.main(["theory", "--iters", "3", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["run", "compare", "angles"])
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_iters_below_one_names_the_flag_and_writes_nothing(self, tmp_path, capsys, command, iters):
+        path = tmp_path / "runs.ini"  # an epoch-mode section: --iters would set its epochs
+        path.write_text("[m]\nobjective = moons_mlp\noptimizer = sgd\nbatch_size = 32\nepochs = 2\n")
+        config = [] if command == "angles" else ["--config", str(path)]
+        code = cli.main([command, *config, "--iters", iters, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error[config]: --iters must be >= 1, got {iters}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_iters_sets_epochs_in_epoch_mode(self, tmp_path):
         path = tmp_path / "runs.ini"
         path.write_text(
