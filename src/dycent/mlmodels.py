@@ -92,7 +92,15 @@ class MlpObjective(Objective):
     seen only after the next pin. value and gradient share one memoized
     forward pass, keyed by the bytes of x and dropped at every pin: in a
     run without batches, each step's first gradient reuses the pass of the
-    value taken where the step before landed.
+    value taken where the step before landed. An epoch step pins a new
+    batch, so it never hits the memo.
+
+    A pin also takes the labels' one-hot rows from a cached identity, which
+    gradient subtracts, and each row's flat own-label index, through which
+    value reads. The class-axis max is a fold of np.maximum over the class
+    columns. At 2 classes that is the one call numpy's max reduce makes;
+    at more, a tie of 0.0 and -0.0 may leave a zero of the other sign than
+    the reduce does (on numpy 2.4, above 8 classes), which changes no value.
     """
 
     def __init__(self, spec: MlpSpec, data: Dataset):
@@ -111,11 +119,14 @@ class MlpObjective(Objective):
         self.dim = spec.param_count
         self.lipschitz_bound = None
         self.name = "mlp_cross_entropy"
+        w1_end = spec.input_dim * spec.hidden_dim
+        self._ends = w1_end, w1_end + spec.hidden_dim, self.dim - spec.num_classes  # of W1, b1, W2
+        self._eye = np.eye(spec.num_classes)
         self.clear_batch()
 
     def set_batch(self, ctx: BatchContext) -> None:
         idx = ctx.batch_indices
-        if idx.min() < 0 or idx.max() >= len(self.data):
+        if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(self.data):
             raise ValueError("batch indices out of dataset bounds")
         self._pin(self.data.features[idx], self.data.labels[idx])
 
@@ -124,21 +135,18 @@ class MlpObjective(Objective):
 
     def _pin(self, rows: np.ndarray, labels: np.ndarray) -> None:
         self._rows = rows
-        self._pick = (np.arange(len(labels)), labels)  # each row's own-label entry
+        k = self.spec.num_classes
+        self._pick = labels + np.arange(0, labels.size * k, k)  # each row's own-label entry, flat
+        self._onehot = self._eye.take(labels, axis=0)
         self._memo_key = None
         self._memo = ()
 
     def _unpack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         s = self.spec
-        i = 0
-        w1 = params[i : i + s.input_dim * s.hidden_dim].reshape(s.input_dim, s.hidden_dim)
-        i += s.input_dim * s.hidden_dim
-        b1 = params[i : i + s.hidden_dim]
-        i += s.hidden_dim
-        w2 = params[i : i + s.hidden_dim * s.num_classes].reshape(s.hidden_dim, s.num_classes)
-        i += s.hidden_dim * s.num_classes
-        b2 = params[i : i + s.num_classes]
-        return w1, b1, w2, b2
+        w1_end, b1_end, w2_end = self._ends
+        w1 = params[:w1_end].reshape(s.input_dim, s.hidden_dim)
+        w2 = params[b1_end:w2_end].reshape(s.hidden_dim, s.num_classes)
+        return w1, params[w1_end:b1_end], w2, params[w2_end:]
 
     def _forward(self, unpacked, x: np.ndarray):
         w1, b1, w2, b2 = unpacked
@@ -153,31 +161,34 @@ class MlpObjective(Objective):
         key = x.tobytes()
         if key != self._memo_key:
             z1, a1, logits = self._forward(unpacked or self._unpack(x), self._rows)
-            shifted = logits - logits.max(axis=1, keepdims=True)
+            top = logits[:, :1]
+            for j in range(1, self.spec.num_classes):
+                top = np.maximum(top, logits[:, j : j + 1])
+            shifted = logits - top
             e = np.exp(shifted)
-            self._memo = z1, a1, shifted, e, e.sum(axis=1, keepdims=True)
+            self._memo = z1, a1, shifted, e, np.add.reduce(e, axis=1, keepdims=True)
             self._memo_key = key
         return self._memo
 
     def value(self, x: ParamVector) -> float:
         _, _, shifted, _, sums = self._pinned_pass(self._check_dim(x))
-        picked = shifted[self._pick] - np.log(sums[:, 0])
-        return float(-(picked.sum() / picked.size))
+        picked = shifted.ravel()[self._pick] - np.log(sums[:, 0])
+        return float(-(np.add.reduce(picked) / picked.size))
 
     def gradient(self, x: ParamVector) -> ParamVector:
         x = self._check_dim(x)
         unpacked = self._unpack(x)
         z1, a1, _, e, sums = self._pinned_pass(x, unpacked)
         dlogits = e / sums
-        dlogits[self._pick] -= 1.0
+        dlogits -= self._onehot  # x - 0.0 is x, so only the own-label entries change
         dlogits /= len(dlogits)
 
         gw2 = a1.T @ dlogits
-        gb2 = dlogits.sum(axis=0)
+        gb2 = np.add.reduce(dlogits, axis=0)
         da1 = dlogits @ unpacked[2].T
         dz1 = da1 * (z1 > 0.0)
         gw1 = self._rows.T @ dz1
-        gb1 = dz1.sum(axis=0)
+        gb1 = np.add.reduce(dz1, axis=0)
         return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 
     def predict(self, params: ParamVector, features: np.ndarray) -> np.ndarray:
@@ -199,5 +210,6 @@ def initial_params(spec: MlpSpec) -> ParamVector:
 def accuracy(obj: MlpObjective, params: ParamVector) -> float:
     """Fraction of obj's dataset rows, all of them whatever batch is pinned,
     whose argmax prediction matches the label."""
-    return float(np.mean(obj.predict(params, obj.data.features) == obj.data.labels))
+    hits = np.count_nonzero(obj.predict(params, obj.data.features) == obj.data.labels)
+    return float(hits / len(obj.data))
 

@@ -6,8 +6,8 @@ central finite differences computed here. The reference forms (numpy
 scalar math for the toy surfaces, the @ operator for the quadratics, a
 per-step loop for each theory check, a cell-by-cell CSV row, baseline
 updates with Python-float constants, a baseline run that evaluates at
-every step) are the
-plain formulations whose bits the package's faster code must reproduce.
+every step, the MLP's own-label entries picked by a (row, label) index)
+are the plain formulations whose bits the package's faster code must reproduce.
 """
 
 import math
@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from dycent.baselines import BaselineState
+from dycent.mlmodels import MlpObjective
 from dycent.objective import _TOY_B_LIMIT_R2
 from dycent.optimizer import DycentState, dycent_step, run_loop
 from dycent.records import CSV_COLUMNS, TrajectoryRecord, csv_cell
@@ -180,6 +181,72 @@ def every_step_baseline_run(x0, obj, cfg, max_iters):
         x = python_float_baseline_step(x, g, cfg, state)
         records.append(TrajectoryRecord(iter=i, f=obj.value(x), grad_norm=norm(g)))
     return records
+
+
+class PickMlpObjective(MlpObjective):
+    """MlpObjective in its first formulation: offsets summed in each unpack,
+    each row's own-label entry read and decremented through a (row, label)
+    fancy index, and the class-axis max, the class and bias sums, the mean
+    and the bounds check by the ndarray methods."""
+
+    def set_batch(self, ctx):
+        idx = ctx.batch_indices
+        if idx.min() < 0 or idx.max() >= len(self.data):
+            raise ValueError("batch indices out of dataset bounds")
+        self._pin(self.data.features[idx], self.data.labels[idx])
+
+    def _pin(self, rows, labels):
+        self._rows = rows
+        self._pick = (np.arange(len(labels)), labels)
+        self._memo_key = None
+        self._memo = ()
+
+    def _unpack(self, params):
+        s = self.spec
+        i = 0
+        w1 = params[i : i + s.input_dim * s.hidden_dim].reshape(s.input_dim, s.hidden_dim)
+        i += s.input_dim * s.hidden_dim
+        b1 = params[i : i + s.hidden_dim]
+        i += s.hidden_dim
+        w2 = params[i : i + s.hidden_dim * s.num_classes].reshape(s.hidden_dim, s.num_classes)
+        i += s.hidden_dim * s.num_classes
+        b2 = params[i : i + s.num_classes]
+        return w1, b1, w2, b2
+
+    def _pinned_pass(self, x, unpacked=None):
+        key = x.tobytes()
+        if key != self._memo_key:
+            z1, a1, logits = self._forward(unpacked or self._unpack(x), self._rows)
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            self._memo = z1, a1, shifted, e, e.sum(axis=1, keepdims=True)
+            self._memo_key = key
+        return self._memo
+
+    def value(self, x):
+        _, _, shifted, _, sums = self._pinned_pass(self._check_dim(x))
+        picked = shifted[self._pick] - np.log(sums[:, 0])
+        return float(-(picked.sum() / picked.size))
+
+    def gradient(self, x):
+        x = self._check_dim(x)
+        unpacked = self._unpack(x)
+        z1, a1, _, e, sums = self._pinned_pass(x, unpacked)
+        dlogits = e / sums
+        dlogits[self._pick] -= 1.0
+        dlogits /= len(dlogits)
+        gw2 = a1.T @ dlogits
+        gb2 = dlogits.sum(axis=0)
+        da1 = dlogits @ unpacked[2].T
+        dz1 = da1 * (z1 > 0.0)
+        gw1 = self._rows.T @ dz1
+        gb1 = dz1.sum(axis=0)
+        return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+
+
+def mean_accuracy(obj, params):
+    """accuracy() as the mean of a bool array."""
+    return float(np.mean(obj.predict(params, obj.data.features) == obj.data.labels))
 
 
 def central_diff_gradient(value_fn, x, step=1e-6):

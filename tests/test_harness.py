@@ -29,6 +29,14 @@ from dycent.records import CSV_COLUMNS
 from dycent import cli
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_section(file_name, prefix):
+    (section,) = [c for c in parse_config_file(CONFIGS / file_name) if c.output_prefix == prefix]
+    return section
+
+
 def toy_b_cfg(optimizer="dycent", **kwargs):
     params = {"h": 1e-2} if optimizer == "dycent" else {"lr": 1e-2}
     return RunConfig(
@@ -429,7 +437,7 @@ class TestRunComparison:
             return build(cfg)
 
         monkeypatch.setattr(harness, "_build_objective", build_counting)
-        config = Path(__file__).resolve().parent.parent / "configs" / "toy_b_compare.ini"
+        config = CONFIGS / "toy_b_compare.ini"
         code = cli.main(["compare", "--config", str(config), "--iters", "5", "--out", str(tmp_path)])
         assert code == cli.EXIT_OK
         assert len(built) == 9
@@ -447,8 +455,7 @@ class TestRunComparison:
 def test_adam_on_the_shipped_moons_section_at_higher_learning_rates(tmp_path):
     # measured only, as the README states it: the moons table's Adam runs at
     # lr = 1e-3; at 1e-2 it ends at accuracy 1.0 at 4 of seeds 0-4, at 3e-2 at all 5
-    config = Path(__file__).resolve().parent.parent / "configs" / "moons_dycent.ini"
-    (adam,) = [c for c in parse_config_file(config) if c.output_prefix == "moons-adam"]
+    adam = shipped_section("moons_dycent.ini", "moons-adam")
     perfect = {}
     for lr in (1e-2, 3e-2):
         finals = []
@@ -484,6 +491,48 @@ class TestAngleExperiment:
         assert band["steps_in_band"] > 0
         assert band["all_steps_finite"]
         assert band["median_theta_deg"] > 0.0
+
+    def test_is_the_shipped_moons_dycent_run_before_its_decay(self, tmp_path):
+        # the moons-dycent section shares the angles run's data, init, shuffles,
+        # probe seed, h and epsilon, and its decay starts at epoch 80: the
+        # angles CSV's 60 epochs are the first 420 rows of its CSV, byte for byte
+        section = shipped_section("moons_dycent.ini", "moons-dycent")
+        moons = Path(run_experiment(section, tmp_path)["files"]["trajectory_csv"]).read_bytes()
+        angles = Path(run_angle_experiment(seed=0, out_dir=tmp_path)["files"]["trajectory_csv"]).read_bytes()
+        assert angles.count(b"\n") == 1 + 420 and moons.count(b"\n") == 1 + 700
+        assert moons.startswith(angles)
+
+
+class TestAngleAblation:
+    """Measured only, as the README states it: with the angle forced to 0,
+    every dycent step has the length h cot(epsilon) and none doubles."""
+
+    @pytest.fixture(autouse=True)
+    def angle_at_zero(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "angle_between", lambda *args, **kwargs: 0.0)
+
+    def test_moons_accuracies_at_seeds_0_to_4(self, tmp_path):
+        section = shipped_section("moons_dycent.ini", "moons-dycent")
+        moons, angles = [], []
+        for seed in range(5):
+            moons.append(run_experiment(dataclasses.replace(section, seed=seed), tmp_path)["final_train_accuracy"])
+            angles.append(run_angle_experiment(seed=seed, out_dir=tmp_path)["final_train_accuracy"])
+        assert moons == [1.0, 1.0, 0.93, 0.905, 1.0]
+        assert angles == [1.0, 1.0, 0.88, 0.895, 1.0]
+
+    def test_toy_a_at_seeds_0_to_39(self, tmp_path):
+        # at epsilon = 1e-8 every step has the length 1e6 whatever the probe
+        # seed, so every seed runs the same path: the first step takes f from
+        # 0.009 to about 9.7e11, and f stays near 1e12
+        section = shipped_section("toy_a_compare.ini", "toya-dycent")
+        ends = set()
+        for seed in range(40):
+            summary = run_experiment(dataclasses.replace(section, seed=seed), tmp_path)
+            assert summary["stop_reason"] is None
+            ends.add((summary["final_f"], summary["best_f"]))
+        ((final_f, best_f),) = ends
+        assert final_f == pytest.approx(9.644e11, rel=1e-3)
+        assert best_f == pytest.approx(8.709e11, rel=1e-3)
 
 
 CONFIG_TEXT = """
@@ -541,7 +590,7 @@ class TestConfigFile:
         assert [(type(v), v) for v in (cfg.h_decay_factor, cfg.h_decay_at_epoch)] == [(float, 10.0), (int, 1)]
 
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+SHIPPED_CONFIGS = sorted(CONFIGS.glob("*.ini"))
 
 
 def spelled_per_section(text):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dycent.baselines import BaselineConfig, BaselineState, baseline_step
@@ -17,7 +17,7 @@ from dycent.mlmodels import (
 from dycent.objective import BatchContext
 from dycent.vecmath import DimensionError
 
-from oracles import central_diff_gradient, relative_error
+from oracles import PickMlpObjective, central_diff_gradient, mean_accuracy, relative_error
 
 
 def train_adam(obj, spec, iters=500, lr=0.05):
@@ -276,6 +276,57 @@ class TestPinnedPass:
         obj.set_batch(BatchContext(self.a))
         data.features[self.a] += 1.0
         self.assert_matches_fresh(obj, self.x, self.a)
+
+
+def class_data(k):
+    """The shipped two-moons data at 2 classes; 200 Gaussian rows with random labels at more."""
+    if k == 2:
+        return make_two_moons(200, 0.1, seed=0)
+    rng = np.random.default_rng(k)
+    return Dataset(rng.standard_normal((200, 2)), rng.integers(0, k, 200), num_classes=k)
+
+
+DATA_BY_CLASSES = {k: class_data(k) for k in range(2, 10)}
+
+
+class TestFirstFormulation:
+    """value, gradient and accuracy equal PickMlpObjective's: in bytes at 2
+    classes, the count every config builds, and as values at 3-9 classes,
+    where the fold of np.maximum over the classes may order a tie of 0.0
+    and -0.0 otherwise than numpy's max reduce does."""
+
+    @given(
+        classes=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
+        start=st.sampled_from([None, 1.0, 10.0]),
+        rows=st.none() | st.integers(1, 64),
+        value_first=st.booleans(),
+    )
+    @example(classes=2, seed=0, start=None, rows=8, value_first=False)  # an epoch's last batch at n = 200
+    @settings(max_examples=300, deadline=None)
+    def test_matches_first_formulation(self, classes, seed, start, rows, value_first):
+        data = DATA_BY_CLASSES[classes]
+        spec = MlpSpec(2, 16, classes, init_seed=seed)
+        rng = np.random.default_rng(seed)
+        # None starts where a run does: scaled-Gaussian weights, zero biases
+        x = initial_params(spec) if start is None else start * rng.standard_normal(spec.param_count)
+        new, ref = MlpObjective(spec, data), PickMlpObjective(spec, data)
+        if rows is not None:  # else the full batch, where the later calls hit the memo
+            ctx = BatchContext(rng.permutation(len(data))[:rows])
+            new.set_batch(ctx)
+            ref.set_batch(ctx)
+
+        def calls(obj):
+            first, second = (obj.value, obj.gradient) if value_first else (obj.gradient, obj.value)
+            return first(x), second(x), first(x)
+
+        equal = same_bits if classes == 2 else np.array_equal
+        for got, want in zip(calls(new), calls(ref)):
+            assert type(got) is type(want)
+            assert equal(got, want)
+        got = accuracy(new, x)
+        assert type(got) is float
+        assert same_bits(got, mean_accuracy(ref, x))
 
 
 class TestAccuracy:
