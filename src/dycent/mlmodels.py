@@ -14,6 +14,10 @@ import numpy as np
 from .objective import BatchContext, Objective
 from .vecmath import DimensionError, ParamVector
 
+# ReLU's operand as a 0-d float64 array skips numpy's conversion of a Python
+# float on every call; the comparison, and so the bits, are the same.
+_ZERO = np.array(0.0)
+
 
 @dataclass
 class Dataset:
@@ -101,6 +105,17 @@ class MlpObjective(Objective):
     columns. At 2 classes that is the one call numpy's max reduce makes;
     at more, a tie of 0.0 and -0.0 may leave a zero of the other sign than
     the reduce does (on numpy 2.4, above 8 classes), which changes no value.
+
+    The products are ndarray.dot calls: the BLAS call of the @ operator
+    without its ufunc dispatch. ReLU and its mask compare against a 0-d
+    zero, and set_batch gathers the rows with take. Where a product's inner
+    dimension is 2 or more, as in every shipped config (2 features, 16
+    hidden units, pins of 32 or 8 rows), .dot gives @'s bytes, underflow
+    included. At an inner dimension of 1 (a one-row pin, or one hidden
+    unit) it may not: a product that underflows is -0.0 where @ gives
+    +0.0 (a saturated softmax on a one-row pin is enough), and where an
+    operand is a single element (a one-row pin of one hidden unit), a
+    zero there times an inf or a NaN gives 0.0 where @ gives NaN.
     """
 
     def __init__(self, spec: MlpSpec, data: Dataset):
@@ -128,7 +143,7 @@ class MlpObjective(Objective):
         idx = ctx.batch_indices
         if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(self.data):
             raise ValueError("batch indices out of dataset bounds")
-        self._pin(self.data.features[idx], self.data.labels[idx])
+        self._pin(self.data.features.take(idx, axis=0), self.data.labels[idx])
 
     def clear_batch(self) -> None:
         self._pin(np.copy(self.data.features), np.copy(self.data.labels))
@@ -150,9 +165,9 @@ class MlpObjective(Objective):
 
     def _forward(self, unpacked, x: np.ndarray):
         w1, b1, w2, b2 = unpacked
-        z1 = x @ w1 + b1
-        a1 = np.maximum(z1, 0.0)
-        logits = a1 @ w2 + b2
+        z1 = x.dot(w1) + b1
+        a1 = np.maximum(z1, _ZERO)
+        logits = a1.dot(w2) + b2
         return z1, a1, logits
 
     def _pinned_pass(self, x: np.ndarray, unpacked=None):
@@ -183,11 +198,11 @@ class MlpObjective(Objective):
         dlogits -= self._onehot  # x - 0.0 is x, so only the own-label entries change
         dlogits /= len(dlogits)
 
-        gw2 = a1.T @ dlogits
+        gw2 = a1.T.dot(dlogits)
         gb2 = np.add.reduce(dlogits, axis=0)
-        da1 = dlogits @ unpacked[2].T
-        dz1 = da1 * (z1 > 0.0)
-        gw1 = self._rows.T @ dz1
+        da1 = dlogits.dot(unpacked[2].T)
+        dz1 = da1 * (z1 > _ZERO)
+        gw1 = self._rows.T.dot(dz1)
         gb1 = np.add.reduce(dz1, axis=0)
         return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 

@@ -3,11 +3,12 @@
 The oracles deliberately avoid the package's own gradient code paths so
 the checks stay two-sided: analytic gradients are compared against
 central finite differences computed here. The reference forms (numpy
-scalar math for the toy surfaces, the @ operator for the quadratics, a
-per-step loop for each theory check, a cell-by-cell CSV row, baseline
-updates with Python-float constants, a baseline run that evaluates at
-every step, the MLP's own-label entries picked by a (row, label) index)
-are the plain formulations whose bits the package's faster code must reproduce.
+scalar math for the toy surfaces, the @ operator for the quadratics and
+the MLP, a per-step loop for each theory check, a cell-by-cell CSV row,
+baseline updates with Python-float constants, a baseline run that
+evaluates at every step, the MLP's own-label entries picked by a (row,
+label) index) are the plain formulations whose bits the package's faster
+code must reproduce.
 """
 
 import math
@@ -184,10 +185,13 @@ def every_step_baseline_run(x0, obj, cfg, max_iters):
 
 
 class PickMlpObjective(MlpObjective):
-    """MlpObjective in its first formulation: offsets summed in each unpack,
-    each row's own-label entry read and decremented through a (row, label)
-    fancy index, and the class-axis max, the class and bias sums, the mean
-    and the bounds check by the ndarray methods."""
+    """MlpObjective in its first formulation: the rows pinned by a fancy
+    index, offsets summed in each unpack, the products by the @ operator
+    and ReLU against a Python float, each row's own-label entry read and
+    decremented through a (row, label) fancy index, and the class-axis max,
+    the class and bias sums, the mean and the bounds check by the ndarray
+    methods. It inherits __init__, clear_batch and predict, whose forward
+    pass is this class's own, so accuracy too is checked against @."""
 
     def set_batch(self, ctx):
         idx = ctx.batch_indices
@@ -212,6 +216,12 @@ class PickMlpObjective(MlpObjective):
         i += s.hidden_dim * s.num_classes
         b2 = params[i : i + s.num_classes]
         return w1, b1, w2, b2
+
+    def _forward(self, unpacked, x):
+        w1, b1, w2, b2 = unpacked
+        z1 = x @ w1 + b1
+        a1 = np.maximum(z1, 0.0)
+        return z1, a1, a1 @ w2 + b2
 
     def _pinned_pass(self, x, unpacked=None):
         key = x.tobytes()

@@ -194,6 +194,11 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def same_bits_but_zero_sign(a, b):
+    """Bytes equal once -0.0 is +0.0: x + 0.0 is x for every other float."""
+    return same_bits(np.add(a, 0.0), np.add(b, 0.0))
+
+
 MEMO_DATA = make_two_moons(40, 0.1, seed=8)
 MEMO_SPEC = MlpSpec(2, 8, 2, init_seed=3)
 
@@ -293,20 +298,24 @@ class TestFirstFormulation:
     """value, gradient and accuracy equal PickMlpObjective's: in bytes at 2
     classes, the count every config builds, and as values at 3-9 classes,
     where the fold of np.maximum over the classes may order a tie of 0.0
-    and -0.0 otherwise than numpy's max reduce does."""
+    and -0.0 otherwise than numpy's max reduce does. One hidden unit or a
+    one-row pin gives products of inner dimension 1, where an underflowing
+    .dot product is -0.0 and @'s is +0.0, so there the 2-class bytes are
+    compared up to the sign of zeros."""
 
     @given(
         classes=st.integers(2, 9),
+        hidden=st.sampled_from([1, 16]),
         seed=st.integers(0, 2**32 - 1),
         start=st.sampled_from([None, 1.0, 10.0]),
         rows=st.none() | st.integers(1, 64),
         value_first=st.booleans(),
     )
-    @example(classes=2, seed=0, start=None, rows=8, value_first=False)  # an epoch's last batch at n = 200
+    @example(classes=2, hidden=16, seed=0, start=None, rows=8, value_first=False)  # an epoch's last batch at n = 200
     @settings(max_examples=300, deadline=None)
-    def test_matches_first_formulation(self, classes, seed, start, rows, value_first):
+    def test_matches_first_formulation(self, classes, hidden, seed, start, rows, value_first):
         data = DATA_BY_CLASSES[classes]
-        spec = MlpSpec(2, 16, classes, init_seed=seed)
+        spec = MlpSpec(2, hidden, classes, init_seed=seed)
         rng = np.random.default_rng(seed)
         # None starts where a run does: scaled-Gaussian weights, zero biases
         x = initial_params(spec) if start is None else start * rng.standard_normal(spec.param_count)
@@ -320,13 +329,102 @@ class TestFirstFormulation:
             first, second = (obj.value, obj.gradient) if value_first else (obj.gradient, obj.value)
             return first(x), second(x), first(x)
 
-        equal = same_bits if classes == 2 else np.array_equal
+        if classes > 2:
+            equal = np.array_equal
+        else:
+            equal = same_bits_but_zero_sign if 1 in (hidden, rows) else same_bits
         for got, want in zip(calls(new), calls(ref)):
             assert type(got) is type(want)
             assert equal(got, want)
         got = accuracy(new, x)
         assert type(got) is float
         assert same_bits(got, mean_accuracy(ref, x))
+
+
+def shipped_operands(rows, draw):
+    """The (left, right) operands of a 2-16-2 MLP's five products on a pin
+    of `rows` rows, as its forward and backward passes form them: each
+    array drawn by draw(shape), the transposes taken as views."""
+    shapes = [(rows, 2), (2, 16), (rows, 16), (16, 2), (rows, 2), (rows, 16)]
+    x, w1, a1, w2, dlogits, dz1 = (draw(shape) for shape in shapes)
+    return [(x, w1), (a1, w2), (a1.T, dlogits), (dlogits, w2.T), (x.T, dz1)]
+
+
+class TestDotProducts:
+    """The MLP multiplies with ndarray.dot, which gives the bytes of the @
+    operator at every inner dimension a shipped config builds (2, 16, and
+    the 32 or 8 rows of a pin), underflow included. At an inner dimension
+    of 1 it does not, and these tests pin how, so that a numpy upgrade that
+    moves either side fails here."""
+
+    @pytest.mark.parametrize("rows", [8, 32])
+    def test_products_of_shipped_shapes_match_at_underflow(self, rows, rng):
+        def draw(shape):  # magnitudes 1e-165 to 1e-150, a fifth of them zeros of either sign
+            scale = 10.0 ** rng.uniform(-165, -150, shape) * (rng.random(shape) < 0.8)
+            return rng.standard_normal(shape) * scale
+
+        for _ in range(50):
+            for left, right in shipped_operands(rows, draw):
+                assert same_bits(left.dot(right), left @ right)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.sampled_from([8, 32]),
+        scale=st.sampled_from([1e-165, 1e-160]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_underflowing_mlp_matches_first_formulation(self, seed, rows, scale):
+        data = DATA_BY_CLASSES[2]
+        spec = MlpSpec(2, 16, 2)
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(spec.param_count)
+        new, ref = MlpObjective(spec, data), PickMlpObjective(spec, data)
+        ctx = BatchContext(rng.permutation(len(data))[:rows])
+        new.set_batch(ctx)
+        ref.set_batch(ctx)
+        want = ref._forward(ref._unpack(x), ref._rows)  # z1, a1, logits
+        # some products a1[i, j] * w2[j, k] of nonzero factors leave the normal range
+        a1, w2 = want[1][:, :, None], ref._unpack(x)[2]
+        assert np.any((a1 != 0) & (w2 != 0) & (np.abs(a1 * w2) < np.finfo(np.float64).tiny))
+        for got, wanted in zip(new._forward(new._unpack(x), new._rows), want):
+            assert same_bits(got, wanted)
+        assert same_bits(new.gradient(x), ref.gradient(x))
+        assert same_bits(new.value(x), ref.value(x))
+
+    def test_inner_dimension_one_underflow_gives_negative_zero(self):
+        # a 1-row pin's a1.T.dot(dlogits): each product rounds to -0.0
+        a1 = np.full((1, 16), 1e-200)
+        dlogits = np.array([[-1e-200, -3e-200]])
+        assert np.all(np.signbit(a1.T.dot(dlogits)))
+        assert not np.any(np.signbit(a1.T @ dlogits))
+        assert np.array_equal(a1.T.dot(dlogits), a1.T @ dlogits)  # equal as values
+
+    def test_one_row_pin_can_differ_in_zero_sign(self):
+        # parameters at 10x a Gaussian saturate the softmax, so dlogits and
+        # dz1 are subnormal, and on one row self._rows.T.dot(dz1) underflows
+        data = DATA_BY_CLASSES[2]
+        spec = MlpSpec(2, 16, 2)
+        rng = np.random.default_rng(739922131)
+        x = 10.0 * rng.standard_normal(spec.param_count)
+        new, ref = MlpObjective(spec, data), PickMlpObjective(spec, data)
+        ctx = BatchContext(rng.permutation(len(data))[:1])
+        new.set_batch(ctx)
+        ref.set_batch(ctx)
+        got, want = new.gradient(x), ref.gradient(x)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert np.flatnonzero(differ).tolist() == [9, 12, 14]  # entries of gw1
+        assert np.all(np.signbit(got[differ])) and not np.any(np.signbit(want[differ]))
+        assert same_bits_but_zero_sign(got, want)
+        assert same_bits(new.value(x), ref.value(x))
+
+    def test_single_element_zero_operand_hides_nan(self):
+        # a 1-row pin of one hidden unit: a1 is 1x1, and .dot takes a zero
+        # there for a zero product even against an inf or a NaN
+        a1 = np.zeros((1, 1))
+        w2 = np.array([[np.inf, np.nan]])
+        with np.errstate(invalid="ignore"):
+            assert same_bits(a1.dot(w2), np.zeros((1, 2)))
+            assert np.all(np.isnan(a1 @ w2))
 
 
 class TestAccuracy:
