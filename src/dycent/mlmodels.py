@@ -106,16 +106,16 @@ class MlpObjective(Objective):
     at more, a tie of 0.0 and -0.0 may leave a zero of the other sign than
     the reduce does (on numpy 2.4, above 8 classes), which changes no value.
 
-    The products are ndarray.dot calls: the BLAS call of the @ operator
-    without its ufunc dispatch. ReLU and its mask compare against a 0-d
-    zero, and set_batch gathers the rows with take. Where a product's inner
-    dimension is 2 or more, as in every shipped config (2 features, 16
-    hidden units, pins of 32 or 8 rows), .dot gives @'s bytes, underflow
-    included. At an inner dimension of 1 (a one-row pin, or one hidden
-    unit) it may not: a product that underflows is -0.0 where @ gives
-    +0.0 (a saturated softmax on a one-row pin is enough), and where an
-    operand is a single element (a one-row pin of one hidden unit), a
-    zero there times an inf or a NaN gives 0.0 where @ gives NaN.
+    ReLU and its mask compare against a 0-d zero, the mean divides by the
+    row count as a 0-d float, and set_batch gathers the rows with take.
+    One product, dlogits times W2 transposed, is an ndarray.dot call: the
+    BLAS call of the @ operator without its ufunc dispatch. Its inner
+    dimension is the class count, at least 2, and there .dot gives @'s
+    bytes, underflow, inf and NaN included. The other products keep @:
+    their inner dimensions (features, hidden units, pinned rows) can be 1,
+    and there .dot may not. An underflowing product is -0.0 where @ gives
+    +0.0, and a zero single-element operand times an inf or a NaN gives
+    0.0 where @ gives NaN.
     """
 
     def __init__(self, spec: MlpSpec, data: Dataset):
@@ -150,6 +150,7 @@ class MlpObjective(Objective):
 
     def _pin(self, rows: np.ndarray, labels: np.ndarray) -> None:
         self._rows = rows
+        self._count = np.array(float(len(rows)))
         k = self.spec.num_classes
         self._pick = labels + np.arange(0, labels.size * k, k)  # each row's own-label entry, flat
         self._onehot = self._eye.take(labels, axis=0)
@@ -165,9 +166,9 @@ class MlpObjective(Objective):
 
     def _forward(self, unpacked, x: np.ndarray):
         w1, b1, w2, b2 = unpacked
-        z1 = x.dot(w1) + b1
+        z1 = x @ w1 + b1
         a1 = np.maximum(z1, _ZERO)
-        logits = a1.dot(w2) + b2
+        logits = a1 @ w2 + b2
         return z1, a1, logits
 
     def _pinned_pass(self, x: np.ndarray, unpacked=None):
@@ -196,13 +197,13 @@ class MlpObjective(Objective):
         z1, a1, _, e, sums = self._pinned_pass(x, unpacked)
         dlogits = e / sums
         dlogits -= self._onehot  # x - 0.0 is x, so only the own-label entries change
-        dlogits /= len(dlogits)
+        dlogits /= self._count
 
-        gw2 = a1.T.dot(dlogits)
+        gw2 = a1.T @ dlogits
         gb2 = np.add.reduce(dlogits, axis=0)
         da1 = dlogits.dot(unpacked[2].T)
         dz1 = da1 * (z1 > _ZERO)
-        gw1 = self._rows.T.dot(dz1)
+        gw1 = self._rows.T @ dz1
         gb1 = np.add.reduce(dz1, axis=0)
         return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 

@@ -194,11 +194,6 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def same_bits_but_zero_sign(a, b):
-    """Bytes equal once -0.0 is +0.0: x + 0.0 is x for every other float."""
-    return same_bits(np.add(a, 0.0), np.add(b, 0.0))
-
-
 MEMO_DATA = make_two_moons(40, 0.1, seed=8)
 MEMO_SPEC = MlpSpec(2, 8, 2, init_seed=3)
 
@@ -298,10 +293,8 @@ class TestFirstFormulation:
     """value, gradient and accuracy equal PickMlpObjective's: in bytes at 2
     classes, the count every config builds, and as values at 3-9 classes,
     where the fold of np.maximum over the classes may order a tie of 0.0
-    and -0.0 otherwise than numpy's max reduce does. One hidden unit or a
-    one-row pin gives products of inner dimension 1, where an underflowing
-    .dot product is -0.0 and @'s is +0.0, so there the 2-class bytes are
-    compared up to the sign of zeros."""
+    and -0.0 otherwise than numpy's max reduce does. One hidden unit and
+    one-row pins are drawn too: there products have an inner dimension of 1."""
 
     @given(
         classes=st.integers(2, 9),
@@ -329,10 +322,7 @@ class TestFirstFormulation:
             first, second = (obj.value, obj.gradient) if value_first else (obj.gradient, obj.value)
             return first(x), second(x), first(x)
 
-        if classes > 2:
-            equal = np.array_equal
-        else:
-            equal = same_bits_but_zero_sign if 1 in (hidden, rows) else same_bits
+        equal = same_bits if classes == 2 else np.array_equal
         for got, want in zip(calls(new), calls(ref)):
             assert type(got) is type(want)
             assert equal(got, want)
@@ -341,31 +331,32 @@ class TestFirstFormulation:
         assert same_bits(got, mean_accuracy(ref, x))
 
 
-def shipped_operands(rows, draw):
-    """The (left, right) operands of a 2-16-2 MLP's five products on a pin
-    of `rows` rows, as its forward and backward passes form them: each
-    array drawn by draw(shape), the transposes taken as views."""
-    shapes = [(rows, 2), (2, 16), (rows, 16), (16, 2), (rows, 2), (rows, 16)]
-    x, w1, a1, w2, dlogits, dz1 = (draw(shape) for shape in shapes)
-    return [(x, w1), (a1, w2), (a1.T, dlogits), (dlogits, w2.T), (x.T, dz1)]
-
-
 class TestDotProducts:
-    """The MLP multiplies with ndarray.dot, which gives the bytes of the @
-    operator at every inner dimension a shipped config builds (2, 16, and
-    the 32 or 8 rows of a pin), underflow included. At an inner dimension
-    of 1 it does not, and these tests pin how, so that a numpy upgrade that
-    moves either side fails here."""
+    """The MLP's one ndarray.dot product, dlogits times W2 transposed, has
+    the class count as its inner dimension, at least 2, and gives the bytes
+    of the @ operator there: on every pin size, at underflow, and against an
+    inf or a NaN. The other products keep @, and on the shapes where .dot
+    would not give @'s bytes (an inner dimension of 1: one pinned row, or
+    one hidden unit) the MLP still gives the first formulation's."""
 
-    @pytest.mark.parametrize("rows", [8, 32])
-    def test_products_of_shipped_shapes_match_at_underflow(self, rows, rng):
-        def draw(shape):  # magnitudes 1e-165 to 1e-150, a fifth of them zeros of either sign
+    @pytest.mark.parametrize("hidden", [1, 16])
+    @pytest.mark.parametrize("rows", [1, 8, 32])
+    def test_class_axis_product_matches(self, rows, hidden, rng):
+        def tiny(shape):  # magnitudes 1e-165 to 1e-150, a fifth of them zeros of either sign
             scale = 10.0 ** rng.uniform(-165, -150, shape) * (rng.random(shape) < 0.8)
             return rng.standard_normal(shape) * scale
 
-        for _ in range(50):
-            for left, right in shipped_operands(rows, draw):
-                assert same_bits(left.dot(right), left @ right)
+        def special(shape):  # a third of the entries zeros, subnormal products, infs or NaNs
+            a = rng.standard_normal(shape)
+            hit = rng.random(shape) < 1 / 3
+            a[hit] = rng.choice([0.0, -0.0, 1e-200, -1e-200, np.inf, -np.inf, np.nan], hit.sum())
+            return a
+
+        with np.errstate(all="ignore"):
+            for draw in (tiny, special):
+                for _ in range(50):
+                    dlogits, w2 = draw((rows, 2)), draw((hidden, 2))
+                    assert same_bits(dlogits.dot(w2.T), dlogits @ w2.T)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -391,17 +382,10 @@ class TestDotProducts:
         assert same_bits(new.gradient(x), ref.gradient(x))
         assert same_bits(new.value(x), ref.value(x))
 
-    def test_inner_dimension_one_underflow_gives_negative_zero(self):
-        # a 1-row pin's a1.T.dot(dlogits): each product rounds to -0.0
-        a1 = np.full((1, 16), 1e-200)
-        dlogits = np.array([[-1e-200, -3e-200]])
-        assert np.all(np.signbit(a1.T.dot(dlogits)))
-        assert not np.any(np.signbit(a1.T @ dlogits))
-        assert np.array_equal(a1.T.dot(dlogits), a1.T @ dlogits)  # equal as values
-
-    def test_one_row_pin_can_differ_in_zero_sign(self):
+    def test_one_row_pin_with_underflowing_products_matches(self):
         # parameters at 10x a Gaussian saturate the softmax, so dlogits and
-        # dz1 are subnormal, and on one row self._rows.T.dot(dz1) underflows
+        # dz1 are subnormal, and on one row three products of the W1
+        # gradient underflow: .dot gives them as -0.0 (numpy 2.4), @ as +0.0
         data = DATA_BY_CLASSES[2]
         spec = MlpSpec(2, 16, 2)
         rng = np.random.default_rng(739922131)
@@ -410,21 +394,31 @@ class TestDotProducts:
         ctx = BatchContext(rng.permutation(len(data))[:1])
         new.set_batch(ctx)
         ref.set_batch(ctx)
-        got, want = new.gradient(x), ref.gradient(x)
-        differ = got.view(np.uint64) != want.view(np.uint64)
-        assert np.flatnonzero(differ).tolist() == [9, 12, 14]  # entries of gw1
-        assert np.all(np.signbit(got[differ])) and not np.any(np.signbit(want[differ]))
-        assert same_bits_but_zero_sign(got, want)
+        got = new.gradient(x)
+        # on one row, W1's gradient is the outer product of the row and b1's
+        gw1, gb1 = got[:32].reshape(2, 16), got[32:48]
+        assert np.any((gw1 == 0) & (new._rows.T != 0) & (gb1 != 0))
+        assert same_bits(got, ref.gradient(x))
         assert same_bits(new.value(x), ref.value(x))
 
-    def test_single_element_zero_operand_hides_nan(self):
-        # a 1-row pin of one hidden unit: a1 is 1x1, and .dot takes a zero
-        # there for a zero product even against an inf or a NaN
-        a1 = np.zeros((1, 1))
-        w2 = np.array([[np.inf, np.nan]])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_weight_is_seen_on_one_row_of_one_unit(self, bad):
+        # on row 3 the hidden unit is off (z1 < 0), so a1 is a 1x1 zero
+        # that meets the non-finite W2 entry in the forward product
+        data = make_two_moons(10, 0.1, seed=0)
+        spec = MlpSpec(2, 1, 2)
+        x = np.array([1.0, 1.0, -100.0, bad, 1.0, 0.0, 0.0])
+        assert data.features[3] @ x[:2] + x[2] < 0
+        new, ref = MlpObjective(spec, data), PickMlpObjective(spec, data)
+        ctx = BatchContext(np.array([3]))
+        new.set_batch(ctx)
+        ref.set_batch(ctx)
         with np.errstate(invalid="ignore"):
-            assert same_bits(a1.dot(w2), np.zeros((1, 2)))
-            assert np.all(np.isnan(a1 @ w2))
+            assert math.isnan(new.value(x))
+            got = new.gradient(x)
+            assert np.all(np.isnan(got[3:5]))  # the W2 entries
+            # NaNs are compared by position: their sign bits may differ from the reference's
+            assert np.array_equal(got, ref.gradient(x), equal_nan=True)
 
 
 class TestAccuracy:
