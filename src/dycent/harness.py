@@ -270,7 +270,7 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tupl
         def stepper(opt_cfg):
             def step(i, x):
                 x_new, t = optimizer.dycent_step(x, obj, opt_cfg, dystate)
-                rec = TrajectoryRecord(iter=i, f=t.f_after, grad_norm=norm(t.g1), theta_deg=math.degrees(t.theta),
+                rec = TrajectoryRecord(iter=i, f=t.f_after, grad_norm=t.g1_norm, theta_deg=math.degrees(t.theta),
                                        d_raw=t.d_raw, d_used=t.d_used, doubled=t.doubled)
                 return x_new, rec
             return step

@@ -19,6 +19,12 @@ from .vecmath import DimensionError, ParamVector
 _ZERO = np.array(0.0)
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D operands, by ndarray.dot where the inner dimension is
+    at least 2: there .dot gives @'s bytes without the ufunc dispatch."""
+    return a.dot(b) if a.shape[1] >= 2 else a @ b
+
+
 @dataclass
 class Dataset:
     """Feature matrix with integer class labels."""
@@ -108,14 +114,16 @@ class MlpObjective(Objective):
 
     ReLU and its mask compare against a 0-d zero, the mean divides by the
     row count as a 0-d float, and set_batch gathers the rows with take.
-    One product, dlogits times W2 transposed, is an ndarray.dot call: the
-    BLAS call of the @ operator without its ufunc dispatch. Its inner
-    dimension is the class count, at least 2, and there .dot gives @'s
-    bytes, underflow, inf and NaN included. The other products keep @:
-    their inner dimensions (features, hidden units, pinned rows) can be 1,
-    and there .dot may not. An underflowing product is -0.0 where @ gives
+    Every product goes through _mm: ndarray.dot, the BLAS call of the @
+    operator without its ufunc dispatch, where the inner dimension is at
+    least 2, and @ where it is 1 (one input feature, one hidden unit, or a
+    one-row pin). On C- or F-contiguous operands with an inner dimension
+    of at least 2, .dot gives @'s bytes, underflow, inf and NaN included;
+    at 1 it may not. There an underflowing product is -0.0 where @ gives
     +0.0, and a zero single-element operand times an inf or a NaN gives
-    0.0 where @ gives NaN.
+    0.0 where @ gives NaN. The operands are contiguous: x is made so by
+    _check_dim, the pinned rows by take or copy, and predict's features
+    by its own conversion.
     """
 
     def __init__(self, spec: MlpSpec, data: Dataset):
@@ -166,9 +174,9 @@ class MlpObjective(Objective):
 
     def _forward(self, unpacked, x: np.ndarray):
         w1, b1, w2, b2 = unpacked
-        z1 = x @ w1 + b1
+        z1 = _mm(x, w1) + b1
         a1 = np.maximum(z1, _ZERO)
-        logits = a1 @ w2 + b2
+        logits = _mm(a1, w2) + b2
         return z1, a1, logits
 
     def _pinned_pass(self, x: np.ndarray, unpacked=None):
@@ -199,16 +207,17 @@ class MlpObjective(Objective):
         dlogits -= self._onehot  # x - 0.0 is x, so only the own-label entries change
         dlogits /= self._count
 
-        gw2 = a1.T @ dlogits
+        gw2 = _mm(a1.T, dlogits)
         gb2 = np.add.reduce(dlogits, axis=0)
-        da1 = dlogits.dot(unpacked[2].T)
+        da1 = _mm(dlogits, unpacked[2].T)
         dz1 = da1 * (z1 > _ZERO)
-        gw1 = self._rows.T @ dz1
+        gw1 = _mm(self._rows.T, dz1)
         gb1 = np.add.reduce(dz1, axis=0)
         return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 
     def predict(self, params: ParamVector, features: np.ndarray) -> np.ndarray:
         """Argmax class per row; ties break toward the lowest class index."""
+        features = np.asarray(features, dtype=np.float64, order="C")
         _, _, logits = self._forward(self._unpack(self._check_dim(params)), features)
         return np.argmax(logits, axis=1)
 

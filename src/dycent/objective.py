@@ -14,22 +14,29 @@ from .vecmath import DimensionError, ParamVector
 
 @dataclass(frozen=True)
 class BatchContext:
-    """Pin of a minibatch: which dataset rows the objective evaluates on."""
+    """Pin of a minibatch: which dataset rows the objective evaluates on.
+
+    The indices must have an integer dtype: a boolean mask or floats are
+    refused, not cast to other rows.
+    """
 
     batch_indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.batch_indices, dtype=np.int64)
+        idx = np.asarray(self.batch_indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("batch must be a non-empty index vector")
-        object.__setattr__(self, "batch_indices", idx)
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"batch indices must be integers, got dtype {idx.dtype}")
+        object.__setattr__(self, "batch_indices", idx.astype(np.int64, copy=False))
 
 
 class Objective:
     """Evaluatable scalar field f with an exact gradient.
 
     value(x) and gradient(x) are deterministic functions of x (and, for
-    dataset-backed objectives, of the currently pinned batch).
+    dataset-backed objectives, of the currently pinned batch): _check_dim
+    makes x C-contiguous, so a strided view gives its copy's bytes.
     lipschitz_bound is the gradient's Lipschitz constant when known.
     """
 
@@ -48,7 +55,7 @@ class Objective:
         raise NotImplementedError(f"objective {self.name!r} is not dataset-backed")
 
     def _check_dim(self, x: ParamVector) -> ParamVector:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64, order="C")
         if x.shape != (self.dim,):
             raise DimensionError(f"expected shape ({self.dim},), got {x.shape}")
         return x

@@ -91,6 +91,7 @@ class StepTrace:
     x_new: ParamVector  # x1 + d_used * g1 / ||g1||, the point dycent_step returns
     x2: ParamVector
     g1: ParamVector
+    g1_norm: float  # ||g1||, as norm(g1) gives it
     p1: ParamVector
     theta: float
     d_raw: float
@@ -194,6 +195,7 @@ def dycent_step(
         x_new=x_new,
         x2=x2,
         g1=g1,
+        g1_norm=g1_norm,
         p1=p1,
         theta=theta,
         d_raw=d_raw,

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -214,6 +215,22 @@ class TestRunExperiment:
         cfg = toy_b_cfg("dycent")
         summary = run_experiment(cfg, out_dir=tmp_path)
         assert config_hash(harness._prepare(cfg)[2]) in summary["files"]["trajectory_csv"]
+
+    def test_one_hidden_unit_and_a_one_row_last_batch_keep_their_bytes(self, tmp_path, monkeypatch, capsys):
+        # 65 rows in batches of 32 end each epoch on one row, and one hidden unit
+        # gives products of inner dimension 1, which the MLP takes by @
+        monkeypatch.chdir(tmp_path)
+        Path("one.ini").write_text(
+            "[one-unit]\nobjective = moons_mlp\noptimizer = dycent\n"
+            "epochs = 2\nbatch_size = 32\nn = 65\nhidden_dim = 1\n"
+        )
+        assert cli.main(["run", "--config", "one.ini", "--out", "out"]) == cli.EXIT_OK
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path("out").iterdir())}
+        assert digests == {
+            "one-unit-89faabb093.csv": "b6bd87e81f6f742e64b27aba07c18d93ec198fe37f49fb20b9994e65f2af980f",
+            "one-unit-89faabb093.json": "318ba436c210b0a29fb26f78c1d242953e82746015a5d2782e28557713dfa6e1",
+        }
+        assert len(Path("out/one-unit-89faabb093.csv").read_text().splitlines()) == 1 + 2 * 3
 
     @pytest.mark.parametrize("objective", ["spd_quadratic", "moons_mlp"])
     def test_objective_is_the_one_its_echo_names(self, objective):

@@ -153,6 +153,34 @@ class TestBatching:
         with pytest.raises(ValueError):
             self.obj.set_batch(BatchContext(np.array([60])))
 
+    def test_boolean_mask_rejected(self):
+        # cast to int64 the mask would be indices 0 and 1, pinning rows 0 and 1 again and again
+        labels = make_two_moons(10, 0.1, seed=0).labels
+        with pytest.raises(ValueError, match="integers"):
+            BatchContext(labels == 1)
+
+    @pytest.mark.parametrize("floats", [[0.7, 1.9], np.array([0.0, 1.0])])
+    def test_float_indices_rejected(self, floats):
+        with pytest.raises(ValueError, match="integers"):
+            BatchContext(floats)
+
+    def test_empty_batch_named_before_its_dtype(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            BatchContext([])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_other_integer_dtypes_pin_the_same_rows(self, dtype, rng):
+        x = rng.standard_normal(self.spec.param_count)
+        idx = np.array([3, 17, 59, 0, 17])
+        self.obj.set_batch(BatchContext(idx))
+        want = self.obj.value(x), self.obj.gradient(x)
+        other = MlpObjective(self.spec, self.data)
+        ctx = BatchContext(idx.astype(dtype))
+        assert ctx.batch_indices.dtype == np.int64
+        other.set_batch(ctx)
+        assert same_bits(other.value(x), want[0])
+        assert same_bits(other.gradient(x), want[1])
+
 
 def oracle_loss_and_gradient(spec, data, x, batch=None):
     """Loss and gradient by the reference formulas: the batch gathered on
@@ -278,40 +306,56 @@ class TestPinnedPass:
         self.assert_matches_fresh(obj, self.x, self.a)
 
 
-def class_data(k):
-    """The shipped two-moons data at 2 classes; 200 Gaussian rows with random labels at more."""
-    if k == 2:
+def class_data(k, d=2):
+    """The shipped two-moons data at 2 classes and 2 features; else 200
+    Gaussian rows of d features with random labels."""
+    if (k, d) == (2, 2):
         return make_two_moons(200, 0.1, seed=0)
-    rng = np.random.default_rng(k)
-    return Dataset(rng.standard_normal((200, 2)), rng.integers(0, k, 200), num_classes=k)
+    rng = np.random.default_rng(k if d == 2 else (k, d))
+    return Dataset(rng.standard_normal((200, d)), rng.integers(0, k, 200), num_classes=k)
 
 
-DATA_BY_CLASSES = {k: class_data(k) for k in range(2, 10)}
+DATA_BY_SHAPE = {(k, d): class_data(k, d) for k in range(2, 10) for d in (1, 2, 3)}
 
 
 class TestFirstFormulation:
     """value, gradient and accuracy equal PickMlpObjective's: in bytes at 2
     classes, the count every config builds, and as values at 3-9 classes,
     where the fold of np.maximum over the classes may order a tie of 0.0
-    and -0.0 otherwise than numpy's max reduce does. One hidden unit and
-    one-row pins are drawn too: there products have an inner dimension of 1."""
+    and -0.0 otherwise than numpy's max reduce does. One input, one hidden
+    unit and one-row pins are drawn too: there products have an inner
+    dimension of 1, and go through @. Non-finite weights and strided x are
+    drawn as well; NaNs are compared by position, as their sign bits may
+    differ from the reference's."""
 
     @given(
         classes=st.integers(2, 9),
-        hidden=st.sampled_from([1, 16]),
+        inputs=st.sampled_from([1, 2, 3]),
+        hidden=st.sampled_from([1, 2, 16]),
         seed=st.integers(0, 2**32 - 1),
-        start=st.sampled_from([None, 1.0, 10.0]),
+        start=st.sampled_from([None, 1.0, 10.0, "nonfinite"]),
         rows=st.none() | st.integers(1, 64),
         value_first=st.booleans(),
+        strided=st.booleans(),
     )
-    @example(classes=2, hidden=16, seed=0, start=None, rows=8, value_first=False)  # an epoch's last batch at n = 200
+    @example(  # an epoch's last batch at n = 200
+        classes=2, inputs=2, hidden=16, seed=0, start=None, rows=8, value_first=False, strided=False
+    )
     @settings(max_examples=300, deadline=None)
-    def test_matches_first_formulation(self, classes, hidden, seed, start, rows, value_first):
-        data = DATA_BY_CLASSES[classes]
-        spec = MlpSpec(2, hidden, classes, init_seed=seed)
+    def test_matches_first_formulation(self, classes, inputs, hidden, seed, start, rows, value_first, strided):
+        data = DATA_BY_SHAPE[classes, inputs]
+        spec = MlpSpec(inputs, hidden, classes, init_seed=seed)
         rng = np.random.default_rng(seed)
         # None starts where a run does: scaled-Gaussian weights, zero biases
-        x = initial_params(spec) if start is None else start * rng.standard_normal(spec.param_count)
+        if start is None:
+            x = initial_params(spec)
+        elif start == "nonfinite":  # up to three entries inf, -inf or NaN
+            x = rng.standard_normal(spec.param_count)
+            x[rng.integers(0, x.size, 3)] = rng.choice([np.inf, -np.inf, np.nan], 3)
+        else:
+            x = start * rng.standard_normal(spec.param_count)
+        if strided:
+            x = np.repeat(x, 2)[::2]
         new, ref = MlpObjective(spec, data), PickMlpObjective(spec, data)
         if rows is not None:  # else the full batch, where the later calls hit the memo
             ctx = BatchContext(rng.permutation(len(data))[:rows])
@@ -322,41 +366,57 @@ class TestFirstFormulation:
             first, second = (obj.value, obj.gradient) if value_first else (obj.gradient, obj.value)
             return first(x), second(x), first(x)
 
-        equal = same_bits if classes == 2 else np.array_equal
-        for got, want in zip(calls(new), calls(ref)):
-            assert type(got) is type(want)
-            assert equal(got, want)
-        got = accuracy(new, x)
-        assert type(got) is float
-        assert same_bits(got, mean_accuracy(ref, x))
+        if start == "nonfinite":
+            def equal(a, b):
+                return np.array_equal(a, b, equal_nan=True)
+        elif classes == 2:
+            equal = same_bits
+        else:
+            equal = np.array_equal
+        with np.errstate(all="ignore"):
+            for got, want in zip(calls(new), calls(ref)):
+                assert type(got) is type(want)
+                assert equal(got, want)
+            got = accuracy(new, x)
+            assert type(got) is float
+            assert same_bits(got, mean_accuracy(ref, x))
+
+
+def tiny(rng, shape):
+    """Magnitudes 1e-165 to 1e-150, a fifth of them zeros of either sign: their products underflow."""
+    scale = 10.0 ** rng.uniform(-165, -150, shape) * (rng.random(shape) < 0.8)
+    return rng.standard_normal(shape) * scale
+
+
+def special(rng, shape):
+    """A third of the entries zeros, subnormal products, infs or NaNs."""
+    a = rng.standard_normal(shape)
+    hit = rng.random(shape) < 1 / 3
+    a[hit] = rng.choice([0.0, -0.0, 1e-200, -1e-200, np.inf, -np.inf, np.nan], hit.sum())
+    return a
 
 
 class TestDotProducts:
-    """The MLP's one ndarray.dot product, dlogits times W2 transposed, has
-    the class count as its inner dimension, at least 2, and gives the bytes
-    of the @ operator there: on every pin size, at underflow, and against an
-    inf or a NaN. The other products keep @, and on the shapes where .dot
-    would not give @'s bytes (an inner dimension of 1: one pinned row, or
-    one hidden unit) the MLP still gives the first formulation's."""
+    """The MLP's products take ndarray.dot where the inner dimension is at
+    least 2, and there it gives the bytes of the @ operator: on every outer
+    size, on C-contiguous and transposed operands, at underflow, and against
+    an inf or a NaN. Where the inner dimension is 1 (one input, one hidden
+    unit, or one pinned row) .dot would not give @'s bytes, and the MLP
+    still gives the first formulation's."""
 
-    @pytest.mark.parametrize("hidden", [1, 16])
+    @pytest.mark.parametrize("cols", [1, 8, 32])
+    @pytest.mark.parametrize("inner", [2, 3, 8, 32])
     @pytest.mark.parametrize("rows", [1, 8, 32])
-    def test_class_axis_product_matches(self, rows, hidden, rng):
-        def tiny(shape):  # magnitudes 1e-165 to 1e-150, a fifth of them zeros of either sign
-            scale = 10.0 ** rng.uniform(-165, -150, shape) * (rng.random(shape) < 0.8)
-            return rng.standard_normal(shape) * scale
-
-        def special(shape):  # a third of the entries zeros, subnormal products, infs or NaNs
-            a = rng.standard_normal(shape)
-            hit = rng.random(shape) < 1 / 3
-            a[hit] = rng.choice([0.0, -0.0, 1e-200, -1e-200, np.inf, -np.inf, np.nan], hit.sum())
-            return a
+    def test_dot_matches_matmul_at_inner_dimension_2_or_more(self, rows, inner, cols, rng):
+        def layouts(m):  # C-contiguous, and the transpose of a C-contiguous array
+            return m, np.ascontiguousarray(m.T).T
 
         with np.errstate(all="ignore"):
             for draw in (tiny, special):
-                for _ in range(50):
-                    dlogits, w2 = draw((rows, 2)), draw((hidden, 2))
-                    assert same_bits(dlogits.dot(w2.T), dlogits @ w2.T)
+                for _ in range(25):
+                    for a in layouts(draw(rng, (rows, inner))):
+                        for b in layouts(draw(rng, (inner, cols))):
+                            assert same_bits(a.dot(b), a @ b)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -365,7 +425,7 @@ class TestDotProducts:
     )
     @settings(max_examples=100, deadline=None)
     def test_underflowing_mlp_matches_first_formulation(self, seed, rows, scale):
-        data = DATA_BY_CLASSES[2]
+        data = DATA_BY_SHAPE[2, 2]
         spec = MlpSpec(2, 16, 2)
         rng = np.random.default_rng(seed)
         x = scale * rng.standard_normal(spec.param_count)
@@ -386,7 +446,7 @@ class TestDotProducts:
         # parameters at 10x a Gaussian saturate the softmax, so dlogits and
         # dz1 are subnormal, and on one row three products of the W1
         # gradient underflow: .dot gives them as -0.0 (numpy 2.4), @ as +0.0
-        data = DATA_BY_CLASSES[2]
+        data = DATA_BY_SHAPE[2, 2]
         spec = MlpSpec(2, 16, 2)
         rng = np.random.default_rng(739922131)
         x = 10.0 * rng.standard_normal(spec.param_count)
@@ -422,6 +482,21 @@ class TestDotProducts:
 
 
 class TestAccuracy:
+    def test_predict_multiplies_contiguous_features(self):
+        seen = []
+
+        class Spy(MlpObjective):
+            def _forward(self, unpacked, x):
+                seen.append(x.flags.c_contiguous)
+                return super()._forward(unpacked, x)
+
+        data = make_two_moons(40, 0.1, seed=8)
+        spec = MlpSpec(2, 4, 2)
+        obj, params = Spy(spec, data), initial_params(spec)
+        strided = np.repeat(data.features, 2, axis=1)[:, ::2]
+        assert np.array_equal(obj.predict(params, strided), obj.predict(params, data.features))
+        assert seen == [True, True]
+
     def test_zero_params_on_balanced_data(self):
         data = make_two_moons(100, 0.1, seed=7)
         spec = MlpSpec(2, 16, 2, init_seed=0)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dycent.mlmodels import MlpObjective, MlpSpec, make_two_moons
 from dycent.objective import (
     AnalyticObjective,
     BatchContext,
@@ -288,3 +289,43 @@ class TestQuadraticsMatchMatmul:
                 got, got_warned = warned(np.vecdot, p[None], q[None])
                 want, want_warned = warned(np.dot, p, q)
                 assert got.tobytes() == np.float64(want).tobytes() and got_warned == want_warned, (p, q)
+
+
+def moons_mlp(pin=None):
+    obj = MlpObjective(MlpSpec(2, 16, 2), make_two_moons(200, 0.1, seed=0))
+    if pin is not None:
+        obj.set_batch(BatchContext(pin))
+    return obj
+
+
+LAYOUT_OBJECTIVES = {
+    "toy_a": toy_a,
+    "toy_b": toy_b,
+    "isotropic_quadratic": lambda: isotropic_quadratic(5),
+    "spd_quadratic": lambda: spd_quadratic(8, seed=0),
+    "rosenbrock": lambda: rosenbrock(6),
+    "mlp_full_batch": moons_mlp,
+    "mlp_pinned": lambda: moons_mlp(np.arange(3, 200, 6)),
+    "mlp_one_row_pin": lambda: moons_mlp(np.array([5])),
+}
+
+
+class TestMemoryLayout:
+    """value and gradient are functions of x's values, not of its memory
+    layout: a strided view gives the bytes of its contiguous copy. Each
+    layout is evaluated on its own objective, so the MLP's memo cannot
+    hand one layout the other's pass."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_OBJECTIVES))
+    def test_strided_view_gives_the_bytes_of_its_copy(self, name):
+        make = LAYOUT_OBJECTIVES[name]
+        dim = make().dim
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            big = rng.standard_normal(2 * dim) * rng.choice([0.1, 1.0, 10.0])
+            view = big[::2]
+            copy = view.copy()
+            assert not view.flags.c_contiguous
+            for method in ("value", "gradient"):
+                got, want = getattr(make(), method)(view), getattr(make(), method)(copy)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, method)

@@ -452,6 +452,13 @@ class TestStartAliasing:
         traces, stop, x = run_loop(np.array([0.3, -0.2, 0.1]), (step for _ in range(4)))
         assert stop is None and x is traces[-1].x_new
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200])  # at 1e200 the gradient's square overflows
+    def test_trace_gradient_norm_is_norm_of_g1(self, scale):
+        c = scale * np.array([0.6, -0.8])
+        obj = AnalyticObjective(2, lambda x: float(c.dot(x)), lambda x: c.copy())
+        _, tr = dycent_step(np.zeros(2), obj, DycentConfig(h=0.01), state_with())
+        assert tr.g1_norm == norm(tr.g1) == pytest.approx(scale)
+
     def test_direct_step_keeps_the_float64_array_passed(self):
         x = np.array([0.4, 0.2])
         _, tr = dycent_step(x, isotropic_quadratic(2), DycentConfig(h=0.01), state_with())

@@ -31,6 +31,7 @@ def fabricate_trace(f_after, d_used, grad=np.array([1.0, 0.0])):
         x_new=x1 + d_used * g1 / norm(g1),
         x2=x1 - 0.1 * p1,
         g1=g1,
+        g1_norm=norm(g1),
         p1=p1,
         theta=math.pi / 4,
         d_raw=d_used,
@@ -102,7 +103,7 @@ def reference_run_constrained(x0, obj, L, max_iters, seed):
         d_used = h_max * cot_theta
         x_new = x + d_used * g1 / grad_norm
         f_after = obj.value(x_new)
-        traces.append(StepTrace(x.copy(), x_new, x2, g1, p1, theta, h_probe * cot_theta, d_used, False, f_after))
+        traces.append(StepTrace(x.copy(), x_new, x2, g1, grad_norm, p1, theta, h_probe * cot_theta, d_used, False, f_after))
         x = x_new
     return traces
 
