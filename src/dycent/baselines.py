@@ -147,17 +147,18 @@ def baseline_step(x: ParamVector, g: ParamVector, cfg: BaselineConfig, state: Ba
     return x_new
 
 
-def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState, *, reuse_unmoved: bool = False):
+def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
     """baseline_step as a run_loop step that logs a TrajectoryRecord; the
     gradient of the stop check is the one the update uses. A gradient or a
     new value that is not finite raises NonFiniteStepError.
 
-    With reuse_unmoved, for an objective that no batch change can reach: a
-    step whose new point has the bytes of its start evaluates nothing new.
-    Its value is the one the step before logged, and the next step, if it
+    A step whose new point has the bytes of its start evaluates nothing new:
+    its value is the one the step before logged, and the next step, if it
     starts on the point returned, takes the gradient and its norm this step
     already holds. Byte equality tells 0.0 from -0.0. The records are those
-    of evaluating at every step.
+    of evaluating at every step, for as long as obj does not change; a caller
+    that changes it between steps, as an epoch pins a batch, builds a new
+    stepper for each.
     """
     carry = None  # (point returned, its value, its (gradient, norm) if the step did not move)
 
@@ -174,7 +175,7 @@ def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState, 
             if not math.isfinite(grad_norm):
                 raise NonFiniteStepError(f"gradient is not finite (norm {grad_norm})")
         x_new = baseline_step(x, g, cfg, state)
-        unmoved = reuse_unmoved and x_new.tobytes() == x.tobytes()
+        unmoved = x_new.tobytes() == x.tobytes()
         if unmoved and start is not None:
             f_new = start[1]
         else:

@@ -276,12 +276,12 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tupl
             return step
     else:
         blstate = baselines.BaselineState.zeros(x0.size)
-        def stepper(opt_cfg):  # an epoch step pins a new batch, so only a run without epochs may reuse
-            return baselines.baseline_stepper(obj, opt_cfg, blstate, reuse_unmoved=cfg.epochs is None)
-    steps = [stepper(c) for c in opt_cfgs]  # the second, if any, after the h schedule's decay
+        def stepper(opt_cfg):
+            return baselines.baseline_stepper(obj, opt_cfg, blstate)
 
-    if cfg.epochs is None:
-        return optimizer.run_loop(x0, (steps[0] for _ in range(cfg.max_iters)))[:2]
+    if cfg.epochs is None:  # RunConfig takes a schedule only with epochs, so there is one optimizer config
+        step = stepper(opt_cfgs[0])
+        return optimizer.run_loop(x0, (step for _ in range(cfg.max_iters)))[:2]
 
     data = obj.data
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -297,10 +297,12 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tupl
 
     def schedule():
         for epoch in range(cfg.epochs):
-            step = steps[-1] if cfg.h_decay_at_epoch is not None and epoch >= cfg.h_decay_at_epoch else steps[0]
+            decayed = cfg.h_decay_at_epoch is not None and epoch >= cfg.h_decay_at_epoch
+            opt_cfg = opt_cfgs[-1] if decayed else opt_cfgs[0]  # the second, if any, is after the decay
             perm = shuffle_rng.permutation(len(data))
             for i in range(0, len(data), cfg.batch_size):
-                yield batch_step(step, perm[i : i + cfg.batch_size], i + cfg.batch_size >= len(data))
+                # a step per batch, so nothing a step carries outlives the batch it pins
+                yield batch_step(stepper(opt_cfg), perm[i : i + cfg.batch_size], i + cfg.batch_size >= len(data))
 
     records, stop_reason, x = optimizer.run_loop(x0, schedule())
     if stop_reason and records:

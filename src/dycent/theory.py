@@ -11,9 +11,9 @@ optimizer.dycent_step with lipschitz set; run_constrained is run_loop over
 a lazy sequence of max_iters of them, so no budget is built up front.
 Since theta cancels, that step is gradient descent with step 1/L up to
 rounding, and both guarantees are that method's textbook ones.
-check_run gives both checks' reports of one run and reads the run once;
-run_suite runs and checks a sub-suite of starts, reading each run as it
-finishes and checking all their steps in one array pass.
+check_descent and wolfe_report check one run; run_suite runs and checks a
+sub-suite of starts, reading each run as it finishes and checking all their
+steps in one array pass.
 """
 
 import math
@@ -148,19 +148,10 @@ def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: flo
     return _wolfe(_join([_read_run(trajectory, f0, obj)]), c1, c2)
 
 
-def check_run(
-    trajectory: list[StepTrace], f0: float, obj: Objective, L: float, c1: float, c2: float = 0.9, tol: float = 1e-10
-) -> tuple[DescentReport, WolfeReport]:
-    """(check_descent(trajectory, f0, L, tol), wolfe_report(trajectory, f0, obj, c1, c2)), reading the run once."""
-    _require_wolfe_pair(c1, c2)
-    rows = _join([_read_run(trajectory, f0, obj)])
-    return _descent(rows, L, tol), _wolfe(rows, c1, c2)
-
-
 def run_suite(
     obj: Objective, starts, n_steps: int, seed: int, c1: float, c2: float = 0.9, tol: float = 1e-10
 ) -> tuple[DescentReport, WolfeReport]:
-    """Constrained runs on obj from each of starts, checked as check_run checks one run.
+    """Constrained runs on obj from each of starts, checked as check_descent and wolfe_report check one run.
 
     Run k takes n_steps steps at L = obj.lipschitz_bound with its own
     generator, seeded seed + 1000 + k. Each run is read as it finishes,

@@ -46,8 +46,9 @@ def norm(a: ParamVector) -> float:
     where that square overflows and every entry is finite, the norm comes
     from the vector scaled to a largest |entry| of 1, so norm([1e200, 0])
     is 1e200, not inf. Underflow is not rescaled: norm([1e-170, 0]) is 0.0,
-    as np.linalg.norm gives.
+    as np.linalg.norm gives. A strided view gives the bits of its contiguous copy.
     """
+    a = np.ascontiguousarray(a)  # the kernel's summation order depends on the layout
     # vdot runs np.dot's kernel, bit for bit, without np.dot's overflow warning
     sq = float(np.vdot(a, a))
     if sq == math.inf and np.isfinite(a).all():
@@ -64,8 +65,10 @@ def sample_perpendicular(g: ParamVector, rng: RngHandle, *, g_norm: float | None
     normalizes; near-parallel draws (residual below RESAMPLE_THRESHOLD of
     the draw) are resampled. A caller that holds norm(g) may pass it as
     g_norm; otherwise it is computed here. Either way a zero norm raises
-    ZeroGradientError and a non-finite one ValueError, before any draw.
+    ZeroGradientError and a non-finite one ValueError, before any draw. A
+    strided view of g gives the draw its contiguous copy gives.
     """
+    g = np.ascontiguousarray(g)  # the products' summation order depends on the layout
     if g.size < 2:
         raise DimensionError("no perpendicular direction exists in 1 dimension")
     ng = norm(g) if g_norm is None else g_norm
@@ -91,6 +94,7 @@ def angle_between(
 
     A caller that holds a squared norm, float(np.vdot(a, a)) bit for bit,
     may pass it as a_sq (or b_sq for b); otherwise it is computed here.
+    Strided views give the angle their contiguous copies give.
 
     The cosine is formed from raw inner products and clamped to [-1, 1]
     before arccos, so exact parallels (including a vs a) come out as
@@ -110,6 +114,7 @@ def angle_between(
     pi/4. Rescaling that case too moves the theory suite's step counts at
     seeds 201 and 203-205, whose isotropic runs reach gradients near 1e-160.
     """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)  # the products' summation order depends on the layout
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
     # vdot runs np.dot's kernel, bit for bit, without np.dot's overflow warning

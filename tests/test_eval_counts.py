@@ -2,9 +2,9 @@
 
 Each point is evaluated once: the stop check's gradient feeds the
 baseline update, a baseline step that lands on the bytes it started on
-evaluates nothing new in a run without batches (its value is the one the
-step before logged, and the next step takes its gradient), while each
-epoch step, which pins a new batch, evaluates anew; a dycent step
+evaluates nothing new (its value is the one the step before logged, and
+the next step takes its gradient), while each epoch step, which pins a
+new batch and so starts a new stepper, evaluates anew; a dycent step
 evaluates f only where it lands, the
 theory checks take the run's start value from the caller and every later
 start value from the step before, and the Wolfe report takes each landing
@@ -133,12 +133,14 @@ def test_a_step_from_negative_to_positive_zero_moved(moves):
     assert [repr(r.f) for r in records] == ["-0.0"] * 3
 
 
-def test_a_direct_stepper_evaluates_every_step():
+def test_a_direct_stepper_reuses_at_an_unmoved_point(moves):
     obj = CountingObjective(isotropic_quadratic(2))
-    step = baselines.baseline_stepper(obj, baselines.BaselineConfig("sgd", 1e-300), baselines.BaselineState.zeros(2))
+    cfg = baselines.BaselineConfig("sgd", 1e-300)
+    step = baselines.baseline_stepper(obj, cfg, baselines.BaselineState.zeros(2))
     records = run_loop(np.ones(2), (step for _ in range(5)))[0]
-    assert len(records) == 5
-    assert (obj.gradients, obj.values) == (5, 5)
+    assert len(records) == 5 and not any(moves)
+    assert (obj.gradients, obj.values) == (1, 1)
+    assert same_records(records, every_step_baseline_run(np.ones(2), obj.inner, cfg, 5))
 
 
 # Gradient and value evaluations of each baseline over the shipped toy_b
@@ -187,6 +189,19 @@ def test_epoch_baseline_that_never_moves_evaluates_every_step(moves):
     assert len(records) == 2 * 4 and not any(moves)
     # each step pins a new batch, so the point it did not leave has a new value and gradient
     assert (obj.gradients, obj.values) == (8, 8)
+
+
+def test_epoch_baseline_that_never_moves_reads_each_batch_loss(moves):
+    # one hidden unit; W2's two columns differ, so the batches' losses differ at the one point
+    cfg = RunConfig(
+        objective="moons_mlp", optimizer="sgd", x0=(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0), batch_size=16, epochs=2,
+        objective_params={"n": 64, "hidden_dim": 1}, optimizer_params={"lr": 1e-300},
+    )
+    records, obj = counted_run(cfg)
+    assert len(records) == 2 * 4 and not any(moves)
+    # a value or gradient carried from one batch to the next would log the same f twice
+    assert (obj.gradients, obj.values) == (8, 8)
+    assert len({r.f for r in records}) == 8
 
 
 def test_deterministic_dycent_two_gradients_one_value_per_step(counted, tmp_path):

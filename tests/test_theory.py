@@ -11,7 +11,6 @@ from dycent.theory import (
     DescentReport,
     WolfeReport,
     check_descent,
-    check_run,
     run_constrained,
     run_suite,
     wolfe_report,
@@ -234,6 +233,13 @@ class TestWolfeReport:
         with pytest.raises(ValueError):
             wolfe_report([], 0.0, obj, c1=0.1, c2=1.0)
 
+    @pytest.mark.parametrize("c1, c2", [(0.0, 0.9), (0.5, 0.5), (0.5, 1.0)])
+    def test_rejects_invalid_constant_pair_before_reading_the_run(self, c1, c2):
+        obj = RecordedGradients(isotropic_quadratic(2))
+        with pytest.raises(ValueError, match="0 < c1 < c2 < 1"):
+            wolfe_report([fabricate_trace(0.0, 0.5), fabricate_trace(0.0, 0.5)], 0.0, obj, c1=c1, c2=c2)
+        assert obj.at == []
+
 
 def suite_starts(seed):
     """(objective, start, step count, probe seed) for every start of harness.run_theory_suite at seed."""
@@ -296,8 +302,6 @@ def assert_refused(trajectory, obj, step):
         check_descent(trajectory, 0.0, obj.lipschitz_bound)
     with pytest.raises(ValueError, match=match):
         wolfe_report(trajectory, 0.0, recorded, c1=0.4)
-    with pytest.raises(ValueError, match=match):
-        check_run(trajectory, 0.0, recorded, obj.lipschitz_bound, c1=0.4)
     assert recorded.at == []
 
 
@@ -355,6 +359,26 @@ class TestChecksMatchScalarLoops:
         if f_after == [0.0, 0.0]:  # margins -0.0, then 0.0
             assert math.copysign(1.0, check_descent(traces, f0, 1.0).min_decrease_margin) == -1.0
 
+    def test_stationary_start(self):
+        # a zero-gradient start logs no step, and the checks evaluate nothing
+        obj = RecordedGradients(spd_quadratic(8, seed=101, condition=10.0))
+        traces = run_constrained(np.zeros(8), obj, obj.obj.lipschitz_bound, 20, seed=1000)
+        assert traces == []
+        assert check_descent(traces, 0.0, obj.obj.lipschitz_bound) == DescentReport(0, math.inf)
+        assert wolfe_report(traces, 0.0, obj, c1=0.4) == WolfeReport(armijo_pass=[], curvature_pass=[])
+        assert obj.at == [np.zeros(8).tobytes()]  # run_constrained's own gradient, none from the checks
+
+    @pytest.mark.parametrize("tol, c2", [(0.0, 0.5), (1e-3, 0.99), (-1.0, 0.2)])
+    def test_tolerance_and_curvature_constant(self, tol, c2):
+        obj = spd_quadratic(8, seed=202, condition=40.0)
+        traces = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
+        f0 = obj.value(traces[0].x1)
+        f_before = [f0] + [t.f_after for t in traces[:-1]]
+        got, want = check_descent(traces, f0, 2.0, tol), scalar_check_descent(traces, f_before, 2.0, tol)
+        assert got.violations == want.violations
+        assert np.float64(got.min_decrease_margin).tobytes() == np.float64(want.min_decrease_margin).tobytes()
+        assert wolfe_report(traces, f0, obj, 0.1, c2) == scalar_wolfe_report(traces, f_before, obj, 0.1, c2)
+
 
 def same_reports(got, want):
     """Two (DescentReport, WolfeReport) pairs are equal, the minimum margin bit for bit."""
@@ -362,50 +386,6 @@ def same_reports(got, want):
     assert got_d.violations == want_d.violations
     assert np.float64(got_d.min_decrease_margin).tobytes() == np.float64(want_d.min_decrease_margin).tobytes()
     assert got_w == want_w
-
-
-class TestCheckRun:
-    """check_run reads a run once and reports what check_descent and wolfe_report report."""
-
-    def test_theory_suite_runs(self):
-        steps = 0
-        for obj, traces, f0 in suite_trajectories(0):
-            L = obj.lipschitz_bound
-            got_obj, want_obj = RecordedGradients(obj), RecordedGradients(obj)
-            got = check_run(traces, f0, got_obj, L, c1=1.0 / (2.0 * L), c2=0.9, tol=1e-10)
-            want = (
-                check_descent(traces, f0, L, tol=1e-10),
-                wolfe_report(traces, f0, want_obj, c1=1.0 / (2.0 * L), c2=0.9),
-            )
-            same_reports(got, want)
-            assert got_obj.at == want_obj.at == [traces[-1].x_new.tobytes()]
-            steps += len(traces)
-        assert steps == 10_327
-
-    def test_empty_run(self):
-        # a zero-gradient start logs no step
-        obj = RecordedGradients(spd_quadratic(8, seed=101, condition=10.0))
-        traces = run_constrained(np.zeros(8), obj, obj.obj.lipschitz_bound, 20, seed=1000)
-        assert traces == []
-        got = check_run(traces, 0.0, obj, obj.obj.lipschitz_bound, c1=0.4)
-        assert got == (DescentReport(0, math.inf), WolfeReport(armijo_pass=[], curvature_pass=[]))
-        same_reports(got, (check_descent(traces, 0.0, 1.0), wolfe_report(traces, 0.0, obj, c1=0.4)))
-        assert obj.at == [np.zeros(8).tobytes()]  # run_constrained's own gradient, none from the checks
-
-    def test_tolerance_and_curvature_constant(self):
-        obj = spd_quadratic(8, seed=202, condition=40.0)
-        traces = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
-        f0 = obj.value(traces[0].x1)
-        for tol, c2 in [(0.0, 0.5), (1e-3, 0.99), (-1.0, 0.2)]:
-            got = check_run(traces, f0, obj, 2.0, c1=0.1, c2=c2, tol=tol)
-            same_reports(got, (check_descent(traces, f0, 2.0, tol), wolfe_report(traces, f0, obj, 0.1, c2)))
-
-    @pytest.mark.parametrize("c1, c2", [(0.0, 0.9), (0.5, 0.5), (0.5, 1.0)])
-    def test_rejects_invalid_constant_pair_before_reading_the_run(self, c1, c2):
-        obj = RecordedGradients(isotropic_quadratic(2))
-        with pytest.raises(ValueError, match="0 < c1 < c2 < 1"):
-            check_run([fabricate_trace(0.0, 0.5), fabricate_trace(0.0, 0.5)], 0.0, obj, 1.0, c1=c1, c2=c2)
-        assert obj.at == []
 
 
 class TestRefusesNonConsecutiveSteps:
@@ -492,14 +472,15 @@ def runs_on_inner(monkeypatch, runs=None):
 
 
 def per_run_checks(obj, starts, n_steps, seed, c1, c2=0.9, tol=1e-10):
-    """The sub-suite checked run by run with check_run, summed as the harness summed it;
-    returns (DescentReport, WolfeReport, landing points in order, steps per run)."""
+    """The sub-suite checked run by run with check_descent and wolfe_report, summed as the
+    harness summed it; returns (DescentReport, WolfeReport, landing points in order, steps per run)."""
     L = obj.lipschitz_bound
     recorded = RecordedGradients(obj)
     violations, min_margin, armijo, curvature, lengths = 0, math.inf, [], [], []
     for k, x0 in enumerate(starts):
         traces = run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
-        report, wolfe = check_run(traces, obj.value(x0), recorded, L, c1=c1, c2=c2, tol=tol)
+        f0 = obj.value(x0)
+        report, wolfe = check_descent(traces, f0, L, tol=tol), wolfe_report(traces, f0, recorded, c1=c1, c2=c2)
         violations += report.violations
         min_margin = min(min_margin, report.min_decrease_margin)
         armijo += wolfe.armijo_pass
@@ -509,8 +490,8 @@ def per_run_checks(obj, starts, n_steps, seed, c1, c2=0.9, tol=1e-10):
 
 
 class TestRunSuite:
-    """run_suite checks a sub-suite's rows in one pass and reports what check_run
-    reports run by run."""
+    """run_suite checks a sub-suite's rows in one pass and reports what check_descent
+    and wolfe_report report run by run."""
 
     @pytest.mark.parametrize("seed", [0, 203])
     def test_matches_per_run_checks(self, seed, monkeypatch):

@@ -309,3 +309,24 @@ class TestAsVector:
         v = as_vector([1, 2, 3])
         assert v.dtype == np.float64
         assert v.shape == (3,)
+
+
+class TestMemoryLayout:
+    """norm, angle_between and sample_perpendicular are functions of their
+    vectors' values, not of their memory layout: strided views give the bits
+    of their contiguous copies, and the same draw for the same seed."""
+
+    def test_strided_views_give_the_bits_of_their_copies(self):
+        rng = np.random.default_rng(37)
+        for k in range(1_900):
+            n = 2 + k % 38
+            scale = rng.choice([1e-3, 1.0, 1e3])
+            views = [(rng.standard_normal(2 * n) * scale)[::2] for _ in range(2)]
+            copies = [v.copy() for v in views]
+            assert not views[0].flags.c_contiguous and copies[0].flags.c_contiguous
+            for args in (views, copies[:1] + views[1:], views[:1] + copies[1:]):
+                assert outcome(norm, args[0]) == outcome(norm, copies[0]), (k, "norm")
+                assert outcome(angle_between, *args) == outcome(angle_between, *copies), (k, "angle_between")
+            got = sample_perpendicular(views[0], np.random.default_rng(k))
+            want = sample_perpendicular(copies[0], np.random.default_rng(k))
+            assert got.tobytes() == want.tobytes(), (k, "sample_perpendicular")
