@@ -143,9 +143,10 @@ def dycent_step(
 
     With lipschitz set the step runs in constrained mode (module docstring)
     and cfg.h and the EMA and doubling settings go unused.
-    Raises ZeroGradientError at stationary points (the caller decides
-    whether to stop or perturb) and NonFiniteStepError if either gradient,
-    the step size or f_after is not finite.
+    Raises ZeroGradientError at stationary points, holding the gradient
+    taken at x (the caller decides whether to stop or perturb), and
+    NonFiniteStepError if either gradient, the step size or f_after is not
+    finite.
 
     The trace's x1 is np.asarray(x) as passed, not a copy: a float64 array
     x is kept itself, so it must not be changed in place while the trace
@@ -158,7 +159,7 @@ def dycent_step(
     g1_sq = float(np.vdot(g1, g1))
     g1_norm = math.sqrt(g1_sq) if g1_sq < math.inf else norm(g1)
     if g1_norm == 0.0:
-        raise ZeroGradientError("stationary point: gradient vanished")
+        raise ZeroGradientError("stationary point: gradient vanished", grad1)
     if not math.isfinite(g1_norm):
         raise NonFiniteStepError(f"gradient is not finite (norm {g1_norm})")
 

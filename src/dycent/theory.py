@@ -13,7 +13,13 @@ Since theta cancels, that step is gradient descent with step 1/L up to
 rounding, and both guarantees are that method's textbook ones.
 check_descent and wolfe_report check one run; run_suite runs and checks a
 sub-suite of starts, reading each run as it finishes and checking all their
-steps in one array pass.
+steps in one array pass. The gradient at each step's landing point is the
+gradient the next step took there; a run that stopped on a zero gradient
+hands over the one its stopping step took, so only the last landing point
+of a run that spent its budget is evaluated for the checks. At seed 0
+harness.run_theory_suite takes 21,354 gradients over 10,327 steps, 2.067783
+a step: 2 per step, 1 for each of the 200 isotropic runs' stopping steps and
+1 landing gradient for each of the 500 SPD runs.
 """
 
 import math
@@ -24,7 +30,7 @@ import numpy as np
 from . import optimizer
 from .objective import Objective
 from .optimizer import StepTrace
-from .vecmath import ParamVector
+from .vecmath import ParamVector, ZeroGradientError
 
 # The stepper settings of a constrained run: its probe distance and step come
 # from L, so it reads only epsilon.
@@ -47,13 +53,17 @@ class WolfeReport:
     curvature_pass: list[bool]
 
 
-def _read_run(trajectory: list[StepTrace], f0: float, obj: Objective | None = None):
+def _read_run(
+    trajectory: list[StepTrace], f0: float, obj: Objective | None = None, landing: ParamVector | None = None
+):
     """(g1 rows, [start values, end values, d_used], landing gradient) of a run; None if it is empty.
 
     Step 0 starts at f0; step k starts where step k-1 landed, bit for bit,
     so its start value is that step's f_after. A step that does not start
-    there raises ValueError before any evaluation. With obj given, the
-    gradient at the last step's landing point is evaluated, else it is None.
+    there raises ValueError before any evaluation. The landing gradient, at
+    the last step's landing point, is landing where the caller hands one
+    over (run_constrained returns the one its stopping step took); else,
+    with obj given, it is evaluated, and without obj it is None.
     """
     if not trajectory:
         return None
@@ -65,7 +75,8 @@ def _read_run(trajectory: list[StepTrace], f0: float, obj: Objective | None = No
             raise ValueError(f"step {k} does not start where step {k - 1} landed")
     f_after = [tr.f_after for tr in trajectory]
     scalars = np.array([[float(f0), *f_after[:-1]], f_after, [tr.d_used for tr in trajectory]])
-    landing = None if obj is None else obj.gradient(trajectory[-1].x_new)
+    if landing is None and obj is not None:
+        landing = obj.gradient(trajectory[-1].x_new)
     return np.array([tr.g1 for tr in trajectory]), scalars, landing
 
 
@@ -155,28 +166,46 @@ def run_suite(
 
     Run k takes n_steps steps at L = obj.lipschitz_bound with its own
     generator, seeded seed + 1000 + k. Each run is read as it finishes,
-    its start value and its landing gradient evaluated right after it, so
-    no trace outlives its run; one descent pass and one Wolfe pass then
-    cover the rows of all runs, in order. Empty runs add no rows.
+    its start value evaluated right after it, so no trace outlives its run.
+    A run that stopped on a zero gradient hands over the gradient its
+    stopping step took at its last landing point; only a run that spent
+    its budget has that landing gradient evaluated here. One descent pass
+    and one Wolfe pass then cover the rows of all runs, in order. Empty
+    runs add no rows.
     """
     _require_wolfe_pair(c1, c2)
     L = obj.lipschitz_bound
-    # run_constrained is looked up here at each call, so a wrapper put on it reaches every run
-    runs = [
-        _read_run(run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k), obj.value(x0), obj)
-        for k, x0 in enumerate(starts)
-    ]
+    runs = []
+    for k, x0 in enumerate(starts):
+        # run_constrained is looked up here at each call, so a wrapper put on it reaches every run
+        traces, landing = run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
+        runs.append(_read_run(traces, obj.value(x0), obj, landing))
     rows = _join(runs)
     return _descent(rows, L, tol), _wolfe(rows, c1, c2)
 
 
-def run_constrained(x0: ParamVector, obj: Objective, L: float, max_iters: int, seed: int) -> list[StepTrace]:
+def run_constrained(
+    x0: ParamVector, obj: Objective, L: float, max_iters: int, seed: int
+) -> tuple[list[StepTrace], ParamVector | None]:
     """Constrained mode of the stepper from x0: every step is exactly ||grad||/L long.
 
     The probe distance 0.01 * ||grad|| / L keeps the measured angle near
     arctan(0.01) on smooth objectives. Stops early at a stationary point.
+    Returns the traces and, for a run that stopped on a zero gradient, the
+    gradient its stopping step took where the last step landed (at x0 if
+    no step was taken); None for a run that spent its budget, or whose
+    stop held no gradient (a zero probe gradient).
     """
     state = optimizer.DycentState(rng=np.random.default_rng(seed))
+    landing = None
+
     def step(i, x):
-        return optimizer.dycent_step(x, obj, CONSTRAINED_CONFIG, state, lipschitz=L)
-    return optimizer.run_loop(x0, (step for _ in range(max_iters)))[0]
+        nonlocal landing
+        try:
+            return optimizer.dycent_step(x, obj, CONSTRAINED_CONFIG, state, lipschitz=L)
+        except ZeroGradientError as exc:
+            landing = exc.gradient
+            raise
+
+    traces = optimizer.run_loop(x0, (step for _ in range(max_iters)))[0]
+    return traces, landing

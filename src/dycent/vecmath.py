@@ -24,8 +24,14 @@ class ZeroGradientError(ValueError):
     """An operation that needs a direction was handed the zero vector.
 
     Doubles as the stationary-point signal: optimizer loops catch it and
-    stop instead of stepping.
+    stop instead of stepping. gradient is the vanished gradient where the
+    raiser took one (dycent_step hands over the gradient at its start
+    point), else None.
     """
+
+    def __init__(self, message: str, gradient: ParamVector | None = None):
+        super().__init__(message)
+        self.gradient = gradient
 
 
 def as_vector(values) -> ParamVector:

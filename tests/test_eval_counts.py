@@ -8,7 +8,8 @@ new batch and so starts a new stepper, evaluates anew; a dycent step
 evaluates f only where it lands, the
 theory checks take the run's start value from the caller and every later
 start value from the step before, and the Wolfe report takes each landing
-gradient from the step that starts there. The counts are
+gradient from the step that starts there, or, where a run stopped on a
+zero gradient, from the stopping step. The counts are
 taken by a wrapper defined here, not by package code, so a refactor that
 brings a duplicate evaluation back fails these tests.
 """
@@ -24,7 +25,7 @@ from dycent import baselines, harness
 from dycent.harness import RunConfig, run_experiment
 from dycent.objective import isotropic_quadratic, spd_quadratic
 from dycent.optimizer import run_loop
-from dycent.theory import check_descent, run_constrained, wolfe_report
+from dycent.theory import check_descent, run_constrained, run_suite, wolfe_report
 from oracles import every_step_baseline_run
 
 TOY_B_COMPARE = Path(__file__).resolve().parent.parent / "configs" / "toy_b_compare.ini"
@@ -234,8 +235,8 @@ def test_epoch_dycent_two_gradients_one_value_per_step(counted, tmp_path):
 def test_run_constrained_two_gradients_one_value_per_step():
     inner = spd_quadratic(5, seed=3)
     obj = CountingObjective(inner)
-    traces = run_constrained(np.full(5, 0.5), obj, inner.lipschitz_bound, 15, seed=2)
-    assert len(traces) == 15
+    traces, landing = run_constrained(np.full(5, 0.5), obj, inner.lipschitz_bound, 15, seed=2)
+    assert len(traces) == 15 and landing is None
     assert obj.values == len(traces)
     assert obj.gradients == 2 * len(traces)
 
@@ -243,7 +244,7 @@ def test_run_constrained_two_gradients_one_value_per_step():
 @pytest.fixture(scope="module")
 def constrained_run():
     obj = spd_quadratic(5, seed=3)
-    return obj, run_constrained(np.full(5, 0.5), obj, obj.lipschitz_bound, 15, seed=2)
+    return obj, run_constrained(np.full(5, 0.5), obj, obj.lipschitz_bound, 15, seed=2)[0]
 
 
 def test_wolfe_report_evaluates_only_the_last_landing_gradient(constrained_run):
@@ -273,7 +274,9 @@ def test_theory_checks_evaluate_no_value(constrained_run):
     assert obj.values == 0
 
 
-def test_theory_suite_one_value_per_step_plus_one_per_run(monkeypatch, tmp_path):
+@pytest.fixture
+def suite_objectives(monkeypatch):
+    """Make harness.run_theory_suite build counting quadratics; returns the list of them."""
     built = []
 
     def counting(build):
@@ -285,10 +288,38 @@ def test_theory_suite_one_value_per_step_plus_one_per_run(monkeypatch, tmp_path)
 
     for name in ("isotropic_quadratic", "spd_quadratic"):
         monkeypatch.setattr(harness.objectives, name, counting(getattr(harness.objectives, name)))
+    return built
+
+
+def test_theory_suite_one_value_per_step_plus_one_per_run(suite_objectives, tmp_path):
     report = harness.run_theory_suite(0, tmp_path)
     runs = 200 + 250 + 250  # the suite's starts on its three quadratics
-    assert len(built) == 3
-    assert sum(obj.values for obj in built) == report["descent"]["steps_checked"] + runs
+    assert len(suite_objectives) == 3
+    assert sum(obj.values for obj in suite_objectives) == report["descent"]["steps_checked"] + runs
+
+
+def test_theory_suite_takes_each_gradient_once(suite_objectives, tmp_path):
+    report = harness.run_theory_suite(0, tmp_path)
+    gradients = sum(obj.gradients for obj in suite_objectives)
+    values = sum(obj.values for obj in suite_objectives)
+    assert (gradients, values) == (21_354, 11_027)
+    # 2 per step, 1 more for each of the 200 isotropic runs that stopped on a zero
+    # gradient, and 1 landing gradient for each of the 500 SPD runs that spent their budget
+    assert gradients == 2 * report["descent"]["steps_checked"] + 200 + 500
+
+
+def test_a_run_that_stops_on_a_zero_gradient_hands_it_to_the_checks():
+    inner = isotropic_quadratic(5)
+    starts = [np.array([0.3, -0.2, 0.1, 0.05, 0.4])]
+    alone = CountingObjective(inner)
+    traces, landing = run_constrained(starts[0], alone, inner.lipschitz_bound, 10, seed=1000)
+    assert len(traces) == 2 and landing.tolist() == [0.0] * 5  # stopped on a zero gradient
+    assert alone.gradients == 2 * 2 + 1  # the stopping step's gradient included
+    checked = CountingObjective(inner)
+    descent, wolfe = run_suite(checked, starts, 10, 0, c1=1.0 / (2.0 * inner.lipschitz_bound))
+    assert wolfe.curvature_pass == [True, True]
+    # the run's own gradients and none after its stopping step; one value for f(x0)
+    assert (checked.gradients, checked.values) == (alone.gradients, alone.values + 1)
 
 
 def test_wolfe_report_same_verdict_with_and_without_next(constrained_run):

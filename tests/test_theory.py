@@ -69,7 +69,7 @@ class TestConstrainedH:
 class TestRunConstrained:
     def test_step_length_identity(self):
         obj = spd_quadratic(6, seed=5)
-        traces = run_constrained(np.full(6, 0.4), obj, obj.lipschitz_bound, 15, seed=0)
+        traces, _ = run_constrained(np.full(6, 0.4), obj, obj.lipschitz_bound, 15, seed=0)
         assert len(traces) == 15
         for tr in traces:
             gn = float(np.linalg.norm(tr.g1))
@@ -77,7 +77,7 @@ class TestRunConstrained:
 
     def test_angle_stays_acute(self):
         obj = spd_quadratic(5, seed=8, condition=50.0)
-        traces = run_constrained(np.full(5, 0.3), obj, obj.lipschitz_bound, 25, seed=1)
+        traces, _ = run_constrained(np.full(5, 0.3), obj, obj.lipschitz_bound, 25, seed=1)
         assert all(tr.theta < math.pi / 2 for tr in traces)
 
 
@@ -131,13 +131,18 @@ class TestConstrainedOracle:
         for k in range(25):
             direction = rng.standard_normal(obj.dim)
             x0 = direction / np.linalg.norm(direction) * rng.uniform(0.1, 0.95)
-            got = run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=seed + 1000 + k)
+            got, landing = run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=seed + 1000 + k)
             ref = reference_run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed + 1000 + k)
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
                 for name in ("x1", "x_new", "x2", "g1", "p1", "theta", "d_used", "doubled", "f_after"):
                     assert same_bits(getattr(g, name), getattr(r, name)), name
                 assert g.d_raw == pytest.approx(r.d_raw, rel=1e-15, abs=0.0)
+            if len(got) < n_steps:
+                # stopped on a zero gradient: the one taken where the last step landed
+                assert same_bits(landing, obj.gradient(ref[-1].x_new if ref else x0))
+            else:
+                assert landing is None
             lengths.append(len(got))
         assert min(lengths) >= 1
 
@@ -149,7 +154,7 @@ class TestCheckDescent:
         for k in range(100):
             x0 = rng.standard_normal(3)
             x0 *= rng.uniform(0.1, 0.95) / np.linalg.norm(x0)
-            traces = run_constrained(x0, obj, 1.0, 10, seed=k)
+            traces, _ = run_constrained(x0, obj, 1.0, 10, seed=k)
             report = check_descent(traces, obj.value(x0), 1.0, tol=1e-10)
             assert report.violations == 0
             assert report.min_decrease_margin >= -1e-10
@@ -178,7 +183,7 @@ class TestWolfeArmijo:
     def test_constrained_quadratic_step_passes(self):
         obj = isotropic_quadratic(4)
         x0 = np.full(4, 0.3)
-        for tr in run_constrained(x0, obj, 1.0, 5, seed=3):
+        for tr in run_constrained(x0, obj, 1.0, 5, seed=3)[0]:
             assert one_step_wolfe(tr, obj.value(tr.x1), obj, c1=0.5)[0]
 
     def test_zero_step_passes_by_equality(self):
@@ -201,7 +206,7 @@ class TestWolfeArmijo:
 class TestWolfeCurvature:
     def test_landing_at_stationary_point_passes(self):
         obj = isotropic_quadratic(2)
-        tr = run_constrained(np.array([0.6, 0.0]), obj, 1.0, 1, seed=4)[0]
+        (tr,), _ = run_constrained(np.array([0.6, 0.0]), obj, 1.0, 1, seed=4)
         # the constrained quadratic step lands at (numerically) zero gradient
         assert one_step_wolfe(tr, obj.value(tr.x1), obj, c1=1e-4)[1]
 
@@ -221,7 +226,7 @@ class TestWolfeCurvature:
 class TestWolfeReport:
     def test_rates_and_lengths(self):
         obj = spd_quadratic(4, seed=6)
-        traces = run_constrained(np.full(4, 0.3), obj, obj.lipschitz_bound, 10, seed=5)
+        traces, _ = run_constrained(np.full(4, 0.3), obj, obj.lipschitz_bound, 10, seed=5)
         report = wolfe_report(traces, obj.value(traces[0].x1), obj, c1=1.0 / (2.0 * obj.lipschitz_bound))
         assert all(report.armijo_pass)
         assert len(report.armijo_pass) == len(traces)
@@ -259,7 +264,7 @@ def suite_starts(seed):
 def suite_trajectories(seed):
     """(objective, trajectory, start value) for every start of harness.run_theory_suite at seed."""
     for obj, x0, n_steps, probe_seed in suite_starts(seed):
-        yield obj, run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=probe_seed), obj.value(x0)
+        yield obj, run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=probe_seed)[0], obj.value(x0)
 
 
 class RecordedGradients(Objective):
@@ -329,7 +334,7 @@ class TestChecksMatchScalarLoops:
 
     def test_one_step(self):
         obj = spd_quadratic(8, seed=101, condition=10.0)
-        tr = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 1, seed=2)
+        tr, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 1, seed=2)
         at = assert_checks_match_scalar_loops(tr, obj.value(tr[0].x1), obj, obj.lipschitz_bound, 0.4)
         assert at == [tr[0].x_new.tobytes()]
 
@@ -337,7 +342,7 @@ class TestChecksMatchScalarLoops:
         # a NaN margin fails the decrease check as it fails the Armijo check;
         # the minimum margin skips it, so the theory JSON stays valid
         obj = spd_quadratic(8, seed=101, condition=10.0)
-        tr = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 1, seed=2)
+        tr, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 1, seed=2)
         assert check_descent(tr, math.nan, obj.lipschitz_bound) == DescentReport(1, math.inf)
         assert wolfe_report(tr, math.nan, obj, c1=0.4).armijo_pass == [False]
         assert_checks_match_scalar_loops(tr, math.nan, obj, obj.lipschitz_bound, 0.4)
@@ -362,8 +367,9 @@ class TestChecksMatchScalarLoops:
     def test_stationary_start(self):
         # a zero-gradient start logs no step, and the checks evaluate nothing
         obj = RecordedGradients(spd_quadratic(8, seed=101, condition=10.0))
-        traces = run_constrained(np.zeros(8), obj, obj.obj.lipschitz_bound, 20, seed=1000)
+        traces, landing = run_constrained(np.zeros(8), obj, obj.obj.lipschitz_bound, 20, seed=1000)
         assert traces == []
+        assert landing.tolist() == [0.0] * 8  # the gradient the stopping step took at the start
         assert check_descent(traces, 0.0, obj.obj.lipschitz_bound) == DescentReport(0, math.inf)
         assert wolfe_report(traces, 0.0, obj, c1=0.4) == WolfeReport(armijo_pass=[], curvature_pass=[])
         assert obj.at == [np.zeros(8).tobytes()]  # run_constrained's own gradient, none from the checks
@@ -371,7 +377,7 @@ class TestChecksMatchScalarLoops:
     @pytest.mark.parametrize("tol, c2", [(0.0, 0.5), (1e-3, 0.99), (-1.0, 0.2)])
     def test_tolerance_and_curvature_constant(self, tol, c2):
         obj = spd_quadratic(8, seed=202, condition=40.0)
-        traces = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
+        traces, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
         f0 = obj.value(traces[0].x1)
         f_before = [f0] + [t.f_after for t in traces[:-1]]
         got, want = check_descent(traces, f0, 2.0, tol), scalar_check_descent(traces, f_before, 2.0, tol)
@@ -394,20 +400,20 @@ class TestRefusesNonConsecutiveSteps:
 
     def test_gap(self):
         obj = spd_quadratic(8, seed=202, condition=40.0)
-        traces = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
+        traces, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
         assert len(traces) == 10
         assert_refused(traces[:7] + traces[8:], obj, 7)
 
     def test_landing_differs_from_next_start_only_in_the_sign_of_a_zero(self):
         obj = spd_quadratic(3, seed=7)
-        a, b = run_constrained(np.array([0.3, 0.2, 0.1]), obj, obj.lipschitz_bound, 2, seed=5)
+        (a, b), _ = run_constrained(np.array([0.3, 0.2, 0.1]), obj, obj.lipschitz_bound, 2, seed=5)
         a = dataclasses.replace(a, x_new=np.array([0.0, 0.25, -0.5]))
         b = dataclasses.replace(b, x1=np.array([-0.0, 0.25, -0.5]))
         assert_refused([a, b], obj, 1)
 
     def test_start_value_is_one_float(self):
         obj = spd_quadratic(2, seed=6)
-        traces = run_constrained(np.array([0.6, 0.4]), obj, obj.lipschitz_bound, 2, seed=6)
+        traces, _ = run_constrained(np.array([0.6, 0.4]), obj, obj.lipschitz_bound, 2, seed=6)
         f0 = obj.value(traces[0].x1)
         assert check_descent(traces, np.float64(f0), 1.0) == check_descent(traces, f0, 1.0)
         recorded = RecordedGradients(obj)
@@ -473,12 +479,13 @@ def runs_on_inner(monkeypatch, runs=None):
 
 def per_run_checks(obj, starts, n_steps, seed, c1, c2=0.9, tol=1e-10):
     """The sub-suite checked run by run with check_descent and wolfe_report, summed as the
-    harness summed it; returns (DescentReport, WolfeReport, landing points in order, steps per run)."""
+    harness summed it; returns (DescentReport, WolfeReport, landing points in order, steps per run,
+    whether each run stopped on a zero gradient)."""
     L = obj.lipschitz_bound
     recorded = RecordedGradients(obj)
-    violations, min_margin, armijo, curvature, lengths = 0, math.inf, [], [], []
+    violations, min_margin, armijo, curvature, lengths, stopped = 0, math.inf, [], [], [], []
     for k, x0 in enumerate(starts):
-        traces = run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
+        traces, landing = run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
         f0 = obj.value(x0)
         report, wolfe = check_descent(traces, f0, L, tol=tol), wolfe_report(traces, f0, recorded, c1=c1, c2=c2)
         violations += report.violations
@@ -486,7 +493,8 @@ def per_run_checks(obj, starts, n_steps, seed, c1, c2=0.9, tol=1e-10):
         armijo += wolfe.armijo_pass
         curvature += wolfe.curvature_pass
         lengths.append(len(traces))
-    return DescentReport(violations, min_margin), WolfeReport(armijo, curvature), recorded.at, lengths
+        stopped.append(landing is not None)
+    return DescentReport(violations, min_margin), WolfeReport(armijo, curvature), recorded.at, lengths, stopped
 
 
 class TestRunSuite:
@@ -499,18 +507,22 @@ class TestRunSuite:
                 for obj, starts, n in sub_suites(seed)]
         runs = []
         runs_on_inner(monkeypatch, runs)
-        steps = 0
-        for (obj, starts, n_steps), (want_d, want_w, want_at, lengths) in zip(sub_suites(seed), want):
+        steps = stops = 0
+        for (obj, starts, n_steps), (want_d, want_w, want_at, lengths, stopped) in zip(sub_suites(seed), want):
             recorded = RecordedGradients(obj)
             got = run_suite(recorded, starts, n_steps, seed, c1=1.0 / (2.0 * obj.lipschitz_bound))
             same_reports(got, (want_d, want_w))
-            # one landing gradient per run that has a step, in run order
-            assert recorded.at == want_at
+            # wolfe_report evaluates one landing gradient per run that has a step; run_suite
+            # leaves out the runs that stopped on a zero gradient, whose stop handed it over
             assert len(want_at) == sum(1 for n in lengths if n)
+            evaluated = [not stop for n, stop in zip(lengths, stopped) if n]
+            assert recorded.at == [at for at, keep in zip(want_at, evaluated) if keep]
             steps += sum(lengths)
+            stops += sum(stopped)
         assert runs == [seed + 1000 + k for _, starts, _ in sub_suites(seed) for k in range(len(starts))]
         assert len(runs) == 700
         assert steps > 10_000
+        assert stops == 200  # every isotropic run, no SPD run
 
     def test_tolerance_and_curvature_constant(self):
         obj = spd_quadratic(8, seed=202, condition=40.0)
@@ -522,8 +534,8 @@ class TestRunSuite:
     def test_empty_run_in_the_middle_is_skipped(self, monkeypatch):
         obj = spd_quadratic(8, seed=101, condition=10.0)
         starts = [np.full(8, 0.3), np.zeros(8), np.full(8, -0.4)]  # the zero start is stationary
-        want_d, want_w, want_at, lengths = per_run_checks(obj, starts, 20, 9, c1=0.05)
-        assert lengths == [20, 0, 20]
+        want_d, want_w, want_at, lengths, stopped = per_run_checks(obj, starts, 20, 9, c1=0.05)
+        assert lengths == [20, 0, 20] and stopped == [False, True, False]
         runs_on_inner(monkeypatch)
         recorded = RecordedGradients(obj)
         same_reports(run_suite(recorded, starts, 20, 9, c1=0.05), (want_d, want_w))
@@ -544,11 +556,11 @@ class TestRunSuite:
         first = []
 
         def gapped_second_run(x0, obj, L, max_iters, seed):
-            traces = inner_run(x0, obj.obj, L, max_iters, seed=seed)
+            traces, landing = inner_run(x0, obj.obj, L, max_iters, seed=seed)
             if not first:
                 first.append(traces[-1].x_new.tobytes())
-                return traces
-            return traces[:7] + traces[8:]
+                return traces, landing
+            return traces[:7] + traces[8:], landing
 
         monkeypatch.setattr(theory, "run_constrained", gapped_second_run)
         recorded = RecordedGradients(obj)
@@ -571,12 +583,12 @@ class TestStartAliasing:
     def test_caller_start_is_copied_once(self):
         obj = spd_quadratic(5, seed=3)
         x0 = np.full(5, 0.5)
-        traces = run_constrained(x0, obj, obj.lipschitz_bound, 10, seed=2)
+        traces, _ = run_constrained(x0, obj, obj.lipschitz_bound, 10, seed=2)
         x0[:] = 9.0
         assert traces[0].x1.tolist() == [0.5] * 5
 
     def test_each_step_starts_on_the_array_the_step_before_returned(self):
         obj = spd_quadratic(8, seed=101, condition=10.0)
-        traces = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 20, seed=1)
+        traces, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 20, seed=1)
         assert len(traces) == 20
         assert all(nxt.x1 is tr.x_new for tr, nxt in zip(traces, traces[1:]))
