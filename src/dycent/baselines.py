@@ -91,10 +91,12 @@ def angular_coefficient(prev_grad: np.ndarray, grad: np.ndarray, flavor: str) ->
     successive gradient components, treated as slopes of two lines."""
     with np.errstate(divide="ignore"):  # 1 + prev*g == 0: perpendicular lines, tan = inf, theta = 90 deg
         tan_theta = np.abs((prev_grad - grad) / (_ONE + prev_grad * grad))
+    # theta lies in [0, fl(pi/2)], where cos and tan are >= +0, so |cos| and |tan| need no abs;
+    # a NaN theta gives a NaN coefficient, and the step's value check stops the run before its record
     theta = np.arctan(tan_theta)
     if flavor == "cos":
-        return _HALF * np.tanh(np.abs(np.cos(theta))) + _HALF
-    return _HALF * np.tanh(np.abs(np.tan(theta))) + _HALF
+        return _HALF * np.tanh(np.cos(theta)) + _HALF
+    return _HALF * np.tanh(np.tan(theta)) + _HALF
 
 
 def friction_coefficient(prev_grad: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -153,25 +155,25 @@ def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
     new value that is not finite raises NonFiniteStepError.
 
     A step whose new point has the bytes of its start evaluates nothing new:
-    its value is the one the step before logged, and the next step, if it
+    its value is the one the step before recorded, and the next step, if it
     starts on the point returned, takes the gradient and its norm this step
     already holds. Byte equality tells 0.0 from -0.0. The records are those
     of evaluating at every step, for as long as obj does not change; a caller
     that changes it between steps, as an epoch pins a batch, builds a new
     stepper for each.
     """
-    carry = None  # (point returned, its value, its (gradient, norm) if the step did not move)
+    # carry[0]: (point returned, its value, its (gradient, norm) if the step did not move)
+    carry = [None]
 
     def step(i, x):
-        nonlocal carry
-        start = carry if carry is not None and carry[0] is x else None
+        start = carry[0] if carry[0] is not None and carry[0][0] is x else None
         if start is not None and start[2] is not None:
             g, grad_norm = start[2]
         else:
             g = obj.gradient(x)
             grad_norm = norm(g)
             if grad_norm == 0.0:
-                raise ZeroGradientError("stationary point: gradient vanished")
+                raise ZeroGradientError("stationary point: gradient vanished", g)
             if not math.isfinite(grad_norm):
                 raise NonFiniteStepError(f"gradient is not finite (norm {grad_norm})")
         x_new = baseline_step(x, g, cfg, state)
@@ -182,7 +184,7 @@ def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
             f_new = obj.value(x_new)
             if not math.isfinite(f_new):
                 raise NonFiniteStepError(f"value at the new point is not finite ({f_new})")
-        carry = (x_new, f_new, (g, grad_norm) if unmoved else None)
+        carry[0] = (x_new, f_new, (g, grad_norm) if unmoved else None)
         return x_new, TrajectoryRecord(iter=i, f=f_new, grad_norm=grad_norm)
 
     return step

@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines, mlmodels, objective as objectives, optimizer, theory
 from .objective import BatchContext, Objective
 from .records import CSV_COLUMNS, TrajectoryRecord, csv_cell
-from .vecmath import as_vector, norm
+from .vecmath import ZeroGradientError, as_vector, norm
 
 X0_PRESETS: dict[str, tuple[float, ...]] = {
     "toy_a_init": (-2.0, 0.0),
@@ -71,7 +71,7 @@ _FIXED_ECHO = {
 # probe angle can shrink below float resolution (the batch loss is nearly
 # flat along most perpendicular directions once the net separates), so a
 # visible epsilon floor is what keeps cot bounded: |d| <= h * cot(epsilon).
-# With this pair the logged angles sit in the low-single-degree band and
+# With this pair the recorded angles sit in the low-single-degree band and
 # steps stay O(0.1).
 MOONS_TUNED_H = 2e-3
 MOONS_TUNED_EPSILON = 0.02
@@ -82,11 +82,11 @@ class ConfigError(ValueError):
 
 
 class DivergedError(ArithmeticError):
-    """A run took its whole budget and ended far above the best value it logged."""
+    """A run took its whole budget and ended far above the best value it recorded."""
 
 
 # A run whose final f exceeds its best f by more than this factor times
-# max(1, |best f|) is marked "diverged". The rule reads only logged values,
+# max(1, |best f|) is marked "diverged". The rule reads only recorded values,
 # so it costs no evaluation; shipped runs stay below 1 and the diverging
 # Rosenbrock runs reach about 1e17.
 DIVERGENCE_FACTOR = 1e6
@@ -242,7 +242,8 @@ def config_echo(cfg: RunConfig, opt_cfg) -> dict:
         "optimizer_params": dataclasses.asdict(opt_cfg)
         | _FIXED_ECHO["dycent" if cfg.optimizer == "dycent" else "baseline"],
         "x0": list(cfg.x0) if not isinstance(cfg.x0, str) else cfg.x0,
-        "max_iters": cfg.max_iters,
+        # a section that sets epochs ignores max_iters, so its echo and file names hold the default
+        "max_iters": cfg.max_iters if cfg.epochs is None else RunConfig.max_iters,
         "seed": cfg.seed,
         "batch_size": cfg.batch_size,
         "epochs": cfg.epochs,
@@ -259,10 +260,12 @@ def config_hash(echo: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:10]
 
 
-def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tuple[list[TrajectoryRecord], str | None]:
-    """Run cfg's optimizer from x0 in the shared loop, on a lazy sequence of steps: max_iters
-    unbatched ones, or one per shuffled batch of each epoch, which pins its batch and, at the
-    epoch's end or where the run stops, logs the accuracy. opt_cfgs is _prepare(cfg)'s."""
+def _run(
+    cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list
+) -> tuple[list[TrajectoryRecord], ZeroGradientError | optimizer.NonFiniteStepError | None]:
+    """Run cfg's optimizer from x0 in the shared loop; returns the records and run_loop's stop. The lazy
+    steps are max_iters unbatched ones, or one per shuffled batch of each epoch, which pins its batch and,
+    at the epoch's end or where a zero gradient stops the run, records the accuracy. opt_cfgs is _prepare(cfg)'s."""
     opt_seed, shuffle_seed = (cfg.seed, None) if cfg.epochs is None else np.random.SeedSequence(cfg.seed).spawn(2)
 
     if cfg.optimizer == "dycent":
@@ -304,10 +307,10 @@ def _run(cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list) -> tupl
                 # a step per batch, so nothing a step carries outlives the batch it pins
                 yield batch_step(stepper(opt_cfg), perm[i : i + cfg.batch_size], i + cfg.batch_size >= len(data))
 
-    records, stop_reason, x = optimizer.run_loop(x0, schedule())
-    if stop_reason and records:
+    records, stop, x = optimizer.run_loop(x0, schedule())
+    if isinstance(stop, ZeroGradientError) and records:
         records[-1].acc_train = mlmodels.accuracy(obj, x)
-    return records, stop_reason
+    return records, stop
 
 
 def write_trajectory_csv(path: Path, records: list[TrajectoryRecord]) -> None:
@@ -329,12 +332,13 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, pre
 
     # A non-finite value or gradient stops the run as "non_finite"; numpy's
     # overflow warnings would only repeat that on stderr.
-    error = None
     with np.errstate(all="ignore"):
-        try:
-            records, stop_reason = _run(cfg, obj, x0, opt_cfgs)
-        except optimizer.NonFiniteStepError as exc:
-            records, stop_reason, error = exc.logged, "non_finite", exc
+        records, stop = _run(cfg, obj, x0, opt_cfgs)
+    error = stop if isinstance(stop, optimizer.NonFiniteStepError) else None
+    if stop is None:
+        stop_reason = None
+    else:
+        stop_reason = "non_finite" if error else "stationary_point" if records else "zero_gradient_start"
 
     digest = config_hash(echo)
     out = Path(out_dir)
@@ -385,8 +389,7 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     ref, *echoes = [{**echo, "x0": x0.tolist()} for _, x0, echo, _ in prepared]
     for echo in echoes:
         for name in ("objective", "objective_params", "x0", "max_iters", "epochs", "batch_size"):
-            # a section that sets epochs ignores max_iters
-            if echo[name] != ref[name] and not (name == "max_iters" and ref["epochs"] and echo["epochs"]):
+            if echo[name] != ref[name]:
                 raise ConfigError(
                     f"comparison configs must share {name}; [{ref['output_prefix']}] and [{echo['output_prefix']}] differ"
                 )

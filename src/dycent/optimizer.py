@@ -36,10 +36,7 @@ from .vecmath import (
 )
 
 class NonFiniteStepError(ArithmeticError):
-    """A gradient, value or step size came out NaN/Inf; run_loop sets
-    logged to the items logged before the step."""
-
-    logged: list
+    """A gradient, value or step size came out NaN/Inf."""
 
 
 @dataclass(frozen=True)
@@ -207,26 +204,24 @@ def dycent_step(
     return x_new, trace
 
 
-def run_loop(x0: ParamVector, steps) -> tuple[list, str | None, ParamVector]:
-    """The run loop every driver shares; returns the logged items, the stop reason and the last point.
+def run_loop(x0: ParamVector, steps) -> tuple[list, ZeroGradientError | NonFiniteStepError | None, ParamVector]:
+    """The run loop every driver shares; returns the items, the error that stopped the run and the last point.
 
     steps is an iterable, lazy and of any length, of step(i, x) callables
-    that return (x_new, item); the loop takes each in turn from x0. A
-    ZeroGradientError ends the run as "zero_gradient_start" before any
-    item, "stationary_point" after. A NonFiniteStepError propagates with
-    its logged set to the items so far. x0 is copied once, so a later change
-    to the caller's array does not reach the items; each step then starts on
-    the very array the step before returned.
+    that return (x_new, item); the loop takes each in turn from x0. The
+    stop is None when the steps ran out, else the ZeroGradientError or
+    NonFiniteStepError a step raised, returned as it was raised; the items
+    are those of the steps before it, and the caller decides what the stop
+    means. x0 is copied once, so a later change to the caller's array does
+    not reach the items; each step then starts on the very array the step
+    before returned.
     """
     x = np.array(x0, dtype=np.float64)
     items: list = []
     for step in steps:
         try:
             x, item = step(len(items), x)
-        except ZeroGradientError:
-            return items, "stationary_point" if items else "zero_gradient_start", x
-        except NonFiniteStepError as exc:
-            exc.logged = items
-            raise
+        except (ZeroGradientError, NonFiniteStepError) as stop:
+            return items, stop, x
         items.append(item)
     return items, None, x

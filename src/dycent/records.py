@@ -7,7 +7,7 @@ CSV_COLUMNS = ("iter", "f", "grad_norm", "theta_deg", "d_raw", "d_used", "double
 
 @dataclass
 class TrajectoryRecord:
-    """One logged iteration. Angle/step fields are only set for the
+    """One recorded iteration. Angle/step fields are only set for the
     angle-probed optimizer; acc_train only for dataset-backed runs."""
 
     iter: int

@@ -30,7 +30,7 @@ import numpy as np
 from . import optimizer
 from .objective import Objective
 from .optimizer import StepTrace
-from .vecmath import ParamVector, ZeroGradientError
+from .vecmath import ParamVector
 
 # The stepper settings of a constrained run: its probe distance and step come
 # from L, so it reads only epsilon.
@@ -190,22 +190,20 @@ def run_constrained(
     """Constrained mode of the stepper from x0: every step is exactly ||grad||/L long.
 
     The probe distance 0.01 * ||grad|| / L keeps the measured angle near
-    arctan(0.01) on smooth objectives. Stops early at a stationary point.
+    arctan(0.01) on smooth objectives. Stops early at a stationary point;
+    a non-finite step raises its NonFiniteStepError.
     Returns the traces and, for a run that stopped on a zero gradient, the
     gradient its stopping step took where the last step landed (at x0 if
     no step was taken); None for a run that spent its budget, or whose
     stop held no gradient (a zero probe gradient).
     """
     state = optimizer.DycentState(rng=np.random.default_rng(seed))
-    landing = None
 
     def step(i, x):
-        nonlocal landing
-        try:
-            return optimizer.dycent_step(x, obj, CONSTRAINED_CONFIG, state, lipschitz=L)
-        except ZeroGradientError as exc:
-            landing = exc.gradient
-            raise
+        # optimizer.dycent_step is looked up at each call, so a wrapper put on it reaches every step
+        return optimizer.dycent_step(x, obj, CONSTRAINED_CONFIG, state, lipschitz=L)
 
-    traces = optimizer.run_loop(x0, (step for _ in range(max_iters)))[0]
-    return traces, landing
+    traces, stop, _ = optimizer.run_loop(x0, (step for _ in range(max_iters)))
+    if isinstance(stop, optimizer.NonFiniteStepError):
+        raise stop
+    return traces, None if stop is None else stop.gradient

@@ -23,10 +23,10 @@ class DimensionError(ValueError):
 class ZeroGradientError(ValueError):
     """An operation that needs a direction was handed the zero vector.
 
-    Doubles as the stationary-point signal: optimizer loops catch it and
-    stop instead of stepping. gradient is the vanished gradient where the
-    raiser took one (dycent_step hands over the gradient at its start
-    point), else None.
+    Doubles as the stationary-point signal: run_loop returns it as the stop
+    of a run. gradient is the vanished gradient where the raiser took one
+    (a dycent or baseline step hands over the gradient at its start point),
+    else None.
     """
 
     def __init__(self, message: str, gradient: ParamVector | None = None):

@@ -18,7 +18,7 @@ import numpy as np
 from dycent.baselines import BaselineState
 from dycent.mlmodels import MlpObjective
 from dycent.objective import _TOY_B_LIMIT_R2
-from dycent.optimizer import DycentState, dycent_step, run_loop
+from dycent.optimizer import DycentState, NonFiniteStepError, dycent_step, run_loop
 from dycent.records import CSV_COLUMNS, TrajectoryRecord, csv_cell
 from dycent.theory import DescentReport, WolfeReport
 from dycent.vecmath import norm
@@ -28,14 +28,17 @@ def dycent_run(x0, obj, cfg, max_iters, seed):
     """Up to max_iters dycent steps from x0 in run_loop; returns their traces.
 
     Stops early (without error) at a stationary point; a numerical
-    failure propagates as NonFiniteStepError.
+    failure raises the NonFiniteStepError run_loop returns.
     """
     state = DycentState(rng=np.random.default_rng(seed))
 
     def step(i, x):
         return dycent_step(x, obj, cfg, state)
 
-    return run_loop(x0, (step for _ in range(max_iters)))[0]
+    traces, stop, _ = run_loop(x0, (step for _ in range(max_iters)))
+    if isinstance(stop, NonFiniteStepError):
+        raise stop
+    return traces
 
 
 def numpy_toy_a():

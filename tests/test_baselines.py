@@ -17,8 +17,8 @@ from dycent.baselines import (
     friction_coefficient,
 )
 from dycent.objective import AnalyticObjective, isotropic_quadratic, toy_a
-from dycent.optimizer import run_loop
-from dycent.vecmath import DimensionError
+from dycent.optimizer import NonFiniteStepError, run_loop
+from dycent.vecmath import DimensionError, ZeroGradientError
 from oracles import python_float_baseline_step
 
 bounded_arrays = st.lists(
@@ -54,9 +54,13 @@ _PERPENDICULAR_RUN = (np.zeros(2), [np.array([0.0, 1.0]), np.array([0.0, -1.0])]
 
 
 def baseline_records(x0, obj, cfg, n):
-    """The records of n steps of the configured baseline from x0, as the harness runs them."""
+    """The records of n steps of the configured baseline from x0, as the harness runs them;
+    a zero gradient ends them, and a non-finite step raises."""
     step = baseline_stepper(obj, cfg, BaselineState.zeros(x0.size))
-    return run_loop(x0, (step for _ in range(n)))[0]
+    records, stop, _ = run_loop(x0, (step for _ in range(n)))
+    if isinstance(stop, NonFiniteStepError):
+        raise stop
+    return records
 
 
 def constant_gradient_objective(g):
@@ -275,3 +279,11 @@ class TestRunBaseline:
             np.array([-2.0, 0.0]), toy_a(), BaselineConfig(method="sgd", lr=1e-2), 100
         )
         assert records == []
+
+    def test_zero_gradient_stop_holds_the_gradient_it_took(self):
+        # sgd at lr 1 lands on the quadratic's minimum in one step; the next step's gradient there is zero
+        obj = isotropic_quadratic(2)
+        step = baseline_stepper(obj, BaselineConfig(method="sgd", lr=1.0), BaselineState.zeros(2))
+        records, stop, x = run_loop(np.array([0.5, -0.25]), (step for _ in range(5)))
+        assert len(records) == 1 and type(stop) is ZeroGradientError
+        assert stop.gradient.tobytes() == obj.gradient(x).tobytes() == np.zeros(2).tobytes()

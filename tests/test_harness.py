@@ -232,6 +232,22 @@ class TestRunExperiment:
         }
         assert len(Path("out/one-unit-89faabb093.csv").read_text().splitlines()) == 1 + 2 * 3
 
+    def test_epoch_run_stopped_by_a_non_finite_value_keeps_its_bytes(self, tmp_path, monkeypatch):
+        # sgd at lr 1e30 overflows on the 6th step, the first batch of epoch 3: the 5 steps
+        # before it are written, and the last of them, in mid-epoch, gets no accuracy
+        monkeypatch.chdir(tmp_path)
+        Path("nf.ini").write_text(
+            "[non-finite]\nobjective = moons_mlp\noptimizer = sgd\nepochs = 4\nbatch_size = 32\nn = 64\nlr = 1e30\n"
+        )
+        assert cli.main(["run", "--config", "nf.ini", "--out", "out"]) == cli.EXIT_NUMERICAL
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path("out").iterdir())}
+        assert digests == {
+            "non-finite-9487f7310c.csv": "5f0337c65cc58a8a987fa749f13ab93662480866f88ff8db5024309000707d6f",
+            "non-finite-9487f7310c.json": "62c272cbeb9e0a2474f00eb32f8494b77b3965906ff329498c0d806abb744f43",
+        }
+        rows = list(csv.DictReader(Path("out/non-finite-9487f7310c.csv").read_text().splitlines()))
+        assert [r["acc_train"] != "" for r in rows] == [False, True, False, True, False]
+
     @pytest.mark.parametrize("objective", ["spd_quadratic", "moons_mlp"])
     def test_objective_is_the_one_its_echo_names(self, objective):
         # data_seed, condition and activation are fixed in the builders but echoed from a separate table
@@ -408,8 +424,22 @@ class TestRunComparison:
         b = RunConfig(optimizer="dycent", output_prefix="b", **common)
         result = run_comparison([a, b], out_dir=tmp_path)
         assert [r["optimizer"] for r in result["rows"]] == ["adam", "dycent"]
-        assert [s["config"]["max_iters"] for s in result["runs"]] == [3, 1000]  # echoed and hashed as given
+        assert [s["config"]["max_iters"] for s in result["runs"]] == [1000, 1000]  # ignored, so echoed at its default
         assert [s["iterations"] for s in result["runs"]] == [4, 4]
+
+    def test_an_epoch_sections_max_iters_leaves_its_files_as_they_are(self, tmp_path, monkeypatch):
+        # the summaries hold their paths, so each run writes to out/ in a directory of its own
+        section = "objective = moons_mlp\noptimizer = adam\nepochs = 2\nbatch_size = 32\nn = 64\n"
+        written = []
+        for name, extra in (("three", "max_iters = 3\n"), ("many", "max_iters = 500\n"), ("unset", "")):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            Path("m.ini").write_text("[m]\n" + section + extra)
+            assert cli.main(["run", "--config", "m.ini", "--out", "out"]) == cli.EXIT_OK
+            written.append({p.name: p.read_bytes() for p in Path("out").iterdir()})
+        assert written[0] == written[1] == written[2] and len(written[0]) == 2
+        Path("both.ini").write_text(f"[a]\n{section}max_iters = 3\n[b]\n{section}max_iters = 500\n")
+        assert cli.main(["compare", "--config", "both.ini", "--out", "both"]) == cli.EXIT_OK
 
     def test_starts_compared_as_resolved(self, tmp_path):
         # (1, 1) is the quadratic's automatic start

@@ -426,6 +426,61 @@ class TestRun:
         assert traces == []
 
 
+def counting_steps(n, k=None, error=None):
+    """n steps that each add 1 to x and return their index as the item; step k raises error."""
+    def step(i, x):
+        if i == k:
+            raise error
+        return x + 1.0, i
+
+    return (step for _ in range(n))
+
+
+class TestRunLoopEnds:
+    """run_loop returns (items, stop, last point): stop is None when the steps ran
+    out, else the very ZeroGradientError or NonFiniteStepError a step raised."""
+
+    def test_spent_budget_returns_none(self):
+        items, stop, x = run_loop(np.zeros(2), counting_steps(3))
+        assert (items, stop, x.tolist()) == ([0, 1, 2], None, [3.0, 3.0])
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    @pytest.mark.parametrize(
+        "make_error",
+        [
+            lambda: ZeroGradientError("stationary point: gradient vanished", np.zeros(2)),
+            lambda: NonFiniteStepError("value at the new point is not finite (nan)"),
+        ],
+        ids=["zero_gradient", "non_finite"],
+    )
+    def test_stop_after_k_steps_is_the_error_raised(self, k, make_error):
+        error = make_error()
+        attributes = dict(vars(error))
+        items, stop, x = run_loop(np.zeros(2), counting_steps(10, k, error))
+        assert stop is error and vars(stop) == attributes  # returned as raised, nothing added
+        assert items == list(range(k)) and x.tolist() == [float(k)] * 2
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(ValueError, match="not a stop"):
+            run_loop(np.zeros(2), counting_steps(10, 2, ValueError("not a stop")))
+
+    def test_zero_gradient_start_returns_the_stepper_error(self):
+        x0 = np.array([-2.0, 0.0])
+        state = state_with()
+        items, stop, x = run_loop(x0, ((lambda i, x: dycent_step(x, toy_a(), DycentConfig(), state)) for _ in range(5)))
+        assert items == [] and type(stop) is ZeroGradientError
+        assert stop.gradient.tobytes() == toy_a().gradient(x0).tobytes() and x.tolist() == x0.tolist()
+
+    def test_zero_gradient_after_two_steps_holds_the_last_point_gradient(self):
+        # toy_b from (3, 3) at seed 7 lands on a point with a zero gradient after 2 steps
+        obj, state = toy_b(), state_with(seed=7)
+        items, stop, x = run_loop(
+            np.array([3.0, 3.0]), ((lambda i, x: dycent_step(x, obj, DycentConfig(h=0.01), state)) for _ in range(50))
+        )
+        assert len(items) == 2 and type(stop) is ZeroGradientError and x is items[-1].x_new
+        assert stop.gradient.tobytes() == obj.gradient(x).tobytes() and not stop.gradient.any()
+
+
 class TestStartAliasing:
     """A step's trace keeps the array it started on; run_loop copies x0 once, so
     each step starts on the array the step before returned."""
