@@ -264,8 +264,9 @@ def _run(
     cfg: RunConfig, obj: Objective, x0: np.ndarray, opt_cfgs: list
 ) -> tuple[list[TrajectoryRecord], ZeroGradientError | optimizer.NonFiniteStepError | None]:
     """Run cfg's optimizer from x0 in the shared loop; returns the records and run_loop's stop. The lazy
-    steps are max_iters unbatched ones, or one per shuffled batch of each epoch, which pins its batch and,
-    at the epoch's end or where a zero gradient stops the run, records the accuracy. opt_cfgs is _prepare(cfg)'s."""
+    steps are max_iters unbatched ones, or one per shuffled batch of each epoch, which pins its batch (a range of
+    the epoch's one shuffled BatchContext) and, at the epoch's end or where a zero gradient stops the run, records
+    the accuracy. opt_cfgs is _prepare(cfg)'s."""
     opt_seed, shuffle_seed = (cfg.seed, None) if cfg.epochs is None else np.random.SeedSequence(cfg.seed).spawn(2)
 
     if cfg.optimizer == "dycent":
@@ -286,12 +287,12 @@ def _run(
         step = stepper(opt_cfgs[0])
         return optimizer.run_loop(x0, (step for _ in range(cfg.max_iters)))[:2]
 
-    data = obj.data
+    n = len(obj.data)
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     def batch_step(step, batch, epoch_end):
         def pinned(i, x):
-            obj.set_batch(BatchContext(batch))
+            obj.set_batch(batch)
             x_new, rec = step(i, x)
             if epoch_end:
                 rec.acc_train = mlmodels.accuracy(obj, x_new)
@@ -302,10 +303,11 @@ def _run(
         for epoch in range(cfg.epochs):
             decayed = cfg.h_decay_at_epoch is not None and epoch >= cfg.h_decay_at_epoch
             opt_cfg = opt_cfgs[-1] if decayed else opt_cfgs[0]  # the second, if any, is after the decay
-            perm = shuffle_rng.permutation(len(data))
-            for i in range(0, len(data), cfg.batch_size):
+            perm = BatchContext(shuffle_rng.permutation(n))  # checked once, gathered at its first pin
+            for i in range(0, n, cfg.batch_size):
+                end = min(i + cfg.batch_size, n)
                 # a step per batch, so nothing a step carries outlives the batch it pins
-                yield batch_step(stepper(opt_cfg), perm[i : i + cfg.batch_size], i + cfg.batch_size >= len(data))
+                yield batch_step(stepper(opt_cfg), perm.rows(i, end), end == n)
 
     records, stop, x = optimizer.run_loop(x0, schedule())
     if isinstance(stop, ZeroGradientError) and records:

@@ -97,16 +97,20 @@ class MlpObjective(Objective):
     """Mean cross-entropy of the MLP over the pinned batch (default: all rows),
     as a function of the flattened parameter vector.
 
-    set_batch and clear_batch copy the rows they pin: the pinned rows are a
-    snapshot of the dataset taken then, and a later edit of the dataset is
-    seen only after the next pin. value and gradient share one memoized
-    forward pass, keyed by the bytes of x and dropped at every pin: in a
-    run without batches, each step's first gradient reuses the pass of the
-    value taken where the step before landed. An epoch step pins a new
-    batch, so it never hits the memo.
+    Rows are gathered at the first pin of an index vector: set_batch
+    checks the bounds of a context's parent vector (BatchContext.rows) and
+    copies its rows, their labels and the labels' one-hot rows once, and
+    each pin of a range of it selects slices of those. clear_batch pins a
+    new vector of every row. So the pinned rows are a snapshot of the
+    dataset taken at that gather, and a later edit of the dataset is seen
+    only after a pin of another vector. value and gradient share one
+    memoized forward pass, keyed by the bytes of x and dropped at every
+    pin: in a run without batches, each step's first gradient reuses the
+    pass of the value taken where the step before landed. An epoch step
+    pins a new batch, so it never hits the memo.
 
-    A pin also takes the labels' one-hot rows from a cached identity, which
-    gradient subtracts, and each row's flat own-label index, through which
+    The one-hot rows, taken from a cached identity, are what gradient
+    subtracts, and each pin forms its rows' flat own-label indices, where
     value reads. The class-axis max is a fold of np.maximum over the class
     columns. At 2 classes that is the one call numpy's max reduce makes;
     at more, a tie of 0.0 and -0.0 may leave a zero of the other sign than
@@ -122,8 +126,8 @@ class MlpObjective(Objective):
     at 1 it may not. There an underflowing product is -0.0 where @ gives
     +0.0, and a zero single-element operand times an inf or a NaN gives
     0.0 where @ gives NaN. The operands are contiguous: x is made so by
-    _check_dim, the pinned rows by take or copy, and predict's features
-    by its own conversion.
+    _check_dim, the pinned rows are row slices of a take, and predict's
+    features are made so by its own conversion.
     """
 
     def __init__(self, spec: MlpSpec, data: Dataset):
@@ -145,25 +149,32 @@ class MlpObjective(Objective):
         w1_end = spec.input_dim * spec.hidden_dim
         self._ends = w1_end, w1_end + spec.hidden_dim, self.dim - spec.num_classes  # of W1, b1, W2
         self._eye = np.eye(spec.num_classes)
+        self._gathered = (None,)
         self.clear_batch()
 
     def set_batch(self, ctx: BatchContext) -> None:
-        idx = ctx.batch_indices
-        if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(self.data):
-            raise ValueError("batch indices out of dataset bounds")
-        self._pin(self.data.features.take(idx, axis=0), self.data.labels[idx])
-
-    def clear_batch(self) -> None:
-        self._pin(np.copy(self.data.features), np.copy(self.data.labels))
-
-    def _pin(self, rows: np.ndarray, labels: np.ndarray) -> None:
-        self._rows = rows
-        self._count = np.array(float(len(rows)))
-        k = self.spec.num_classes
-        self._pick = labels + np.arange(0, labels.size * k, k)  # each row's own-label entry, flat
-        self._onehot = self._eye.take(labels, axis=0)
+        parent = ctx if ctx.parent is None else ctx.parent
+        if parent is not self._gathered[0]:
+            idx = parent.batch_indices
+            if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(self.data):
+                raise ValueError("batch indices out of dataset bounds")
+            labels = self.data.labels[idx]
+            k = self.spec.num_classes
+            self._gathered = (
+                parent, self.data.features.take(idx, axis=0), labels, self._eye.take(labels, axis=0),
+                np.arange(0, idx.size * k, k),  # where row i of a (rows, k) array starts, flat
+            )
+        _, rows, labels, onehot, row_starts = self._gathered
+        lo, hi = ctx.start, ctx.start + ctx.batch_indices.size
+        self._rows = rows[lo:hi]
+        self._onehot = onehot[lo:hi]
+        self._pick = labels[lo:hi] + row_starts[: hi - lo]  # each row's own-label entry, flat
+        self._count = np.array(float(hi - lo))
         self._memo_key = None
         self._memo = ()
+
+    def clear_batch(self) -> None:
+        self.set_batch(BatchContext(np.arange(len(self.data))))
 
     def _unpack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         s = self.spec

@@ -4,7 +4,7 @@ test suite and harness.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -12,15 +12,24 @@ import numpy as np
 from .vecmath import DimensionError, ParamVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchContext:
     """Pin of a minibatch: which dataset rows the objective evaluates on.
 
     The indices must have an integer dtype: a boolean mask or floats are
-    refused, not cast to other rows.
+    refused, not cast to other rows. The context keeps a read-only int64
+    copy of them, so a later edit of the caller's array does not reach it.
+
+    rows(start, stop) is the context of a contiguous range of the indices,
+    not checked again: its batch_indices are a read-only view of the
+    checked vector's, which it keeps as parent, at offset start. An
+    objective may gather the parent's rows once for all its ranges, so a
+    context is known by its identity: == is `is`, and it hashes by id.
     """
 
     batch_indices: np.ndarray
+    parent: "BatchContext | None" = field(default=None, init=False, repr=False)
+    start: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         idx = np.asarray(self.batch_indices)
@@ -28,7 +37,19 @@ class BatchContext:
             raise ValueError("batch must be a non-empty index vector")
         if idx.dtype.kind not in "iu":
             raise ValueError(f"batch indices must be integers, got dtype {idx.dtype}")
-        object.__setattr__(self, "batch_indices", idx.astype(np.int64, copy=False))
+        idx = idx.astype(np.int64)
+        idx.flags.writeable = False
+        object.__setattr__(self, "batch_indices", idx)
+
+    def rows(self, start: int, stop: int) -> "BatchContext":
+        """The context of batch_indices[start:stop], a non-empty range within them."""
+        size = self.batch_indices.size
+        if not 0 <= start < stop <= size:
+            raise ValueError(f"batch range [{start}, {stop}) is empty or outside the {size} indices")
+        ctx = object.__new__(BatchContext)
+        parent = self if self.parent is None else self.parent
+        vars(ctx).update(batch_indices=self.batch_indices[start:stop], parent=parent, start=self.start + start)
+        return ctx
 
 
 class Objective:

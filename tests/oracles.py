@@ -193,8 +193,10 @@ class PickMlpObjective(MlpObjective):
     and ReLU against a Python float, each row's own-label entry read and
     decremented through a (row, label) fancy index, and the class-axis max,
     the class and bias sums, the mean and the bounds check by the ndarray
-    methods. It inherits __init__, clear_batch and predict, whose forward
-    pass is this class's own, so accuracy too is checked against @."""
+    methods. Each pin, of a range of a vector too, indexes the dataset
+    afresh. It inherits __init__, clear_batch, which pins every row through
+    this class's set_batch, and predict, whose forward pass is this
+    class's own, so accuracy too is checked against @."""
 
     def set_batch(self, ctx):
         idx = ctx.batch_indices

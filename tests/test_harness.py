@@ -232,6 +232,42 @@ class TestRunExperiment:
         }
         assert len(Path("out/one-unit-89faabb093.csv").read_text().splitlines()) == 1 + 2 * 3
 
+    @pytest.mark.parametrize(
+        "prefix, settings, steps, stop_reason, digests",
+        [
+            # 5 rows in batches of 1 and of 8: an epoch of one-row batches, and one of a single short batch
+            ("n5-b1-adam", {"optimizer": "adam", "batch_size": 1}, 10, None, (
+                "c555e21c2c2f05bcf3821f21bc9c5ed354a3ba7ad117a8893f06d7eeeff3a03b",
+                "5a51969e9397d420f410fae6c6e44602031b5e76831f0f384392e53cb88317fa")),
+            ("n5-b1-dycent", {"optimizer": "dycent", "batch_size": 1}, 9, "stationary_point", (
+                "c19bb06565cc71faee6af0a4c4f49f7001ee5f5ebc88c74d7b522e0a090b9661",
+                "ed2c21b416916c8025322311e64d61d2c0bd7776bf211a7e0d85b9f1b0e1afe6")),
+            ("n5-b8-adam", {"optimizer": "adam", "batch_size": 8}, 2, None, (
+                "572163c82f198d3ae5ded24f20f4419eb40b4a95036b435e646372db337e8e75",
+                "792f8aaceb0932c46b9e6c003c27f798d77d0262d10bd40aa8bf2eda8024f712")),
+            ("n5-b8-dycent", {"optimizer": "dycent", "batch_size": 8}, 2, None, (
+                "4aa00f2d9f27fd56f3755ea32bcf407fddda16494148ec5357b10d05acb80572",
+                "d61ffc8b5064ee2946c1a99491977ac36caeec487a3f7c659862aefd0af2c405")),
+            # 200 rows in batches of 7, the last of each epoch 4 rows, h decayed from the second epoch
+            ("n200-b7", {
+                "optimizer": "dycent", "batch_size": 7, "epochs": 3, "h_decay_factor": 10.0, "h_decay_at_epoch": 1,
+                "objective_params": {}, "optimizer_params": {"h": 0.002, "epsilon": 0.02},
+            }, 87, None, (
+                "97273ba1a4bf0b20bab904b4f2ee1ef2b075e753515c618d6dd9e79f532cac1b",
+                "51b111d1aebcc95f1cebe8a5b81d9a688e5671dddb1ab32a18ab697fd1635899")),
+        ],
+    )
+    def test_epoch_runs_keep_their_bytes(self, tmp_path, monkeypatch, prefix, settings, steps, stop_reason, digests):
+        monkeypatch.chdir(tmp_path)
+        cfg = RunConfig(**{
+            "objective": "moons_mlp", "epochs": 2, "objective_params": {"n": 5}, "output_prefix": prefix, **settings,
+        })
+        summary = run_experiment(cfg, out_dir="out")
+        assert (summary["iterations"], summary["stop_reason"]) == (steps, stop_reason)
+        got = tuple(hashlib.sha256(Path(summary["files"][f]).read_bytes()).hexdigest()
+                    for f in ("trajectory_csv", "summary_json"))
+        assert got == digests
+
     def test_epoch_run_stopped_by_a_non_finite_value_keeps_its_bytes(self, tmp_path, monkeypatch):
         # sgd at lr 1e30 overflows on the 6th step, the first batch of epoch 3: the 5 steps
         # before it are written, and the last of them, in mid-epoch, gets no accuracy

@@ -382,6 +382,92 @@ class TestFirstFormulation:
             assert same_bits(got, mean_accuracy(ref, x))
 
 
+class TestBatchRanges:
+    """A pin of a range of one checked index vector, ctx.rows(i, j), gives
+    the bytes of a pin of perm[i:j] as its own vector: the vector's rows are
+    gathered once, at its first pin, and each range pins slices of them."""
+
+    @given(
+        classes=st.integers(2, 9),
+        hidden=st.sampled_from([1, 2, 16]),
+        seed=st.integers(0, 2**32 - 1),
+        ranges=st.lists(st.tuples(st.integers(0, 199), st.integers(1, 40)), min_size=1, max_size=4),
+        nested=st.booleans(),
+    )
+    @example(classes=2, hidden=1, seed=0, ranges=[(199, 1), (0, 1)], nested=False)  # one-row ranges at both ends
+    @example(classes=2, hidden=16, seed=0, ranges=[(0, 32), (192, 32)], nested=True)  # an epoch's first and last
+    @settings(max_examples=150, deadline=None)
+    def test_range_pin_gives_the_bytes_of_its_own_vector(self, classes, hidden, seed, ranges, nested):
+        data = DATA_BY_SHAPE[classes, 2]
+        spec = MlpSpec(2, hidden, classes, init_seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        x = initial_params(spec) + 0.1 * rng.standard_normal(spec.param_count)
+        perm = rng.permutation(len(data))
+        ctx = BatchContext(perm)
+        obj = MlpObjective(spec, data)
+        for i, width in ranges:  # later ranges pin from the gather of the first
+            j = min(i + width, len(perm))
+            batch = ctx.rows(i, len(perm)).rows(0, j - i) if nested else ctx.rows(i, j)
+            assert batch.batch_indices.tolist() == perm[i:j].tolist()
+            obj.set_batch(batch)
+            ref = MlpObjective(spec, data)
+            ref.set_batch(BatchContext(perm[i:j]))
+            assert same_bits(obj.value(x), ref.value(x))
+            assert same_bits(obj.gradient(x), ref.gradient(x))
+            assert obj._rows.flags.c_contiguous
+
+    def test_vector_longer_than_the_dataset(self):
+        # indices may repeat, so a vector, and a range of it, may hold more rows than the dataset
+        vector = np.tile(np.arange(len(MEMO_DATA)), 3)[::-1]
+        ctx = BatchContext(vector)
+        obj = MlpObjective(MEMO_SPEC, MEMO_DATA)
+        x = np.random.default_rng(4).standard_normal(MEMO_SPEC.param_count)
+        for i, j in ((0, 120), (10, 100), (119, 120)):
+            obj.set_batch(ctx.rows(i, j))
+            loss, grad = oracle_loss_and_gradient(MEMO_SPEC, MEMO_DATA, x, vector[i:j])
+            assert same_bits(obj.value(x), loss)
+            assert same_bits(obj.gradient(x), grad)
+
+    def test_later_edit_of_the_callers_array_does_not_change_the_context(self):
+        idx = np.array([4, 8, 15], dtype=np.int64)
+        ctx = BatchContext(idx)
+        batch = ctx.rows(1, 3)
+        idx[:] = 0
+        assert ctx.batch_indices.tolist() == [4, 8, 15] and batch.batch_indices.tolist() == [8, 15]
+        for indices in (ctx.batch_indices, batch.batch_indices):
+            with pytest.raises(ValueError, match="read-only"):
+                indices[0] = 1
+
+    def test_contexts_are_known_by_identity(self):
+        ctx = BatchContext(np.arange(5))
+        same = BatchContext(np.arange(5))
+        assert ctx == ctx and ctx != same and ctx.rows(0, 2) != ctx.rows(0, 2)
+        assert len({ctx, same}) == 2
+
+    @pytest.mark.parametrize("start, stop", [(2, 2), (3, 1), (-1, 2), (0, 6), (5, 6)])
+    def test_empty_range_or_one_outside_the_indices_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="empty or outside"):
+            BatchContext(np.arange(5)).rows(start, stop)
+
+    def test_range_of_a_vector_with_an_out_of_bounds_row_rejected(self):
+        obj = MlpObjective(MEMO_SPEC, MEMO_DATA)
+        with pytest.raises(ValueError, match="out of dataset bounds"):
+            obj.set_batch(BatchContext(np.array([0, len(MEMO_DATA)])).rows(0, 1))
+
+    def test_rows_are_gathered_at_the_first_pin_of_a_vector(self):
+        data = make_two_moons(40, 0.1, seed=8)
+        obj = MlpObjective(MEMO_SPEC, data)
+        x = np.random.default_rng(21).standard_normal(MEMO_SPEC.param_count)
+        ctx = BatchContext(np.arange(40))
+        obj.set_batch(ctx.rows(0, 16))
+        data.features += 1.0
+        obj.set_batch(ctx.rows(16, 32))  # the gather of the first pin, before the edit
+        want = MlpObjective(MEMO_SPEC, MEMO_DATA)
+        want.set_batch(BatchContext(np.arange(16, 32)))
+        assert same_bits(obj.gradient(x), want.gradient(x))
+        obj.set_batch(BatchContext(np.arange(16, 32)))  # another vector sees the edit
+        assert not same_bits(obj.gradient(x), want.gradient(x))
+
 def tiny(rng, shape):
     """Magnitudes 1e-165 to 1e-150, a fifth of them zeros of either sign: their products underflow."""
     scale = 10.0 ** rng.uniform(-165, -150, shape) * (rng.random(shape) < 0.8)

@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dycent import harness, theory
 from dycent.harness import RunConfig, run_experiment
 from dycent.objective import _TOY_B_LIMIT_R2, AnalyticObjective, isotropic_quadratic, spd_quadratic, toy_a, toy_b
 from dycent.optimizer import (
@@ -479,6 +482,32 @@ class TestRunLoopEnds:
         )
         assert len(items) == 2 and type(stop) is ZeroGradientError and x is items[-1].x_new
         assert stop.gradient.tobytes() == obj.gradient(x).tobytes() and not stop.gradient.any()
+
+    @pytest.fixture
+    def no_cyclic_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    def test_stopped_experiment_frees_its_objective_without_the_cyclic_gc(self, no_cyclic_gc, tmp_path):
+        # toy_b from (3, 3) at seed 7 stops at step 2 on a zero gradient
+        cfg = RunConfig(objective="toy_b", optimizer="dycent", x0="toy_b_init", seed=7)
+        prepared = harness._prepare(cfg)
+        obj = weakref.ref(prepared[0])
+        summary = run_experiment(cfg, out_dir=tmp_path, prepared=prepared)
+        assert (summary["stop_reason"], summary["iterations"]) == ("stationary_point", 2)
+        del prepared, summary
+        assert obj() is None
+
+    def test_stopped_constrained_run_frees_its_objective_without_the_cyclic_gc(self, no_cyclic_gc):
+        quadratic = isotropic_quadratic(5)
+        obj = weakref.ref(quadratic)
+        traces, landing = theory.run_constrained(0.5 * np.ones(5), quadratic, 1.0, 10, seed=0)
+        assert len(traces) == 1 and not landing.any()
+        del quadratic, traces, landing
+        assert obj() is None
 
 
 class TestStartAliasing:
