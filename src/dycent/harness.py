@@ -31,7 +31,7 @@ X0_PRESETS: dict[str, tuple[float, ...]] = {
 
 def _two_moons_mlp(n, noise, hidden_dim, init_seed):
     data = mlmodels.make_two_moons(n=n, noise=noise, seed=0)
-    spec = mlmodels.MlpSpec(input_dim=2, hidden_dim=hidden_dim, num_classes=2, init_seed=init_seed)
+    spec = mlmodels.MlpSpec(hidden_dim, init_seed)
     return mlmodels.MlpObjective(spec, data), mlmodels.initial_params(spec)
 
 

@@ -2,9 +2,10 @@
 plus synthetic datasets, for exercising the optimizers in the
 stochastic/minibatch regime at desk scale.
 
-The model is a single-hidden-layer ReLU MLP over a flattened parameter vector
-[W1 | b1 | W2 | b2] with softmax cross-entropy loss; the gradient is exact
-backpropagation, which keeps finite-difference checks meaningful.
+The model is the two-moons classifier: a single-hidden-layer ReLU MLP from
+2 features to 2 classes over a flattened parameter vector [W1 | b1 | W2 | b2]
+with softmax cross-entropy loss; the gradient is exact backpropagation, which
+keeps finite-difference checks meaningful.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,10 @@ import numpy as np
 from .objective import BatchContext, Objective
 from .vecmath import DimensionError, ParamVector
 
+# The classifier's one shape: the two-moons points in, their two classes out.
+FEATURES = 2
+CLASSES = 2
+_EYE = np.eye(CLASSES)  # the labels' one-hot rows
 # ReLU's operand as a 0-d float64 array skips numpy's conversion of a Python
 # float on every call; the comparison, and so the bits, are the same.
 _ZERO = np.array(0.0)
@@ -27,23 +32,23 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Feature matrix with integer class labels."""
+    """An (n, 2) feature matrix with integer labels, each 0 or 1."""
 
     features: np.ndarray
     labels: np.ndarray
-    num_classes: int
 
     def __post_init__(self):
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu":  # a cast to int64 would truncate floats and take bools as 0 and 1
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise DimensionError(f"features must be 2-D, got shape {self.features.shape}")
+        self.labels = labels.astype(np.int64, copy=False)
+        if self.features.ndim != 2 or self.features.shape[1] != FEATURES:
+            raise DimensionError(f"features must have shape (n, {FEATURES}), got {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise DimensionError("labels must have one entry per feature row")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError("labels must lie in [0, num_classes)")
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= CLASSES):
+            raise ValueError("labels must be 0 or 1")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain NaN or Inf")
 
@@ -53,25 +58,18 @@ class Dataset:
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture of the one-hidden-layer classifier."""
+    """Hidden width and initialisation seed of the two-moons classifier."""
 
-    input_dim: int
     hidden_dim: int
-    num_classes: int
     init_seed: int = 0
 
     def __post_init__(self):
-        if min(self.input_dim, self.hidden_dim, self.num_classes) < 1:
-            raise ValueError("all dimensions must be >= 1")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
 
     @property
     def param_count(self) -> int:
-        return (
-            self.input_dim * self.hidden_dim
-            + self.hidden_dim
-            + self.hidden_dim * self.num_classes
-            + self.num_classes
-        )
+        return (FEATURES + 1 + CLASSES) * self.hidden_dim + CLASSES
 
 
 def make_two_moons(n: int, noise: float, seed: int) -> Dataset:
@@ -90,7 +88,7 @@ def make_two_moons(n: int, noise: float, seed: int) -> Dataset:
     labels = np.concatenate([np.zeros(n_outer, dtype=np.int64), np.ones(n_inner, dtype=np.int64)])
     rng = np.random.default_rng(seed)
     features = features + noise * rng.standard_normal(features.shape)
-    return Dataset(features=features, labels=labels, num_classes=2)
+    return Dataset(features=features, labels=labels)
 
 
 class MlpObjective(Objective):
@@ -111,44 +109,32 @@ class MlpObjective(Objective):
 
     The one-hot rows, taken from a cached identity, are what gradient
     subtracts, and each pin forms its rows' flat own-label indices, where
-    value reads. The class-axis max is a fold of np.maximum over the class
-    columns. At 2 classes that is the one call numpy's max reduce makes;
-    at more, a tie of 0.0 and -0.0 may leave a zero of the other sign than
-    the reduce does (on numpy 2.4, above 8 classes), which changes no value.
+    value reads. The class-axis max is one np.maximum of the two logit
+    columns, the one call numpy's max reduce makes over two classes.
 
     ReLU and its mask compare against a 0-d zero, the mean divides by the
     row count as a 0-d float, and set_batch gathers the rows with take.
     Every product goes through _mm: ndarray.dot, the BLAS call of the @
     operator without its ufunc dispatch, where the inner dimension is at
-    least 2, and @ where it is 1 (one input feature, one hidden unit, or a
-    one-row pin). On C- or F-contiguous operands with an inner dimension
-    of at least 2, .dot gives @'s bytes, underflow, inf and NaN included;
-    at 1 it may not. There an underflowing product is -0.0 where @ gives
-    +0.0, and a zero single-element operand times an inf or a NaN gives
-    0.0 where @ gives NaN. The operands are contiguous: x is made so by
-    _check_dim, the pinned rows are row slices of a take, and predict's
-    features are made so by its own conversion.
+    least 2, and @ where it is 1 (one hidden unit or a one-row pin). On
+    C- or F-contiguous operands with an inner dimension of at least 2,
+    .dot gives @'s bytes, underflow, inf and NaN included; at 1 it may
+    not. There an underflowing product is -0.0 where @ gives +0.0, and a
+    zero single-element operand times an inf or a NaN gives 0.0 where @
+    gives NaN. The operands are contiguous: x is made so by _check_dim,
+    the pinned rows are row slices of a take, and predict's features are
+    made so by its own conversion.
     """
 
     def __init__(self, spec: MlpSpec, data: Dataset):
-        if data.features.shape[1] != spec.input_dim:
-            raise DimensionError(
-                f"dataset feature dim {data.features.shape[1]} != spec input dim {spec.input_dim}"
-            )
-        if data.num_classes != spec.num_classes:
-            raise DimensionError(
-                f"dataset classes {data.num_classes} != spec classes {spec.num_classes}"
-            )
         if len(data) == 0:
             raise ValueError("dataset is empty")
         self.spec = spec
         self.data = data
         self.dim = spec.param_count
-        self.lipschitz_bound = None
         self.name = "mlp_cross_entropy"
-        w1_end = spec.input_dim * spec.hidden_dim
-        self._ends = w1_end, w1_end + spec.hidden_dim, self.dim - spec.num_classes  # of W1, b1, W2
-        self._eye = np.eye(spec.num_classes)
+        w1_end = FEATURES * spec.hidden_dim
+        self._ends = w1_end, w1_end + spec.hidden_dim, self.dim - CLASSES  # of W1, b1, W2
         self._gathered = (None,)
         self.clear_batch()
 
@@ -159,10 +145,9 @@ class MlpObjective(Objective):
             if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(self.data):
                 raise ValueError("batch indices out of dataset bounds")
             labels = self.data.labels[idx]
-            k = self.spec.num_classes
             self._gathered = (
-                parent, self.data.features.take(idx, axis=0), labels, self._eye.take(labels, axis=0),
-                np.arange(0, idx.size * k, k),  # where row i of a (rows, k) array starts, flat
+                parent, self.data.features.take(idx, axis=0), labels, _EYE.take(labels, axis=0),
+                np.arange(0, idx.size * CLASSES, CLASSES),  # where row i of a (rows, 2) array starts, flat
             )
         _, rows, labels, onehot, row_starts = self._gathered
         lo, hi = ctx.start, ctx.start + ctx.batch_indices.size
@@ -177,10 +162,10 @@ class MlpObjective(Objective):
         self.set_batch(BatchContext(np.arange(len(self.data))))
 
     def _unpack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        s = self.spec
+        h = self.spec.hidden_dim
         w1_end, b1_end, w2_end = self._ends
-        w1 = params[:w1_end].reshape(s.input_dim, s.hidden_dim)
-        w2 = params[b1_end:w2_end].reshape(s.hidden_dim, s.num_classes)
+        w1 = params[:w1_end].reshape(FEATURES, h)
+        w2 = params[b1_end:w2_end].reshape(h, CLASSES)
         return w1, params[w1_end:b1_end], w2, params[w2_end:]
 
     def _forward(self, unpacked, x: np.ndarray):
@@ -196,10 +181,7 @@ class MlpObjective(Objective):
         key = x.tobytes()
         if key != self._memo_key:
             z1, a1, logits = self._forward(unpacked or self._unpack(x), self._rows)
-            top = logits[:, :1]
-            for j in range(1, self.spec.num_classes):
-                top = np.maximum(top, logits[:, j : j + 1])
-            shifted = logits - top
+            shifted = logits - np.maximum(logits[:, :1], logits[:, 1:])
             e = np.exp(shifted)
             self._memo = z1, a1, shifted, e, np.add.reduce(e, axis=1, keepdims=True)
             self._memo_key = key
@@ -236,10 +218,11 @@ class MlpObjective(Objective):
 def initial_params(spec: MlpSpec) -> ParamVector:
     """Scaled-Gaussian weights (std 1/sqrt(fan_in)) and zero biases, from init_seed."""
     rng = np.random.default_rng(spec.init_seed)
-    w1 = rng.standard_normal((spec.input_dim, spec.hidden_dim)) / np.sqrt(spec.input_dim)
-    b1 = np.zeros(spec.hidden_dim)
-    w2 = rng.standard_normal((spec.hidden_dim, spec.num_classes)) / np.sqrt(spec.hidden_dim)
-    b2 = np.zeros(spec.num_classes)
+    h = spec.hidden_dim
+    w1 = rng.standard_normal((FEATURES, h)) / np.sqrt(FEATURES)
+    b1 = np.zeros(h)
+    w2 = rng.standard_normal((h, CLASSES)) / np.sqrt(h)
+    b2 = np.zeros(CLASSES)
     return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from dycent.baselines import BaselineState
-from dycent.mlmodels import MlpObjective
+from dycent.mlmodels import CLASSES, FEATURES, MlpObjective
 from dycent.objective import _TOY_B_LIMIT_R2
 from dycent.optimizer import DycentState, NonFiniteStepError, dycent_step, run_loop
 from dycent.records import CSV_COLUMNS, TrajectoryRecord, csv_cell
@@ -211,15 +211,15 @@ class PickMlpObjective(MlpObjective):
         self._memo = ()
 
     def _unpack(self, params):
-        s = self.spec
+        h = self.spec.hidden_dim
         i = 0
-        w1 = params[i : i + s.input_dim * s.hidden_dim].reshape(s.input_dim, s.hidden_dim)
-        i += s.input_dim * s.hidden_dim
-        b1 = params[i : i + s.hidden_dim]
-        i += s.hidden_dim
-        w2 = params[i : i + s.hidden_dim * s.num_classes].reshape(s.hidden_dim, s.num_classes)
-        i += s.hidden_dim * s.num_classes
-        b2 = params[i : i + s.num_classes]
+        w1 = params[i : i + FEATURES * h].reshape(FEATURES, h)
+        i += FEATURES * h
+        b1 = params[i : i + h]
+        i += h
+        w2 = params[i : i + h * CLASSES].reshape(h, CLASSES)
+        i += h * CLASSES
+        b2 = params[i : i + CLASSES]
         return w1, b1, w2, b2
 
     def _forward(self, unpacked, x):

@@ -202,7 +202,7 @@ def test_criterion_7_gradient_oracle_suite():
             assert err <= tol, f"{obj.name}: gradient error {err:.2e} > {tol}"
 
     data = mlmodels.make_two_moons(64, 0.1, seed=3)
-    spec = mlmodels.MlpSpec(2, 8, 2, init_seed=1)
+    spec = mlmodels.MlpSpec(8, init_seed=1)
     obj = mlmodels.MlpObjective(spec, data)
     for _ in range(10):
         x = rng.standard_normal(spec.param_count)

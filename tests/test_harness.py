@@ -284,6 +284,30 @@ class TestRunExperiment:
         rows = list(csv.DictReader(Path("out/non-finite-9487f7310c.csv").read_text().splitlines()))
         assert [r["acc_train"] != "" for r in rows] == [False, True, False, True, False]
 
+    def test_full_batch_runs_keep_their_bytes(self, tmp_path, monkeypatch):
+        # without epochs every step pins all rows, so a step's first gradient
+        # reuses the forward pass of the value taken where the step before landed
+        monkeypatch.chdir(tmp_path)
+        Path("fb.ini").write_text(
+            "[DEFAULT]\nobjective = moons_mlp\nmax_iters = 40\n"
+            "[fb-dycent]\noptimizer = dycent\n"
+            "[fb-adam]\noptimizer = adam\nlr = 0.01\n"
+            "[fb-one-unit]\noptimizer = sgd\nhidden_dim = 1\nn = 7\nlr = 0.5\n"
+        )
+        assert cli.main(["run", "--config", "fb.ini", "--out", "out"]) == cli.EXIT_OK
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path("out").iterdir())}
+        assert digests == {
+            "fb-adam-d22f106811.csv": "bc92c16fda2978e1783f8bde708f2ce3a0115f4915957d889b47b350fcaedaae",
+            "fb-adam-d22f106811.json": "72a231296915981f04a5f678363e5131aee001d9684bdf27a8ec29d9bfe766e6",
+            "fb-dycent-d1128c25da.csv": "5c2ac71e348262c9a6d61e345ce3021ef8569621021e9d73a2ecf73d800668d8",
+            "fb-dycent-d1128c25da.json": "9499fef8766b829da4e3c0ef9c9a25b55240db2a431067d98fa46f507472f64b",
+            "fb-one-unit-b546716ee6.csv": "2335cf16198124f41aa34e32548abe79112ea5dfdb07cbdc18e29927420a9822",
+            "fb-one-unit-b546716ee6.json": "36ee75211dcc9fee8f2549143c3de22bc4e7cd6f25ee0dd2a1e059c23459bfc4",
+        }
+        for path in Path("out").glob("*.json"):
+            summary = json.loads(path.read_text())
+            assert (summary["iterations"], summary["stop_reason"]) == (40, None)
+
     @pytest.mark.parametrize("objective", ["spd_quadratic", "moons_mlp"])
     def test_objective_is_the_one_its_echo_names(self, objective):
         # data_seed, condition and activation are fixed in the builders but echoed from a separate table
@@ -294,7 +318,7 @@ class TestRunExperiment:
         else:
             assert p["activation"] == "relu"  # the MLP's one activation
             data = mlmodels.make_two_moons(p["n"], p["noise"], seed=p["data_seed"])
-            ref = mlmodels.MlpObjective(MlpSpec(2, p["hidden_dim"], 2, init_seed=p["init_seed"]), data)
+            ref = mlmodels.MlpObjective(MlpSpec(p["hidden_dim"], init_seed=p["init_seed"]), data)
         x = x0 + np.random.default_rng(4).standard_normal(x0.size)
         assert obj.value(x) == ref.value(x)
         assert obj.gradient(x).tobytes() == ref.gradient(x).tobytes()
@@ -334,7 +358,7 @@ class TestAutomaticStart:
         cfg = RunConfig(objective="moons_mlp", optimizer="sgd", max_iters=1, seed=3)
         run_experiment(cfg, out_dir=tmp_path)
         (x0,) = starts
-        spec = MlpSpec(input_dim=2, hidden_dim=16, num_classes=2, init_seed=3)
+        spec = MlpSpec(16, init_seed=3)
         assert x0.tobytes() == initial_params(spec).tobytes()
 
     @pytest.mark.parametrize("objective", ["toy_a", "toy_b"])

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dycent.baselines import BaselineConfig, BaselineState, baseline_step
 from dycent.mlmodels import (
+    CLASSES,
+    FEATURES,
     Dataset,
     MlpObjective,
     MlpSpec,
@@ -32,7 +34,7 @@ def train_adam(obj, spec, iters=500, lr=0.05):
 class TestTwoMoons:
     def test_noiseless_moons_are_learnable(self):
         data = make_two_moons(200, 0.0, seed=0)
-        spec = MlpSpec(2, 16, 2, init_seed=0)
+        spec = MlpSpec(16, init_seed=0)
         params = train_adam(MlpObjective(spec, data), spec)
         assert accuracy(MlpObjective(spec, data), params) == 1.0
 
@@ -59,14 +61,29 @@ class TestTwoMoons:
 
 class TestDataset:
     def test_rejects_out_of_range_labels(self):
-        with pytest.raises(ValueError):
-            Dataset(features=np.zeros((2, 2)), labels=np.array([0, 2]), num_classes=2)
+        for labels in ([0, 2], [-1, 1]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                Dataset(features=np.zeros((2, 2)), labels=np.array(labels))
+
+    # a cast to int64 would truncate 0.7 and 1.2 to 0 and 1, and take the bools as 0 and 1
+    @pytest.mark.parametrize("labels", [[0.7, 1.2, 0.0], [0.0, 1.0, 0.0], [False, True, False]])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        with pytest.raises(ValueError, match="integers"):
+            Dataset(features=np.zeros((3, 2)), labels=np.array(labels))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_other_integer_labels_become_int64(self, dtype):
+        data = Dataset(features=np.zeros((3, 2)), labels=np.array([0, 1, 1], dtype=dtype))
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 1), (2,), (2, 2, 1)])
+    def test_rejects_features_of_another_shape(self, shape):
+        with pytest.raises(DimensionError, match=r"shape \(n, 2\)"):
+            Dataset(features=np.zeros(shape), labels=np.array([0, 1]))
 
     def test_rejects_nan_features(self):
         with pytest.raises(ValueError):
-            Dataset(
-                features=np.array([[0.0, float("nan")]]), labels=np.array([0]), num_classes=2
-            )
+            Dataset(features=np.array([[0.0, float("nan")]]), labels=np.array([0]))
 
 
 class TestBackprop:
@@ -77,7 +94,7 @@ class TestBackprop:
         # oracle at random parameter points across initialization scales, for
         # a single hidden unit and for a layer of them
         data = make_two_moons(64, 0.1, seed=5)
-        spec = MlpSpec(2, hidden_dim, 2, init_seed=0)
+        spec = MlpSpec(hidden_dim, init_seed=0)
         obj = MlpObjective(spec, data)
         for _ in range(20):
             x = scale * rng.standard_normal(spec.param_count)
@@ -86,7 +103,7 @@ class TestBackprop:
 
     def test_uniform_logits_give_log_num_classes(self):
         data = make_two_moons(50, 0.1, seed=2)
-        spec = MlpSpec(2, 16, 2, init_seed=0)
+        spec = MlpSpec(16, init_seed=0)
         obj = MlpObjective(spec, data)
         assert obj.value(np.zeros(spec.param_count)) == pytest.approx(math.log(2), rel=1e-12)
 
@@ -95,24 +112,18 @@ class TestBackprop:
         doubled = Dataset(
             features=np.vstack([data.features, data.features]),
             labels=np.concatenate([data.labels, data.labels]),
-            num_classes=2,
         )
-        spec = MlpSpec(2, 8, 2, init_seed=1)
+        spec = MlpSpec(8, init_seed=1)
         x = rng.standard_normal(spec.param_count)
         assert MlpObjective(spec, data).value(x) == pytest.approx(
             MlpObjective(spec, doubled).value(x), rel=1e-12
         )
 
-    def test_shape_mismatch_rejected(self):
-        data = make_two_moons(10, 0.0, seed=0)
-        with pytest.raises(DimensionError):
-            MlpObjective(MlpSpec(3, 4, 2), data)
-
 
 class TestBatching:
     def setup_method(self):
         self.data = make_two_moons(60, 0.1, seed=6)
-        self.spec = MlpSpec(2, 8, 2, init_seed=2)
+        self.spec = MlpSpec(8, init_seed=2)
         self.obj = MlpObjective(self.spec, self.data)
         self.x = initial_params(self.spec)
 
@@ -124,9 +135,7 @@ class TestBatching:
     def test_singleton_batch_is_row_loss(self):
         self.obj.set_batch(BatchContext(np.array([17])))
         single = self.obj.value(self.x)
-        row_only = Dataset(
-            features=self.data.features[17:18], labels=self.data.labels[17:18], num_classes=2
-        )
+        row_only = Dataset(features=self.data.features[17:18], labels=self.data.labels[17:18])
         assert MlpObjective(self.spec, row_only).value(self.x) == single
 
     def test_half_batches_average_to_full_loss(self):
@@ -188,10 +197,10 @@ def oracle_loss_and_gradient(spec, data, x, batch=None):
     rows, labels = data.features, data.labels
     if batch is not None:
         rows, labels = rows[batch], labels[batch]
-    sizes = [spec.input_dim * spec.hidden_dim, spec.hidden_dim, spec.hidden_dim * spec.num_classes]
+    sizes = [FEATURES * spec.hidden_dim, spec.hidden_dim, spec.hidden_dim * CLASSES]
     w1, b1, w2, b2 = np.split(x, np.cumsum(sizes))
-    w1 = w1.reshape(spec.input_dim, spec.hidden_dim)
-    w2 = w2.reshape(spec.hidden_dim, spec.num_classes)
+    w1 = w1.reshape(FEATURES, spec.hidden_dim)
+    w2 = w2.reshape(spec.hidden_dim, CLASSES)
 
     def forward():
         z1 = rows @ w1 + b1
@@ -223,7 +232,7 @@ def same_bits(a, b):
 
 
 MEMO_DATA = make_two_moons(40, 0.1, seed=8)
-MEMO_SPEC = MlpSpec(2, 8, 2, init_seed=3)
+MEMO_SPEC = MlpSpec(8, init_seed=3)
 
 
 class TestPinnedPass:
@@ -238,7 +247,7 @@ class TestPinnedPass:
     )
     @settings(max_examples=150, deadline=None)
     def test_bits_match_reference_formulas(self, seed, scale, batch, value_first):
-        spec = MlpSpec(2, 8, 2, init_seed=0)
+        spec = MlpSpec(8, init_seed=0)
         obj = MlpObjective(spec, MEMO_DATA)
         x = scale * np.random.default_rng(seed).standard_normal(spec.param_count)
         if batch is not None:
@@ -306,31 +315,17 @@ class TestPinnedPass:
         self.assert_matches_fresh(obj, self.x, self.a)
 
 
-def class_data(k, d=2):
-    """The shipped two-moons data at 2 classes and 2 features; else 200
-    Gaussian rows of d features with random labels."""
-    if (k, d) == (2, 2):
-        return make_two_moons(200, 0.1, seed=0)
-    rng = np.random.default_rng(k if d == 2 else (k, d))
-    return Dataset(rng.standard_normal((200, d)), rng.integers(0, k, 200), num_classes=k)
-
-
-DATA_BY_SHAPE = {(k, d): class_data(k, d) for k in range(2, 10) for d in (1, 2, 3)}
+MOONS = make_two_moons(200, 0.1, seed=0)  # the shipped data
 
 
 class TestFirstFormulation:
-    """value, gradient and accuracy equal PickMlpObjective's: in bytes at 2
-    classes, the count every config builds, and as values at 3-9 classes,
-    where the fold of np.maximum over the classes may order a tie of 0.0
-    and -0.0 otherwise than numpy's max reduce does. One input, one hidden
-    unit and one-row pins are drawn too: there products have an inner
-    dimension of 1, and go through @. Non-finite weights and strided x are
-    drawn as well; NaNs are compared by position, as their sign bits may
-    differ from the reference's."""
+    """value, gradient and accuracy give PickMlpObjective's bytes. One
+    hidden unit and one-row pins are drawn too: there products have an
+    inner dimension of 1, and go through @. Non-finite weights and strided
+    x are drawn as well; NaNs are compared by position, as their sign bits
+    may differ from the reference's."""
 
     @given(
-        classes=st.integers(2, 9),
-        inputs=st.sampled_from([1, 2, 3]),
         hidden=st.sampled_from([1, 2, 16]),
         seed=st.integers(0, 2**32 - 1),
         start=st.sampled_from([None, 1.0, 10.0, "nonfinite"]),
@@ -338,13 +333,11 @@ class TestFirstFormulation:
         value_first=st.booleans(),
         strided=st.booleans(),
     )
-    @example(  # an epoch's last batch at n = 200
-        classes=2, inputs=2, hidden=16, seed=0, start=None, rows=8, value_first=False, strided=False
-    )
+    @example(hidden=16, seed=0, start=None, rows=8, value_first=False, strided=False)  # an epoch's last batch
     @settings(max_examples=300, deadline=None)
-    def test_matches_first_formulation(self, classes, inputs, hidden, seed, start, rows, value_first, strided):
-        data = DATA_BY_SHAPE[classes, inputs]
-        spec = MlpSpec(inputs, hidden, classes, init_seed=seed)
+    def test_matches_first_formulation(self, hidden, seed, start, rows, value_first, strided):
+        data = MOONS
+        spec = MlpSpec(hidden, init_seed=seed)
         rng = np.random.default_rng(seed)
         # None starts where a run does: scaled-Gaussian weights, zero biases
         if start is None:
@@ -369,10 +362,8 @@ class TestFirstFormulation:
         if start == "nonfinite":
             def equal(a, b):
                 return np.array_equal(a, b, equal_nan=True)
-        elif classes == 2:
-            equal = same_bits
         else:
-            equal = np.array_equal
+            equal = same_bits
         with np.errstate(all="ignore"):
             for got, want in zip(calls(new), calls(ref)):
                 assert type(got) is type(want)
@@ -388,18 +379,17 @@ class TestBatchRanges:
     gathered once, at its first pin, and each range pins slices of them."""
 
     @given(
-        classes=st.integers(2, 9),
         hidden=st.sampled_from([1, 2, 16]),
         seed=st.integers(0, 2**32 - 1),
         ranges=st.lists(st.tuples(st.integers(0, 199), st.integers(1, 40)), min_size=1, max_size=4),
         nested=st.booleans(),
     )
-    @example(classes=2, hidden=1, seed=0, ranges=[(199, 1), (0, 1)], nested=False)  # one-row ranges at both ends
-    @example(classes=2, hidden=16, seed=0, ranges=[(0, 32), (192, 32)], nested=True)  # an epoch's first and last
+    @example(hidden=1, seed=0, ranges=[(199, 1), (0, 1)], nested=False)  # one-row ranges at both ends
+    @example(hidden=16, seed=0, ranges=[(0, 32), (192, 32)], nested=True)  # an epoch's first and last
     @settings(max_examples=150, deadline=None)
-    def test_range_pin_gives_the_bytes_of_its_own_vector(self, classes, hidden, seed, ranges, nested):
-        data = DATA_BY_SHAPE[classes, 2]
-        spec = MlpSpec(2, hidden, classes, init_seed=seed % 1000)
+    def test_range_pin_gives_the_bytes_of_its_own_vector(self, hidden, seed, ranges, nested):
+        data = MOONS
+        spec = MlpSpec(hidden, init_seed=seed % 1000)
         rng = np.random.default_rng(seed)
         x = initial_params(spec) + 0.1 * rng.standard_normal(spec.param_count)
         perm = rng.permutation(len(data))
@@ -486,9 +476,9 @@ class TestDotProducts:
     """The MLP's products take ndarray.dot where the inner dimension is at
     least 2, and there it gives the bytes of the @ operator: on every outer
     size, on C-contiguous and transposed operands, at underflow, and against
-    an inf or a NaN. Where the inner dimension is 1 (one input, one hidden
-    unit, or one pinned row) .dot would not give @'s bytes, and the MLP
-    still gives the first formulation's."""
+    an inf or a NaN. Where the inner dimension is 1 (one hidden unit or one
+    pinned row) .dot would not give @'s bytes, and the MLP still gives the
+    first formulation's."""
 
     @pytest.mark.parametrize("cols", [1, 8, 32])
     @pytest.mark.parametrize("inner", [2, 3, 8, 32])
@@ -511,8 +501,8 @@ class TestDotProducts:
     )
     @settings(max_examples=100, deadline=None)
     def test_underflowing_mlp_matches_first_formulation(self, seed, rows, scale):
-        data = DATA_BY_SHAPE[2, 2]
-        spec = MlpSpec(2, 16, 2)
+        data = MOONS
+        spec = MlpSpec(16)
         rng = np.random.default_rng(seed)
         x = scale * rng.standard_normal(spec.param_count)
         new, ref = MlpObjective(spec, data), PickMlpObjective(spec, data)
@@ -532,8 +522,8 @@ class TestDotProducts:
         # parameters at 10x a Gaussian saturate the softmax, so dlogits and
         # dz1 are subnormal, and on one row three products of the W1
         # gradient underflow: .dot gives them as -0.0 (numpy 2.4), @ as +0.0
-        data = DATA_BY_SHAPE[2, 2]
-        spec = MlpSpec(2, 16, 2)
+        data = MOONS
+        spec = MlpSpec(16)
         rng = np.random.default_rng(739922131)
         x = 10.0 * rng.standard_normal(spec.param_count)
         new, ref = MlpObjective(spec, data), PickMlpObjective(spec, data)
@@ -552,7 +542,7 @@ class TestDotProducts:
         # on row 3 the hidden unit is off (z1 < 0), so a1 is a 1x1 zero
         # that meets the non-finite W2 entry in the forward product
         data = make_two_moons(10, 0.1, seed=0)
-        spec = MlpSpec(2, 1, 2)
+        spec = MlpSpec(1)
         x = np.array([1.0, 1.0, -100.0, bad, 1.0, 0.0, 0.0])
         assert data.features[3] @ x[:2] + x[2] < 0
         new, ref = MlpObjective(spec, data), PickMlpObjective(spec, data)
@@ -577,7 +567,7 @@ class TestAccuracy:
                 return super()._forward(unpacked, x)
 
         data = make_two_moons(40, 0.1, seed=8)
-        spec = MlpSpec(2, 4, 2)
+        spec = MlpSpec(4)
         obj, params = Spy(spec, data), initial_params(spec)
         strided = np.repeat(data.features, 2, axis=1)[:, ::2]
         assert np.array_equal(obj.predict(params, strided), obj.predict(params, data.features))
@@ -585,19 +575,19 @@ class TestAccuracy:
 
     def test_zero_params_on_balanced_data(self):
         data = make_two_moons(100, 0.1, seed=7)
-        spec = MlpSpec(2, 16, 2, init_seed=0)
+        spec = MlpSpec(16, init_seed=0)
         # all logits equal: argmax tie-breaks to class 0, half the rows
         assert accuracy(MlpObjective(spec, data), np.zeros(spec.param_count)) == 0.5
 
     def test_empty_dataset_rejected(self):
-        data = Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64), num_classes=2)
-        spec = MlpSpec(2, 4, 2)
+        data = Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64))
+        spec = MlpSpec(4)
         with pytest.raises(ValueError):
             accuracy(MlpObjective(spec, data), np.zeros(spec.param_count))
 
     def test_reads_every_row_while_a_batch_is_pinned(self):
         data = make_two_moons(40, 0.1, seed=8)
-        spec = MlpSpec(2, 4, 2, init_seed=3)
+        spec = MlpSpec(4, init_seed=3)
         params = initial_params(spec)
         batch = np.arange(8)
         obj = MlpObjective(spec, data)
@@ -605,15 +595,15 @@ class TestAccuracy:
         full = accuracy(MlpObjective(spec, data), params)
         assert accuracy(obj, params) == full
         # the pinned rows alone score differently, so reading them would show
-        pinned = Dataset(data.features[batch], data.labels[batch], num_classes=2)
+        pinned = Dataset(data.features[batch], data.labels[batch])
         assert accuracy(MlpObjective(spec, pinned), params) != full
 
 
 class TestInitialParams:
     def test_deterministic_in_seed(self):
-        spec = MlpSpec(2, 16, 2, init_seed=9)
+        spec = MlpSpec(16, init_seed=9)
         assert np.array_equal(initial_params(spec), initial_params(spec))
 
     def test_param_count(self):
-        spec = MlpSpec(3, 5, 4)
-        assert initial_params(spec).size == spec.param_count == 3 * 5 + 5 + 5 * 4 + 4
+        spec = MlpSpec(5)
+        assert initial_params(spec).size == spec.param_count == 2 * 5 + 5 + 5 * 2 + 2

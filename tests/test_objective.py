@@ -292,7 +292,7 @@ class TestQuadraticsMatchMatmul:
 
 
 def moons_mlp(pin=None):
-    obj = MlpObjective(MlpSpec(2, 16, 2), make_two_moons(200, 0.1, seed=0))
+    obj = MlpObjective(MlpSpec(16), make_two_moons(200, 0.1, seed=0))
     if pin is not None:
         obj.set_batch(BatchContext(pin))
     return obj

@@ -13,12 +13,15 @@ AVX-512 code (X86_V4 among the SIMD extensions numpy.show_runtime()
 finds), and glibc 2.36 with the FMA variants of its math functions,
 which supply sin/cos on the 2-D toy surfaces through Python's `math`.
 One numpy build rounds exp, log, arctan, tan and tanh differently at
-another SIMD level. With numpy held to its AVX2 code, these files move:
-the angles CSV and JSON, the moons-dycent and moons-adam CSVs and JSONs,
-the moons comparison CSV and the toya-diffgrad CSV, so the angles,
-moons_compare and toy_a_compare cases fail. At numpy's X86_V2 baseline
-toya-angulargrad-cos and the toy_a comparison CSV move too, and glibc's
-non-FMA variants move the toy_a_compare and toy_b_compare files. A numpy
+another SIMD level. With numpy held to its AVX2 code (X86_V3), 8 of the
+48 compare and angles files move: the angles CSV and JSON, the
+moons-dycent and moons-adam CSVs and JSONs, the moons comparison CSV and
+the toya-diffgrad CSV, so the angles, moons_compare and toy_a_compare
+cases fail. At numpy's X86_V2 baseline 11 move: those 8, the
+toya-angulargrad-cos CSV and JSON, and the toy_a comparison CSV.
+tests/test_simd_dispatch.py checks both lists at each level the CPU
+reaches. glibc's non-FMA variants move the toy_a_compare and
+toy_b_compare files. A numpy
 release, C library or CPU whose results round differently in the last
 bit gives other files. Re-pin only for such a platform change, or a
 change of behaviour that is intended and recorded in CHANGES.md.
