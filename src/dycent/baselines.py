@@ -67,8 +67,8 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; valid: {METHODS}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be > 0 and finite, got {self.lr}")
         object.__setattr__(self, "_lr", np.array(self.lr, dtype=np.float64))
 
 

@@ -9,10 +9,11 @@ A small epsilon is added to theta so cot stays bounded, and an EMA of past
 step sizes doubles any step that falls below its running average.
 
 Given a Lipschitz constant L of the gradient, the same step runs in the
-constrained mode the descent bound is proved for: the probe distance is
-0.01 * ||g1|| / L and the step is h * cot(theta) with h at its cap
-||g1|| * tan(theta) / L, so every step is ||g1|| / L long, with no EMA or
-doubling.
+constrained mode the descent bound is proved for. The proof caps h at
+||g1|| * tan(theta) / L and steps h * cot(theta), so theta cancels: every
+step is ||g1|| / L long, taken as that quotient, with no EMA or doubling.
+The probe still runs, at distance 0.01 * ||g1|| / L, and its theta, p1,
+x2 and d_raw are recorded in the trace, but the step does not read them.
 
 Every driver runs in run_loop, one flat loop over a lazy sequence of step
 callables whose length is the run's budget: theory.run_constrained hands it
@@ -59,12 +60,12 @@ class DycentConfig:
     enable_doubling: bool = True
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"h must be > 0, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be > 0 and finite, got {self.h}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be > 0 and finite, got {self.epsilon}")
 
 
 @dataclass
@@ -113,21 +114,6 @@ def maybe_double(d: float, d_avg: float, cfg: DycentConfig) -> tuple[float, bool
     return d, False
 
 
-def constrained_h(grad_norm: float, L: float, theta: float) -> float:
-    """Largest probe distance admitted by the decrease bound: grad_norm * tan(theta) / L.
-
-    Only meaningful for 0 < theta < pi/2; beyond that cot is nonpositive
-    and the constraint is vacuous, which is flagged as an error.
-    """
-    if not L > 0:
-        raise ValueError(f"L must be > 0, got {L}")
-    if not 0.0 < theta < math.pi / 2.0:
-        raise ValueError(
-            f"constraint needs 0 < theta < pi/2 (cot > 0); got theta={theta}"
-        )
-    return grad_norm * math.tan(theta) / L
-
-
 def dycent_step(
     x: ParamVector,
     obj: Objective,
@@ -138,8 +124,10 @@ def dycent_step(
 ) -> tuple[ParamVector, StepTrace]:
     """One angle-probed step from x; returns the new point and its trace.
 
-    With lipschitz set the step runs in constrained mode (module docstring)
-    and cfg.h and the EMA and doubling settings go unused.
+    With lipschitz set the step runs in constrained mode (module docstring):
+    d_used is ||g1|| / lipschitz, and cfg.h and the EMA and doubling
+    settings go unused. A lipschitz that is not finite and > 0 raises
+    ValueError before any evaluation.
     Raises ZeroGradientError at stationary points, holding the gradient
     taken at x (the caller decides whether to stop or perturb), and
     NonFiniteStepError if either gradient, the step size or f_after is not
@@ -149,6 +137,8 @@ def dycent_step(
     x is kept itself, so it must not be changed in place while the trace
     is in use.
     """
+    if lipschitz is not None and not 0.0 < lipschitz < math.inf:
+        raise ValueError(f"lipschitz must be > 0 and finite, got {lipschitz}")
     x1 = np.asarray(x, dtype=np.float64)
     grad1 = obj.gradient(x1)
     g1 = -grad1
@@ -171,8 +161,7 @@ def dycent_step(
         raise NonFiniteStepError(f"probe gradient is not finite (norm {g2_norm})")
 
     theta = angle_between(grad1, grad2, a_sq=g1_sq, b_sq=g2_sq) + cfg.epsilon
-    tan_theta = math.tan(theta)
-    d_raw = h / tan_theta
+    d_raw = h / math.tan(theta)
     if not math.isfinite(d_raw):
         raise NonFiniteStepError(f"step size h*cot(theta) is not finite at theta={theta}")
 
@@ -180,7 +169,7 @@ def dycent_step(
         d_avg = update_average(state, cfg, d_raw)
         d_used, doubled = maybe_double(d_raw, d_avg, cfg)
     else:
-        d_used, doubled = constrained_h(g1_norm, lipschitz, theta) * (1.0 / tan_theta), False
+        d_used, doubled = g1_norm / lipschitz, False
 
     x_new = x1 + d_used * g1 / g1_norm
     state.step_count += 1

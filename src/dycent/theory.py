@@ -9,17 +9,19 @@ c1 = 1/(2L). The curvature condition carries no such guarantee; it is
 measured and reported, never asserted. The constrained step itself is
 optimizer.dycent_step with lipschitz set; run_constrained is run_loop over
 a lazy sequence of max_iters of them, so no budget is built up front.
-Since theta cancels, that step is gradient descent with step 1/L up to
-rounding, and both guarantees are that method's textbook ones.
+Since theta cancels, dycent_step takes that step as ||grad|| / L itself,
+so a constrained run is gradient descent with step 1/L bit for bit, and
+both guarantees are that method's textbook ones.
 check_descent and wolfe_report check one run; run_suite runs and checks a
 sub-suite of starts, reading each run as it finishes and checking all their
 steps in one array pass. The gradient at each step's landing point is the
 gradient the next step took there; a run that stopped on a zero gradient
 hands over the one its stopping step took, so only the last landing point
 of a run that spent its budget is evaluated for the checks. At seed 0
-harness.run_theory_suite takes 21,354 gradients over 10,327 steps, 2.067783
+harness.run_theory_suite takes 21,268 gradients over 10,284 steps, 2.068067
 a step: 2 per step, 1 for each of the 200 isotropic runs' stopping steps and
-1 landing gradient for each of the 500 SPD runs.
+1 landing gradient for each of the 500 SPD runs; and 10,984 values, 1 per
+step and 1 start value per run.
 """
 
 import math
@@ -190,7 +192,8 @@ def run_constrained(
     """Constrained mode of the stepper from x0: every step is exactly ||grad||/L long.
 
     The probe distance 0.01 * ||grad|| / L keeps the measured angle near
-    arctan(0.01) on smooth objectives. Stops early at a stationary point;
+    arctan(0.01) on smooth objectives; the probe is recorded in each trace,
+    and no step reads it. Stops early at a stationary point;
     a non-finite step raises its NonFiniteStepError.
     Returns the traces and, for a run that stopped on a zero gradient, the
     gradient its stopping step took where the last step landed (at x0 if

@@ -73,7 +73,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             BaselineConfig(method="adamw")
 
-    @pytest.mark.parametrize("kwargs", [{"lr": 0.0}, {"lr": -1.0}, {"lr": math.nan}])
+    @pytest.mark.parametrize("kwargs", [{"lr": 0.0}, {"lr": -1.0}, {"lr": math.nan}, {"lr": math.inf}])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             BaselineConfig(method="adam", **kwargs)

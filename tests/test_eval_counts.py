@@ -302,7 +302,7 @@ def test_theory_suite_takes_each_gradient_once(suite_objectives, tmp_path):
     report = harness.run_theory_suite(0, tmp_path)
     gradients = sum(obj.gradients for obj in suite_objectives)
     values = sum(obj.values for obj in suite_objectives)
-    assert (gradients, values) == (21_354, 11_027)
+    assert (gradients, values) == (21_268, 10_984)
     # 2 per step, 1 more for each of the 200 isotropic runs that stopped on a zero
     # gradient, and 1 landing gradient for each of the 500 SPD runs that spent their budget
     assert gradients == 2 * report["descent"]["steps_checked"] + 200 + 500
@@ -313,11 +313,12 @@ def test_a_run_that_stops_on_a_zero_gradient_hands_it_to_the_checks():
     starts = [np.array([0.3, -0.2, 0.1, 0.05, 0.4])]
     alone = CountingObjective(inner)
     traces, landing = run_constrained(starts[0], alone, inner.lipschitz_bound, 10, seed=1000)
-    assert len(traces) == 2 and landing.tolist() == [0.0] * 5  # stopped on a zero gradient
-    assert alone.gradients == 2 * 2 + 1  # the stopping step's gradient included
+    # the step 1/L lands on the minimum, where the next step stops on a zero gradient
+    assert len(traces) == 1 and landing.tolist() == [0.0] * 5
+    assert alone.gradients == 2 * 1 + 1  # the stopping step's gradient included
     checked = CountingObjective(inner)
     descent, wolfe = run_suite(checked, starts, 10, 0, c1=1.0 / (2.0 * inner.lipschitz_bound))
-    assert wolfe.curvature_pass == [True, True]
+    assert wolfe.curvature_pass == [True]
     # the run's own gradients and none after its stopping step; one value for f(x0)
     assert (checked.gradients, checked.values) == (alone.gradients, alone.values + 1)
 

@@ -80,6 +80,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="lr"):
             run_experiment(cfg, out_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "optimizer, params, message",
+        [
+            ("dycent", {"epsilon": math.inf}, "epsilon must be > 0 and finite"),
+            ("dycent", {"h": math.inf}, "h must be > 0 and finite"),
+            ("sgd", {"lr": math.inf}, "lr must be > 0"),
+        ],
+        ids=["epsilon", "h", "lr"],
+    )
+    def test_non_finite_optimizer_setting_refused_before_any_file(self, tmp_path, optimizer, params, message):
+        # a config file refuses a non-finite number when it is parsed; a RunConfig built in Python meets the same rule
+        cfg = RunConfig(objective="quadratic", optimizer=optimizer, optimizer_params=params, output_prefix="s")
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(cfg, out_dir=tmp_path / "out")
+        assert str(exc.value).startswith(f"[s] {message}")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunExperiment:
     def test_csv_structure(self, tmp_path):
@@ -116,6 +133,20 @@ class TestRunExperiment:
         assert summary["stop_reason"] == "zero_gradient_start"
         assert summary["iterations"] == 0
         assert summary["final_f"] is None
+
+    def test_zero_probe_gradient_at_the_start_flags_zero_gradient(self, tmp_path):
+        # the gradient vanishes everywhere but at the start's bytes: the first
+        # step's probe meets a zero gradient, and the run logs no step
+        cfg = RunConfig(objective="quadratic", optimizer="dycent", x0=(0.6, -0.3), max_iters=10, output_prefix="zp")
+        _, x0, echo, opt_cfgs = harness._prepare(cfg)
+        at = x0.tobytes()
+        obj = objectives.AnalyticObjective(
+            2, lambda x: float(x.sum()), lambda x: np.array([1.0, 2.0]) if x.tobytes() == at else np.zeros(2)
+        )
+        summary = run_experiment(cfg, out_dir=tmp_path, prepared=(obj, x0, echo, opt_cfgs))
+        assert summary["stop_reason"] == "zero_gradient_start"
+        assert summary["iterations"] == 0 and summary["final_f"] is None
+        assert Path(summary["files"]["trajectory_csv"]).read_text() == ",".join(CSV_COLUMNS) + "\n"
 
     def test_diverged_run_writes_its_steps_then_raises(self, tmp_path):
         # the defaults on rosenbrock: from f(x0) = 24.2 the run reaches 2.4e5 at best and ends near 1e23

@@ -37,9 +37,11 @@ class TestConfigValidation:
         [
             {"h": 0.0},
             {"h": -1.0},
+            {"h": math.inf},
             {"beta": 1.0},
             {"beta": -0.1},
             {"epsilon": 0.0},
+            {"epsilon": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dycent.objective import Objective, isotropic_quadratic, spd_quadratic, toy_b
-from dycent.optimizer import DycentConfig, StepTrace, constrained_h
+from dycent.objective import AnalyticObjective, Objective, isotropic_quadratic, spd_quadratic, toy_b
+from dycent.optimizer import DycentConfig, DycentState, StepTrace, dycent_step
 from dycent import theory
 from dycent.theory import (
     DescentReport,
@@ -40,50 +40,47 @@ def fabricate_trace(f_after, d_used, grad=np.array([1.0, 0.0])):
     )
 
 
-class TestConstrainedH:
-    def test_unit_case(self):
-        assert constrained_h(1.0, 1.0, math.pi / 4) == pytest.approx(1.0, rel=1e-15)
-
-    def test_linear_in_grad_norm(self):
-        assert constrained_h(2.0, 1.0, math.pi / 4) == pytest.approx(2.0, rel=1e-15)
-
-    def test_step_cancels_to_grad_norm_over_l(self):
-        # d = h * cot(theta) with h at the bound is grad_norm / L exactly
-        for theta in (0.1, 0.5, 1.0, 1.5):
-            for gn, L in ((1.0, 1.0), (3.7, 2.5), (0.02, 11.0)):
-                h = constrained_h(gn, L, theta)
-                d = h / math.tan(theta)
-                assert abs(d - gn / L) <= 1e-12 * (gn / L)
-
-    def test_flags_vacuous_angle(self):
-        with pytest.raises(ValueError):
-            constrained_h(1.0, 1.0, math.pi / 2)
-        with pytest.raises(ValueError):
-            constrained_h(1.0, 1.0, 2.0)
-
-    def test_rejects_bad_l(self):
-        with pytest.raises(ValueError):
-            constrained_h(1.0, 0.0, 0.5)
-
-
 class TestRunConstrained:
     def test_step_length_identity(self):
         obj = spd_quadratic(6, seed=5)
         traces, _ = run_constrained(np.full(6, 0.4), obj, obj.lipschitz_bound, 15, seed=0)
         assert len(traces) == 15
         for tr in traces:
-            gn = float(np.linalg.norm(tr.g1))
-            assert abs(tr.d_used - gn / obj.lipschitz_bound) <= 1e-12 * (gn / obj.lipschitz_bound)
+            assert tr.d_used == float(np.linalg.norm(tr.g1)) / obj.lipschitz_bound
 
     def test_angle_stays_acute(self):
         obj = spd_quadratic(5, seed=8, condition=50.0)
         traces, _ = run_constrained(np.full(5, 0.3), obj, obj.lipschitz_bound, 25, seed=1)
         assert all(tr.theta < math.pi / 2 for tr in traces)
 
+    @pytest.mark.parametrize("L", [0.0, math.inf, math.nan, -1.0])
+    def test_refuses_a_lipschitz_that_is_not_finite_and_positive(self, L):
+        obj = RecordedGradients(isotropic_quadratic(3))
+        state = DycentState(rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="lipschitz must be > 0 and finite"):
+            dycent_step(np.full(3, 0.5), obj, theory.CONSTRAINED_CONFIG, state, lipschitz=L)
+        with pytest.raises(ValueError, match="lipschitz must be > 0 and finite"):
+            run_constrained(np.full(3, 0.5), obj, L, 10, seed=0)
+        assert obj.at == []  # refused before any evaluation
+
+    def test_zero_probe_gradient_stops_with_no_step_and_no_gradient(self):
+        # the gradient vanishes everywhere but at the start's bytes, so the
+        # probe's angle is undefined and its error holds no gradient
+        obj = gradient_only_at(np.array([0.6, -0.3]))
+        assert run_constrained(np.array([0.6, -0.3]), obj, 1.0, 10, seed=0) == ([], None)
+
+
+def gradient_only_at(x0):
+    """A 2-D objective whose gradient is (1, 2) at x0's bytes and zero everywhere else."""
+    at = np.asarray(x0, dtype=np.float64).tobytes()
+    return AnalyticObjective(
+        2, lambda x: float(x.sum()), lambda x: np.array([1.0, 2.0]) if x.tobytes() == at else np.zeros(2)
+    )
+
 
 def reference_run_constrained(x0, obj, L, max_iters, seed):
     """The constrained run written out as its own loop: probe at 0.01 * ||g|| / L,
-    then step h_max * cot(theta) with h_max = ||g|| * tan(theta) / L."""
+    then step ||g|| / L, to which h_max * cot(theta) at h_max = ||g|| * tan(theta) / L cancels."""
     rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=np.float64)
     traces = []
@@ -97,9 +94,8 @@ def reference_run_constrained(x0, obj, L, max_iters, seed):
         x2 = x - h_probe * p1
         g2 = -obj.gradient(x2)
         theta = angle_between(g1, g2) + 1e-12
-        h_max = grad_norm * math.tan(theta) / L
         cot_theta = 1.0 / math.tan(theta)
-        d_used = h_max * cot_theta
+        d_used = grad_norm / L
         x_new = x + d_used * g1 / grad_norm
         f_after = obj.value(x_new)
         traces.append(StepTrace(x.copy(), x_new, x2, g1, grad_norm, p1, theta, h_probe * cot_theta, d_used, False, f_after))
@@ -443,17 +439,55 @@ def test_unconstrained_stepper_against_the_descent_bound():
 def test_theory_suite_steps_are_gradient_descent_with_step_one_over_L():
     # the seed-0 starts of harness.run_theory_suite, run here without writing
     # its report: capping h at ||g|| tan(theta) / L and stepping h cot(theta)
-    # cancels theta, so each step is x - grad / L up to rounding
+    # cancels theta, so each step is ||g|| / L long, and the run is the
+    # probe-free loop x + (||g|| / L) * g / ||g|| with g = -grad f(x)
     steps = 0
     for obj, traces, _ in suite_trajectories(0):
         L = obj.lipschitz_bound
-        x = x0 = traces[0].x1
+        x = traces[0].x1
         for tr in traces:
-            assert abs(tr.d_used * L / norm(tr.g1) - 1.0) <= 2.3e-16
-            x = x - obj.gradient(x) / L
-        assert norm(x - traces[-1].x_new) <= 1e-15 * norm(x0)
+            assert tr.d_used == tr.g1_norm / L
+            g = -obj.gradient(x)
+            x = x + (norm(g) / L) * g / norm(g)
+            assert same_bits(x, tr.x_new)
         steps += len(traces)
-    assert steps == 10_327  # the suite's steps_checked at seed 0
+    assert steps == 10_284  # the suite's steps_checked at seed 0
+
+
+def probe_free_run(x0, obj, L, max_iters):
+    """Gradient descent with step 1/L written as the constrained step's arithmetic, no probe:
+    ((x1, x_new, g1, d_used, f_after) per step, the gradient that stopped the run or None)."""
+    x = np.array(x0, dtype=np.float64)
+    steps = []
+    for _ in range(max_iters):
+        grad = obj.gradient(x)
+        g1 = -grad
+        grad_norm = norm(g1)
+        if grad_norm == 0.0:
+            return steps, grad
+        d_used = grad_norm / L
+        x_new = x + d_used * g1 / grad_norm
+        steps.append((x, x_new, g1, d_used, obj.value(x_new)))
+        x = x_new
+    return steps, None
+
+
+@pytest.mark.parametrize("seed", [0, 203])
+def test_constrained_runs_are_the_probe_free_loop(seed):
+    # the probe still runs and is recorded, but no byte of a run depends on it
+    lengths = []
+    for obj, x0, n_steps, probe_seed in suite_starts(seed):
+        got, landing = run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=probe_seed)
+        want, stop = probe_free_run(x0, obj, obj.lipschitz_bound, n_steps)
+        assert len(got) == len(want)
+        for tr, ref in zip(got, want):
+            for name, value in zip(("x1", "x_new", "g1", "d_used", "f_after"), ref):
+                assert same_bits(getattr(tr, name), value), name
+        assert (landing is None) == (stop is None)
+        if stop is not None:
+            assert same_bits(landing, stop)
+        lengths.append(len(got))
+    assert sum(lengths) == {0: 10_284, 203: 10_276}[seed]
 
 
 def sub_suites(seed):
