@@ -6,8 +6,8 @@ import json
 import sys
 
 from .harness import (
-    ConfigError, DivergedError, _prepare, parse_config_file, run_angle_experiment, run_comparison, run_experiment,
-    run_theory_suite,
+    ANGLE_EPOCHS, ConfigError, DivergedError, _prepare, parse_config_file, run_angle_experiment, run_comparison,
+    run_experiment, run_theory_suite,
 )
 from .optimizer import NonFiniteStepError
 
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
             summary = run_angle_experiment(
                 seed=args.seed if args.seed is not None else 0,
                 out_dir=args.out,
-                epochs=args.iters if args.iters is not None else 60,
+                epochs=args.iters if args.iters is not None else ANGLE_EPOCHS,
             )
             print(json.dumps(summary["angle_band"], sort_keys=True, indent=2))
             print(f"written: {summary['files']['trajectory_csv']}")

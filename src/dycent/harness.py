@@ -60,7 +60,8 @@ OPTIMIZERS = ("dycent",) + baselines.METHODS
 # config_echo echoes them, so config hashes and file names match those
 # written when they were config keys.
 _FIXED_ECHO = {
-    "dycent": {"clamp_nonnegative_step": False, "d_avg_init_mode": "first_step"},
+    "dycent": {"beta": optimizer.BETA, "enable_doubling": True, "clamp_nonnegative_step": False,
+               "d_avg_init_mode": "first_step"},
     "baseline": {"momentum": baselines.MOMENTUM, "beta1": baselines.BETA1, "beta2": baselines.BETA2,
                  "eps": baselines.EPS},
     "spd_quadratic": {"data_seed": 0, "condition": 10.0},
@@ -75,6 +76,7 @@ _FIXED_ECHO = {
 # steps stay O(0.1).
 MOONS_TUNED_H = 2e-3
 MOONS_TUNED_EPSILON = 0.02
+ANGLE_EPOCHS = 60  # the angle-logging run's epochs, unless --iters sets them
 
 
 class ConfigError(ValueError):
@@ -454,7 +456,6 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
     if seed < 0:
         raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
-    c2, tol = 0.9, 1e-10  # the checks use these and the report states them
     suites = [
         ("isotropic_quadratic_5d", objectives.isotropic_quadratic(5), 200, 10),
         ("spd_quadratic_8d_a", objectives.spd_quadratic(8, seed=101, condition=10.0), 250, 20),
@@ -470,7 +471,7 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
             direction = rng.standard_normal(obj.dim)
             direction /= norm(direction)
             starts.append(direction * rng.uniform(0.1, 0.95))
-        report, wolfe = theory.run_suite(obj, starts, n_steps, seed, c1=1.0 / (2.0 * L), c2=c2, tol=tol)
+        report, wolfe = theory.run_suite(obj, starts, n_steps, seed, c1=1.0 / (2.0 * L))
         min_margin = min(min_margin, report.min_decrease_margin)
         armijo += wolfe.armijo_pass
         curvature += wolfe.curvature_pass
@@ -484,11 +485,11 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
             "steps_checked": sum(p["steps"] for p in per_objective),
             "violations": sum(p["violations"] for p in per_objective),
             "min_decrease_margin": min_margin,
-            "tolerance": tol,
+            "tolerance": theory.TOL,
         },
         "wolfe": {
             "c1": "1/(2L) per objective",
-            "c2": c2,
+            "c2": theory.C2,
             "armijo_pass_rate": sum(armijo) / len(armijo) if armijo else 1.0,
             "curvature_pass_rate": sum(curvature) / len(curvature) if curvature else 1.0,
             "curvature_note": "measured only; no guarantee is claimed for the curvature condition",
@@ -503,7 +504,7 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
     return report
 
 
-def angle_run_config(seed: int, epochs: int = 60) -> RunConfig:
+def angle_run_config(seed: int, epochs: int = ANGLE_EPOCHS) -> RunConfig:
     """The two-moons MLP run used for angle logging, at the tuned probe settings."""
     return RunConfig(
         objective="moons_mlp",
@@ -517,7 +518,7 @@ def angle_run_config(seed: int, epochs: int = 60) -> RunConfig:
     )
 
 
-def run_angle_experiment(seed: int, out_dir: str | Path = ".", epochs: int = 60) -> dict:
+def run_angle_experiment(seed: int, out_dir: str | Path = ".", epochs: int = ANGLE_EPOCHS) -> dict:
     """Log per-step probe angles on the two-moons MLP and summarize the
     epoch-10..50 band (degrees), mirroring the angle-progression plots."""
     cfg = angle_run_config(seed, epochs)
@@ -553,11 +554,6 @@ _OBJ_KEYS = {k: _param_type(d) for _, defaults, _ in _OBJECTIVE_TABLE.values() f
 
 
 def _parse_value(key: str, raw: str, kind: type):
-    if kind is bool:
-        try:
-            return ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-        except KeyError:
-            raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
     if kind is int:
         try:
             return int(raw)

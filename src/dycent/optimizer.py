@@ -5,8 +5,8 @@ fixed distance h along a random direction perpendicular to the (negative)
 gradient g1, measure the angle theta between g1 and the negative gradient
 g2 at the probe point, and step d = h * cot(theta) along normalized g1 —
 the estimated distance to the point where the two gradient lines meet.
-A small epsilon is added to theta so cot stays bounded, and an EMA of past
-step sizes doubles any step that falls below its running average.
+A small epsilon is added to theta so cot stays bounded, and a step that
+falls below the EMA of past step sizes (decay BETA) is doubled.
 
 Given a Lipschitz constant L of the gradient, the same step runs in the
 constrained mode the descent bound is proved for. The proof caps h at
@@ -36,6 +36,9 @@ from .vecmath import (
     sample_perpendicular,
 )
 
+BETA = 0.9  # decay of the EMA of step sizes; a step below the EMA is doubled
+
+
 class NonFiniteStepError(ArithmeticError):
     """A gradient, value or step size came out NaN/Inf."""
 
@@ -49,21 +52,15 @@ class DycentConfig:
     different config is built with dataclasses.replace.
 
     h: perpendicular probe distance (parameter-space units).
-    beta: EMA decay for the average step size.
     epsilon: radians added to the measured angle to bound cot.
-    enable_doubling: double steps that fall below the EMA.
     """
 
     h: float = 1e-2
-    beta: float = 0.9
     epsilon: float = 1e-8
-    enable_doubling: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.h < math.inf:
             raise ValueError(f"h must be > 0 and finite, got {self.h}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be > 0 and finite, got {self.epsilon}")
 
@@ -98,18 +95,18 @@ class StepTrace:
     f_after: float
 
 
-def update_average(state: DycentState, cfg: DycentConfig, d: float) -> float:
-    """Fold step size d into the EMA; the first step seeds it, so that step never doubles."""
+def update_average(state: DycentState, d: float) -> float:
+    """Fold step size d into the EMA at decay BETA; the first step seeds it, so that step never doubles."""
     if state.step_count == 0:
         state.d_avg = d
     else:
-        state.d_avg = cfg.beta * state.d_avg + (1.0 - cfg.beta) * d
+        state.d_avg = BETA * state.d_avg + (1.0 - BETA) * d
     return state.d_avg
 
 
-def maybe_double(d: float, d_avg: float, cfg: DycentConfig) -> tuple[float, bool]:
-    """Double d when doubling is enabled and d fell strictly below the EMA."""
-    if cfg.enable_doubling and d < d_avg:
+def maybe_double(d: float, d_avg: float) -> tuple[float, bool]:
+    """Double d when it fell strictly below the EMA."""
+    if d < d_avg:
         return 2.0 * d, True
     return d, False
 
@@ -125,9 +122,9 @@ def dycent_step(
     """One angle-probed step from x; returns the new point and its trace.
 
     With lipschitz set the step runs in constrained mode (module docstring):
-    d_used is ||g1|| / lipschitz, and cfg.h and the EMA and doubling
-    settings go unused. A lipschitz that is not finite and > 0 raises
-    ValueError before any evaluation.
+    d_used is ||g1|| / lipschitz, and cfg.h, the EMA and doubling go
+    unused. A lipschitz that is not finite and > 0 raises ValueError
+    before any evaluation.
     Raises ZeroGradientError at stationary points, holding the gradient
     taken at x (the caller decides whether to stop or perturb), and
     NonFiniteStepError if either gradient, the step size or f_after is not
@@ -166,8 +163,8 @@ def dycent_step(
         raise NonFiniteStepError(f"step size h*cot(theta) is not finite at theta={theta}")
 
     if lipschitz is None:
-        d_avg = update_average(state, cfg, d_raw)
-        d_used, doubled = maybe_double(d_raw, d_avg, cfg)
+        d_avg = update_average(state, d_raw)
+        d_used, doubled = maybe_double(d_raw, d_avg)
     else:
         d_used, doubled = g1_norm / lipschitz, False
 

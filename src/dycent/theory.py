@@ -34,6 +34,10 @@ from .objective import Objective
 from .optimizer import StepTrace
 from .vecmath import ParamVector
 
+# The curvature constant and descent tolerance the checks default to and the report states.
+C2 = 0.9
+TOL = 1e-10
+
 # The stepper settings of a constrained run: its probe distance and step come
 # from L, so it reads only epsilon.
 CONSTRAINED_CONFIG = optimizer.DycentConfig(epsilon=1e-12)
@@ -128,7 +132,7 @@ def _require_wolfe_pair(c1: float, c2: float) -> None:
         raise ValueError(f"need 0 < c1 < c2 < 1, got c1={c1}, c2={c2}")
 
 
-def check_descent(trajectory: list[StepTrace], f0: float, L: float, tol: float = 1e-10) -> DescentReport:
+def check_descent(trajectory: list[StepTrace], f0: float, L: float, tol: float = TOL) -> DescentReport:
     """Verify f(x_new) <= f(x1) - ||grad||^2/(2L) + tol on every step of a run that starts at value f0.
 
     One array pass over the steps: np.vecdot gives each ||g1||^2 with
@@ -139,7 +143,7 @@ def check_descent(trajectory: list[StepTrace], f0: float, L: float, tol: float =
     return _descent(_join([_read_run(trajectory, f0)]), L, tol)
 
 
-def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: float, c2: float = 0.9) -> WolfeReport:
+def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: float, c2: float = C2) -> WolfeReport:
     """Evaluate both Wolfe conditions on every step of a run that starts at value f0.
 
     With descent direction p = -grad(x1) = g1, a step passes
@@ -162,7 +166,7 @@ def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: flo
 
 
 def run_suite(
-    obj: Objective, starts, n_steps: int, seed: int, c1: float, c2: float = 0.9, tol: float = 1e-10
+    obj: Objective, starts, n_steps: int, seed: int, c1: float, c2: float = C2, tol: float = TOL
 ) -> tuple[DescentReport, WolfeReport]:
     """Constrained runs on obj from each of starts, checked as check_descent and wolfe_report check one run.
 

@@ -76,8 +76,8 @@ def test_criterion_2_armijo_sufficient_decrease(constrained_quadratic_steps):
 
 
 def test_criterion_3_one_step_exactness():
-    # from any x0 with h = 0.1 ||x0||, eps = 1e-12, doubling off, one step
-    # lands within 1e-6 ||x0|| of the quadratic's minimum
+    # from any x0 with h = 0.1 ||x0||, eps = 1e-12, one step (a first step
+    # never doubles) lands within 1e-6 ||x0|| of the quadratic's minimum
     rng = np.random.default_rng(321)
     for k in range(100):
         dim = int(rng.integers(2, 8))
@@ -85,7 +85,7 @@ def test_criterion_3_one_step_exactness():
         x0 = rng.standard_normal(dim)
         x0 *= rng.uniform(0.1, 10.0) / np.linalg.norm(x0)
         r0 = float(np.linalg.norm(x0))
-        cfg = optimizer.DycentConfig(h=0.1 * r0, epsilon=1e-12, enable_doubling=False)
+        cfg = optimizer.DycentConfig(h=0.1 * r0, epsilon=1e-12)
         state = optimizer.DycentState(rng=np.random.default_rng(k))
         x_new, _ = optimizer.dycent_step(x0, obj, cfg, state)
         assert np.linalg.norm(x_new) <= 1e-6 * r0

@@ -9,8 +9,10 @@ import dataclasses
 
 import pytest
 
+from dycent import cli
 from dycent.harness import (
     OBJECTIVES,
+    _FIXED_ECHO,
     _RUN_KEYS,
     ConfigError,
     RunConfig,
@@ -68,9 +70,7 @@ h_decay_factor = 4
 h_decay_at_epoch = 1
 output_prefix = named
 h = 0.5
-beta = 0
 epsilon = 1e-6
-enable_doubling = no
 lr = 1
 dim = 3
 n = 50
@@ -79,9 +79,7 @@ hidden_dim = 8
 init_seed = 11
 """
 
-EXPECTED_OPTIMIZER_PARAMS = {
-    "h": 0.5, "beta": 0.0, "epsilon": 1e-6, "enable_doubling": False, "lr": 1.0,
-}
+EXPECTED_OPTIMIZER_PARAMS = {"h": 0.5, "epsilon": 1e-6, "lr": 1.0}
 EXPECTED_OBJECTIVE_PARAMS = {"dim": 3, "n": 50, "noise": 0.0, "hidden_dim": 8, "init_seed": 11}
 
 
@@ -117,22 +115,22 @@ def test_unknown_key_lists_the_whole_key_set(tmp_path):
     assert str(info.value).endswith(f"valid keys: {sorted(every_key)}")
 
 
-@pytest.mark.parametrize(
-    "section",
-    [
-        "objective = toy_b\noptimizer = sgdm\nmomentum = 0.5\n",
-        "objective = toy_b\noptimizer = adam\nbeta1 = 0.8\n",
-        "objective = toy_b\noptimizer = adam\nbeta2 = 0.99\n",
-        "objective = toy_b\noptimizer = rmsprop\neps = 1e-7\n",
-        "objective = moons_mlp\noptimizer = sgd\nactivation = tanh\n",
-        "objective = moons_mlp\noptimizer = sgd\ndata_seed = 4\n",
-        "objective = spd_quadratic\noptimizer = sgd\ncondition = 4\n",
-    ],
-)
-def test_a_removed_setting_is_an_unknown_key(tmp_path, section):
-    # the summary echoes each at its one value, but a file cannot set it
-    removed = section.splitlines()[-1].split(" = ")[0]
+# A runnable section of the run kind or objective each group of _FIXED_ECHO belongs to.
+FIXED_SECTIONS = {
+    "dycent": "objective = toy_b\noptimizer = dycent\nx0 = toy_b_init\n",
+    "baseline": "objective = toy_b\noptimizer = adam\nx0 = toy_b_init\n",
+    "spd_quadratic": "objective = spd_quadratic\noptimizer = sgd\n",
+    "moons_mlp": "objective = moons_mlp\noptimizer = sgd\n",
+}
+FIXED_SETTINGS = [(kind, key, value) for kind, fixed in _FIXED_ECHO.items() for key, value in fixed.items()]
+
+
+@pytest.mark.parametrize("kind,key,value", FIXED_SETTINGS, ids=[f"{kind}-{key}" for kind, key, _ in FIXED_SETTINGS])
+def test_a_removed_setting_is_an_unknown_key(tmp_path, capsys, kind, key, value):
+    # the summary echoes each at its one value, but a file cannot set it, not even to that value
     path = tmp_path / "removed.ini"
-    path.write_text("[r]\n" + section)
-    with pytest.raises(ConfigError, match=f"unknown key {removed!r}"):
-        parse_config_file(path)
+    path.write_text(f"[r]\n{FIXED_SECTIONS[kind]}max_iters = 3\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert f"unknown key {key!r}" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from dycent import harness, theory
 from dycent.harness import RunConfig, run_experiment
 from dycent.objective import _TOY_B_LIMIT_R2, AnalyticObjective, isotropic_quadratic, spd_quadratic, toy_a, toy_b
 from dycent.optimizer import (
+    BETA,
     DycentConfig,
     DycentState,
     NonFiniteStepError,
@@ -38,8 +39,6 @@ class TestConfigValidation:
             {"h": 0.0},
             {"h": -1.0},
             {"h": math.inf},
-            {"beta": 1.0},
-            {"beta": -0.1},
             {"epsilon": 0.0},
             {"epsilon": math.inf},
         ],
@@ -49,10 +48,9 @@ class TestConfigValidation:
             DycentConfig(**kwargs)
 
     def test_defaults(self):
-        cfg = DycentConfig()
-        assert cfg.beta == 0.9
-        assert cfg.epsilon == 1e-8
-        assert cfg.enable_doubling
+        assert DycentConfig() == DycentConfig(h=1e-2, epsilon=1e-8)
+        assert [f.name for f in dataclasses.fields(DycentConfig)] == ["h", "epsilon"]
+        assert BETA == 0.9
 
     def test_frozen(self):
         # every constrained run reads the one shared config, so no run may change it
@@ -61,55 +59,38 @@ class TestConfigValidation:
                 cfg.epsilon = 1.0
         assert CONSTRAINED_CONFIG == DycentConfig(epsilon=1e-12)
         assert dataclasses.replace(CONSTRAINED_CONFIG, h=0.5) == DycentConfig(h=0.5, epsilon=1e-12)
-        assert dataclasses.asdict(CONSTRAINED_CONFIG) == {
-            "h": 1e-2, "beta": 0.9, "epsilon": 1e-12, "enable_doubling": True
-        }
+        assert dataclasses.asdict(CONSTRAINED_CONFIG) == {"h": 1e-2, "epsilon": 1e-12}
 
 
 class TestUpdateAverage:
     def test_first_step_mode_seeds_average(self):
-        cfg = DycentConfig(beta=0.9)
         st_ = state_with()
-        assert update_average(st_, cfg, 0.5) == 0.5
-
-    @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=20))
-    def test_beta_zero_tracks_last(self, ds):
-        cfg = DycentConfig(beta=0.0)
-        st_ = state_with()
-        for d in ds:
-            got = update_average(st_, cfg, d)
-            st_.step_count += 1
-            assert got == d
+        assert update_average(st_, 0.5) == 0.5
 
     def test_later_steps_fold_into_average(self):
-        cfg = DycentConfig(beta=0.9)
         st_ = state_with()
-        update_average(st_, cfg, 1.0)
+        update_average(st_, 1.0)
         st_.step_count += 1
-        assert update_average(st_, cfg, 0.0) == pytest.approx(0.9)
+        assert update_average(st_, 0.0) == pytest.approx(0.9)
 
 
 class TestMaybeDouble:
     def test_doubles_below_average(self):
-        d, doubled = maybe_double(0.05, 0.1, DycentConfig())
+        d, doubled = maybe_double(0.05, 0.1)
         assert (d, doubled) == (0.1, True)
 
     def test_keeps_above_average(self):
-        assert maybe_double(0.2, 0.1, DycentConfig()) == (0.2, False)
+        assert maybe_double(0.2, 0.1) == (0.2, False)
 
     def test_strict_inequality(self):
-        assert maybe_double(0.1, 0.1, DycentConfig()) == (0.1, False)
-
-    def test_disabled(self):
-        cfg = DycentConfig(enable_doubling=False)
-        assert maybe_double(0.05, 0.1, cfg) == (0.05, False)
+        assert maybe_double(0.1, 0.1) == (0.1, False)
 
     @given(
         st.floats(min_value=-5, max_value=5),
         st.floats(min_value=-5, max_value=5),
     )
     def test_doubling_law(self, d, d_avg):
-        got, doubled = maybe_double(d, d_avg, DycentConfig())
+        got, doubled = maybe_double(d, d_avg)
         assert doubled == (d < d_avg)
         assert got == (2.0 * d if doubled else d)
 
@@ -119,7 +100,7 @@ class TestDycentStep:
         # closed form: at x with ||x|| = 1 and probe h = 0.1, the angle is
         # arctan(0.1) and d = 0.1 * cot(arctan 0.1) = 1.0, landing at 0
         obj = isotropic_quadratic(2)
-        cfg = DycentConfig(h=0.1, epsilon=1e-12, enable_doubling=False)
+        cfg = DycentConfig(h=0.1, epsilon=1e-12)
         x_new, tr = dycent_step(np.array([1.0, 0.0]), obj, cfg, state_with(0))
         assert tr.theta == pytest.approx(math.atan(0.1), abs=1e-9)
         assert tr.d_used == pytest.approx(1.0, rel=1e-9)
@@ -127,7 +108,7 @@ class TestDycentStep:
 
     def test_one_step_with_default_epsilon(self):
         obj = isotropic_quadratic(3)
-        cfg = DycentConfig(h=0.1, epsilon=1e-8, enable_doubling=False)
+        cfg = DycentConfig(h=0.1, epsilon=1e-8)
         x0 = np.array([0.6, -0.8, 0.0])
         x_new, _ = dycent_step(x0, obj, cfg, state_with(1))
         assert np.linalg.norm(x_new) <= 1e-6
@@ -218,11 +199,12 @@ class TestDycentStep:
         # the two gradients point oppositely, theta > pi/2, and the negative
         # cot step is taken as is, back up the gradient
         obj = toy_b()
-        cfg = DycentConfig(h=0.7, enable_doubling=False)
-        st_ = state_with(11)
+        cfg = DycentConfig(h=0.7)
+        rng = np.random.default_rng(11)
         seen_negative = False
         for _ in range(10):
-            _, tr = dycent_step(np.array([2.1, 0.0]), obj, cfg, st_)
+            # a fresh state per probe seeds the EMA with that probe's step, so none doubles
+            _, tr = dycent_step(np.array([2.1, 0.0]), obj, cfg, DycentState(rng=rng))
             assert tr.d_used == tr.d_raw
             seen_negative |= tr.d_used < 0.0
         assert seen_negative
@@ -234,6 +216,37 @@ class TestDycentStep:
         for expected in (1, 2, 3):
             x, _ = dycent_step(x, obj, DycentConfig(), st_)
             assert st_.step_count == expected
+
+
+class TestFirstStep:
+    """A step from a fresh DycentState seeds the EMA with its own d_raw, so it
+    never doubles; the one-step oracles rely on this."""
+
+    @settings(max_examples=150)
+    @given(
+        surface=st.sampled_from(["isotropic", "spd", "toy_b"]),
+        dim=st.integers(2, 8),
+        log_h=st.floats(-4.0, 0.0),
+        log_epsilon=st.floats(-12.0, -1.0),
+        start=st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_first_step_never_doubles(self, surface, dim, log_h, log_epsilon, start, seed):
+        if surface == "isotropic":
+            obj = isotropic_quadratic(dim)
+        elif surface == "spd":
+            obj = spd_quadratic(dim, seed=seed, condition=10.0)
+        else:
+            obj = toy_b()
+        st_ = state_with(seed)
+        cfg = DycentConfig(h=10.0**log_h, epsilon=10.0**log_epsilon)
+        try:
+            _, tr = dycent_step(np.array(start[: obj.dim]), obj, cfg, st_)
+        except ZeroGradientError:
+            assume(False)
+        assert tr.doubled is False
+        assert tr.d_used == tr.d_raw
+        assert st_.d_avg == tr.d_raw
 
 
 class TestSpdQuadraticOracle:
@@ -256,7 +269,7 @@ class TestSpdQuadraticOracle:
         a = np.column_stack([obj.gradient(e) for e in np.eye(dim)])  # exact: A @ e_i is column i
         x = np.random.default_rng(seed).standard_normal(dim)
         x *= 10.0**log_scale / np.linalg.norm(x)
-        cfg = DycentConfig(h=10.0**log_h, enable_doubling=False)
+        cfg = DycentConfig(h=10.0**log_h)
 
         x_new, tr = dycent_step(x, obj, cfg, state_with(seed))
 
