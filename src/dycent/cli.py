@@ -20,11 +20,13 @@ EXIT_IO = 4
 def _apply_overrides(cfgs, args):
     out = []
     for c in cfgs:
-        if args.seed is not None:
-            c = dataclasses.replace(c, seed=args.seed)
+        changes = {} if args.seed is None else {"seed": args.seed}
         if args.iters is not None:  # epoch-mode sections count their budget in epochs
-            c = dataclasses.replace(c, **{"max_iters" if c.epochs is None else "epochs": args.iters})
-        out.append(c)
+            changes["max_iters" if c.epochs is None else "epochs"] = args.iters
+        try:
+            out.append(dataclasses.replace(c, **changes))
+        except ConfigError as exc:
+            raise ConfigError(f"[{c.output_prefix}] {exc}") from None
     return out
 
 
@@ -57,6 +59,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "iters", None) is not None and args.iters < 1:  # theory takes no --iters
             raise ConfigError(f"--iters must be >= 1, got {args.iters}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "run":
             cfgs = _apply_overrides(parse_config_file(args.config), args)
             prepared = [_prepare(c) for c in cfgs]  # every section is built and checked before any run

@@ -538,11 +538,11 @@ def run_angle_experiment(seed: int, out_dir: str | Path = ".", epochs: int = ANG
 
 # --- config-file parsing -----------------------------------------------
 
-# Every config-file key, by the part of RunConfig it sets (a run key names a
-# field), with the type its value parses to. x0 is a preset or comma-separated floats.
+# Every config-file key, by the part of RunConfig it sets (a run key names a field;
+# output_prefix is the section name), with the type its value parses to. x0 is a preset or comma-separated floats.
 _RUN_KEYS = {
     "objective": str, "optimizer": str, "x0": float, "max_iters": int, "seed": int, "batch_size": int,
-    "epochs": int, "h_decay_factor": float, "h_decay_at_epoch": int, "output_prefix": str,
+    "epochs": int, "h_decay_factor": float, "h_decay_at_epoch": int,
 }
 _OPT_KEYS = {
     f.name: f.type
@@ -573,8 +573,7 @@ def _parse_value(key: str, raw: str, kind: type):
 def parse_config_file(path: str | Path) -> list[RunConfig]:
     """Read run sections from a plain-text key=value config file.
 
-    Each section describes one run; the section name becomes the output
-    prefix unless output_prefix is set explicitly.
+    Each section describes one run, and its name is the run's output prefix.
     """
     parser = ConfigParser(interpolation=None)  # a '%' in a value is literal
     try:

@@ -67,11 +67,10 @@ class DycentConfig:
 
 @dataclass
 class DycentState:
-    """Evolving state of one run: the step-size EMA and its RNG."""
+    """Evolving state of one run: the step-size EMA (None until the first step seeds it) and its RNG."""
 
     rng: RngHandle
-    d_avg: float = 0.0
-    step_count: int = 0
+    d_avg: float | None = None
 
 
 @dataclass(slots=True)
@@ -97,10 +96,7 @@ class StepTrace:
 
 def update_average(state: DycentState, d: float) -> float:
     """Fold step size d into the EMA at decay BETA; the first step seeds it, so that step never doubles."""
-    if state.step_count == 0:
-        state.d_avg = d
-    else:
-        state.d_avg = BETA * state.d_avg + (1.0 - BETA) * d
+    state.d_avg = d if state.d_avg is None else BETA * state.d_avg + (1.0 - BETA) * d
     return state.d_avg
 
 
@@ -169,7 +165,6 @@ def dycent_step(
         d_used, doubled = g1_norm / lipschitz, False
 
     x_new = x1 + d_used * g1 / g1_norm
-    state.step_count += 1
     f_after = obj.value(x_new)
     if not math.isfinite(f_after):
         raise NonFiniteStepError(f"value at the new point is not finite ({f_after})")

@@ -6,9 +6,10 @@ exit code is one of the documented four, no exception escapes, an exit
 2 (a config error) writes no file, and every JSON written is strict JSON,
 NaN and Infinity refused.
 
-Files are drawn two ways. Edge values over all 18 config keys reach the
+Files are drawn two ways. Edge values over all 17 config keys reach the
 checks of each key; sections built per objective reach runs, where a
-setting that slipped past its check would show. Every drawn size is
+setting that slipped past its check would show. Either way the section
+names, which are the output prefixes, are drawn too. Every drawn size is
 small: a few MB at most per run.
 """
 
@@ -48,7 +49,6 @@ EDGE_KEYS = {
     "epochs": st.sampled_from(EDGE_INTS),
     "h_decay_factor": st.sampled_from(EDGE_FLOATS),
     "h_decay_at_epoch": st.sampled_from(EDGE_INTS),
-    "output_prefix": st.sampled_from(["p", "", ".", "a/b", "a b"]),
     "h": st.sampled_from(EDGE_FLOATS),
     "epsilon": st.sampled_from(EDGE_FLOATS),
     "lr": st.sampled_from(EDGE_FLOATS),
@@ -62,7 +62,7 @@ EDGE_KEYS = {
 
 def test_the_edge_value_table_covers_every_config_key():
     assert set(EDGE_KEYS) == _RUN_KEYS.keys() | _OPT_KEYS.keys() | _OBJ_KEYS.keys()
-    assert len(EDGE_KEYS) == 18
+    assert len(EDGE_KEYS) == 17
 
 
 @st.composite
@@ -129,8 +129,12 @@ def objective_sections(draw):
     return [draw(run_section(part, wild)) for _ in range(draw(st.integers(1, 3)))]
 
 
-def write_config(path: Path, sections) -> None:
-    names = ["a", "b", "c"]
+# A file's section names, one per section. Each is its run's output prefix, and "a/b" is refused
+# as one; an empty name cannot be a section header.
+SECTION_NAMES = st.lists(st.sampled_from(["a", "b", "c", "p", ".", "a b", "a/b"]), min_size=3, max_size=3, unique=True)
+
+
+def write_config(path: Path, names, sections) -> None:
     text = "".join(
         f"[{names[k]}]\n" + "".join(f"{key} = {value}\n" for key, value in section.items())
         for k, section in enumerate(sections)
@@ -142,10 +146,10 @@ def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def assert_contract(sections, command, iters):
+def assert_contract(names, sections, command, iters):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "cfg.ini", Path(tmp) / "out"
-        write_config(config, sections)
+        write_config(config, names, sections)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([command, "--config", str(config), "--iters", str(iters), "--out", str(out)])
         assert code in EXIT_CODES
@@ -160,15 +164,21 @@ def assert_contract(sections, command, iters):
 
 @FUZZ
 @given(
+    names=SECTION_NAMES,
     sections=st.lists(edge_sections(), min_size=1, max_size=3),
     command=st.sampled_from(["run", "compare"]),
     iters=st.integers(1, 3),
 )
-def test_edge_value_files_keep_the_exit_code_contract(sections, command, iters):
-    assert_contract(sections, command, iters)
+def test_edge_value_files_keep_the_exit_code_contract(names, sections, command, iters):
+    assert_contract(names, sections, command, iters)
 
 
 @FUZZ
-@given(sections=objective_sections(), command=st.sampled_from(["run", "compare"]), iters=st.integers(1, 3))
-def test_per_objective_files_keep_the_exit_code_contract(sections, command, iters):
-    assert_contract(sections, command, iters)
+@given(
+    names=SECTION_NAMES,
+    sections=objective_sections(),
+    command=st.sampled_from(["run", "compare"]),
+    iters=st.integers(1, 3),
+)
+def test_per_objective_files_keep_the_exit_code_contract(names, sections, command, iters):
+    assert_contract(names, sections, command, iters)

@@ -68,7 +68,6 @@ batch_size = 16
 epochs = 2
 h_decay_factor = 4
 h_decay_at_epoch = 1
-output_prefix = named
 h = 0.5
 epsilon = 1e-6
 lr = 1
@@ -96,14 +95,15 @@ def test_every_key_parses_to_its_type(tmp_path):
     run = [getattr(cfg, key) for key in _RUN_KEYS if key != "x0"]
     assert [(type(v), v) for v in run] == [
         (str, "moons_mlp"), (str, "dycent"), (int, 40), (int, 9), (int, 16), (int, 2), (float, 4.0), (int, 1),
-        (str, "named"),
     ]
     assert [(type(v), v) for v in cfg.x0] == [(float, 1.0), (float, -2.5)]
+    assert cfg.output_prefix == "every-key"
 
 
 def test_every_run_key_is_a_run_config_field():
-    # the parser hands each run key to RunConfig under its own name
-    assert set(_RUN_KEYS) == {f.name for f in dataclasses.fields(RunConfig)} - {"objective_params", "optimizer_params"}
+    # the parser hands each run key to RunConfig under its own name; the section name sets output_prefix
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(_RUN_KEYS) == fields - {"objective_params", "optimizer_params", "output_prefix"}
 
 
 def test_unknown_key_lists_the_whole_key_set(tmp_path):
@@ -134,3 +134,20 @@ def test_a_removed_setting_is_an_unknown_key(tmp_path, capsys, kind, key, value)
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists()
     assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_the_section_name_is_the_output_prefix(tmp_path, capsys):
+    section = "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nmax_iters = 3\n"
+    path = tmp_path / "prefix.ini"
+    path.write_text(f"[named]\n{section}output_prefix = other\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert "[named] unknown key 'output_prefix'" in capsys.readouterr().err
+
+    path.write_text(f"[named]\n{section}")
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    (cfg,) = parse_config_file(path)
+    digest = config_hash(config_echo(cfg, _build_optimizer_config(cfg)))
+    assert sorted(p.name for p in out.iterdir()) == [f"named-{digest}.csv", f"named-{digest}.json"]
+    assert '"output_prefix": "named"' in capsys.readouterr().out

@@ -808,12 +808,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(
         "text",
-        [
-            "[a]\n{run}[sub/b]\n{run}",
-            "[r]\n{run}output_prefix = ../escaped\n",
-            "[a\0b]\n{run}",
-        ],
-        ids=["slash-in-section", "prefix-leaves-out", "nul-in-section"],
+        ["[a]\n{run}[sub/b]\n{run}", "[a\0b]\n{run}"],
+        ids=["slash-in-section", "nul-in-section"],
     )
     def test_prefix_that_is_not_a_file_name_exits_2_and_writes_nothing(self, tmp_path, capsys, command, text):
         path = tmp_path / "runs.ini"
@@ -862,6 +858,21 @@ class TestCli:
         code = cli.main([command, *config, "--iters", iters, "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error[config]: --iters must be >= 1, got {iters}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "theory", "angles"])
+    def test_negative_seed_names_the_flag_and_writes_nothing(self, tmp_path, capsys, command):
+        config = [] if command in ("theory", "angles") else ["--config", str(CONFIGS / "toy_b_compare.ini")]
+        code = cli.main([command, *config, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error[config]: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_iters_that_breaks_a_section_names_it_and_writes_nothing(self, tmp_path, capsys):
+        args = ["--config", str(CONFIGS / "moons_dycent.ini"), "--iters", "5", "--out", str(tmp_path / "out")]
+        assert cli.main(["compare", *args]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: [moons-dycent] h_decay_at_epoch 80 never applies in a run of 5 epochs")
         assert not (tmp_path / "out").exists()
 
     def test_iters_sets_epochs_in_epoch_mode(self, tmp_path):

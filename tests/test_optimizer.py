@@ -62,6 +62,9 @@ class TestConfigValidation:
         assert dataclasses.asdict(CONSTRAINED_CONFIG) == {"h": 1e-2, "epsilon": 1e-12}
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestUpdateAverage:
     def test_first_step_mode_seeds_average(self):
         st_ = state_with()
@@ -70,8 +73,18 @@ class TestUpdateAverage:
     def test_later_steps_fold_into_average(self):
         st_ = state_with()
         update_average(st_, 1.0)
-        st_.step_count += 1
         assert update_average(st_, 0.0) == pytest.approx(0.9)
+
+    @given(a=FINITE, d=FINITE, e=FINITE)
+    def test_a_set_average_folds_and_an_unset_one_is_seeded(self, a, d, e):
+        # the average is the state's one record of past steps: None until a step seeds it
+        assert [f.name for f in dataclasses.fields(DycentState)] == ["rng", "d_avg"]
+        st_ = state_with(d_avg=a)
+        assert update_average(st_, d) == st_.d_avg == BETA * a + (1.0 - BETA) * d
+        fresh = state_with()
+        assert fresh.d_avg is None
+        assert update_average(fresh, d) == fresh.d_avg == d
+        assert update_average(fresh, e) == BETA * d + (1.0 - BETA) * e
 
 
 class TestMaybeDouble:
@@ -208,14 +221,6 @@ class TestDycentStep:
             assert tr.d_used == tr.d_raw
             seen_negative |= tr.d_used < 0.0
         assert seen_negative
-
-    def test_step_count_increments(self):
-        st_ = state_with(0)
-        obj = isotropic_quadratic(2)
-        x = np.array([1.0, 2.0])
-        for expected in (1, 2, 3):
-            x, _ = dycent_step(x, obj, DycentConfig(), st_)
-            assert st_.step_count == expected
 
 
 class TestFirstStep:
