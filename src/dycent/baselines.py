@@ -165,7 +165,7 @@ def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
     # carry[0]: (point returned, its value, its (gradient, norm) if the step did not move)
     carry = [None]
 
-    def step(i, x):
+    def step(x):
         start = carry[0] if carry[0] is not None and carry[0][0] is x else None
         if start is not None and start[2] is not None:
             g, grad_norm = start[2]
@@ -185,6 +185,6 @@ def baseline_stepper(obj: Objective, cfg: BaselineConfig, state: BaselineState):
             if not math.isfinite(f_new):
                 raise NonFiniteStepError(f"value at the new point is not finite ({f_new})")
         carry[0] = (x_new, f_new, (g, grad_norm) if unmoved else None)
-        return x_new, TrajectoryRecord(iter=i, f=f_new, grad_norm=grad_norm)
+        return x_new, TrajectoryRecord(f=f_new, grad_norm=grad_norm)
 
     return step

@@ -274,9 +274,9 @@ def _run(
     if cfg.optimizer == "dycent":
         dystate = optimizer.DycentState(rng=np.random.default_rng(opt_seed))
         def stepper(opt_cfg):
-            def step(i, x):
+            def step(x):
                 x_new, t = optimizer.dycent_step(x, obj, opt_cfg, dystate)
-                rec = TrajectoryRecord(iter=i, f=t.f_after, grad_norm=t.g1_norm, theta_deg=math.degrees(t.theta),
+                rec = TrajectoryRecord(f=t.f_after, grad_norm=t.g1_norm, theta_deg=math.degrees(t.theta),
                                        d_raw=t.d_raw, d_used=t.d_used, doubled=t.doubled)
                 return x_new, rec
             return step
@@ -293,9 +293,9 @@ def _run(
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
     def batch_step(step, batch, epoch_end):
-        def pinned(i, x):
+        def pinned(x):
             obj.set_batch(batch)
-            x_new, rec = step(i, x)
+            x_new, rec = step(x)
             if epoch_end:
                 rec.acc_train = mlmodels.accuracy(obj, x_new)
             return x_new, rec
@@ -319,7 +319,7 @@ def _run(
 
 def write_trajectory_csv(path: Path, records: list[TrajectoryRecord]) -> None:
     lines = [",".join(CSV_COLUMNS)]
-    lines += [r.csv_row() for r in records]
+    lines += [r.csv_row(i) for i, r in enumerate(records)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -365,7 +365,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, pre
         "iterations": len(records),
         "final_f": final_f,
         "best_f": best_f,
-        "iters_to_best": records[best_idx].iter if f_values else None,
+        "iters_to_best": best_idx,
         "final_grad_norm": records[-1].grad_norm if records else None,
         "final_train_accuracy": accs[-1] if accs else None,
         "stopped_early": stopped_early,
@@ -525,7 +525,7 @@ def run_angle_experiment(seed: int, out_dir: str | Path = ".", epochs: int = ANG
     batches_per_epoch = math.ceil(_objective_params(cfg)["n"] / cfg.batch_size)
 
     def angle_band(records: list[TrajectoryRecord]) -> dict:  # every dycent record has theta_deg
-        thetas = [r.theta_deg for r in records if 10 <= r.iter // batches_per_epoch <= 50]
+        thetas = [r.theta_deg for i, r in enumerate(records) if 10 <= i // batches_per_epoch <= 50]
         return {"angle_band": {
             "epochs": [10, 50],
             "median_theta_deg": float(np.median(thetas)) if thetas else None,

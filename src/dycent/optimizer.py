@@ -188,22 +188,23 @@ def dycent_step(
 def run_loop(x0: ParamVector, steps) -> tuple[list, ZeroGradientError | NonFiniteStepError | None, ParamVector]:
     """The run loop every driver shares; returns the items, the error that stopped the run and the last point.
 
-    steps is an iterable, lazy and of any length, of step(i, x) callables
-    that return (x_new, item); the loop takes each in turn from x0. The
+    steps is an iterable, lazy and of any length, of step(x) callables that
+    return (x_new, item); the loop takes each in turn from x0 and keeps one
+    item per step, so an item's index in the list is its step's number. The
     stop is None when the steps ran out, else the ZeroGradientError or
     NonFiniteStepError a step raised, the same object with its traceback
     cleared: the traceback's frames would hold the run's state, and the
     callers' frames that hold the stop, in a cycle that only the cyclic GC
     frees. The items are those of the steps before it, and the caller
-    decides what the stop means. x0 is copied once, so a later change to
-    the caller's array does not reach the items; each step then starts on
-    the very array the step before returned.
+    decides what the stop means. x0 is copied once, so a later change to the
+    caller's array does not reach the items; each step then starts on the
+    very array the step before returned.
     """
     x = np.array(x0, dtype=np.float64)
     items: list = []
     for step in steps:
         try:
-            x, item = step(len(items), x)
+            x, item = step(x)
         except (ZeroGradientError, NonFiniteStepError) as stop:
             return items, stop.with_traceback(None), x
         items.append(item)

@@ -7,10 +7,9 @@ CSV_COLUMNS = ("iter", "f", "grad_norm", "theta_deg", "d_raw", "d_used", "double
 
 @dataclass
 class TrajectoryRecord:
-    """One recorded iteration. Angle/step fields are only set for the
-    angle-probed optimizer; acc_train only for dataset-backed runs."""
+    """One recorded iteration; its number, the CSV's iter, is its index in the run's records.
+    Angle/step fields are only set for the angle-probed optimizer; acc_train only for dataset-backed runs."""
 
-    iter: int
     f: float
     grad_norm: float
     theta_deg: float | None = None
@@ -19,10 +18,10 @@ class TrajectoryRecord:
     doubled: bool | None = None
     acc_train: float | None = None
 
-    def csv_row(self) -> str:
-        """The record as one CSV row in CSV_COLUMNS order, each cell as csv_cell writes it."""
+    def csv_row(self, i: int) -> str:
+        """The record as row i of a trajectory CSV, in CSV_COLUMNS order, each cell as csv_cell writes it."""
         return (
-            f"{self.iter},{self.f!r},{self.grad_norm!r},"
+            f"{i},{self.f!r},{self.grad_norm!r},"
             f"{'' if self.theta_deg is None else repr(self.theta_deg)},"
             f"{'' if self.d_raw is None else repr(self.d_raw)},"
             f"{'' if self.d_used is None else repr(self.d_used)},"

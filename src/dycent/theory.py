@@ -206,7 +206,7 @@ def run_constrained(
     """
     state = optimizer.DycentState(rng=np.random.default_rng(seed))
 
-    def step(i, x):
+    def step(x):
         # optimizer.dycent_step is looked up at each call, so a wrapper put on it reaches every step
         return optimizer.dycent_step(x, obj, CONSTRAINED_CONFIG, state, lipschitz=L)
 

@@ -32,7 +32,7 @@ def dycent_run(x0, obj, cfg, max_iters, seed):
     """
     state = DycentState(rng=np.random.default_rng(seed))
 
-    def step(i, x):
+    def step(x):
         return dycent_step(x, obj, cfg, state)
 
     traces, stop, _ = run_loop(x0, (step for _ in range(max_iters)))
@@ -119,10 +119,10 @@ def scalar_wolfe_report(trajectory, f_before, obj, c1, c2=0.9):
     return report
 
 
-def csv_row_by_cell(record):
-    """record's trajectory CSV row, one csv_cell per column: the reference
+def csv_row_by_cell(record, i):
+    """record's trajectory CSV row at index i, one csv_cell per column: the reference
     for TrajectoryRecord.csv_row, which formats the row in one f-string."""
-    return ",".join(csv_cell(getattr(record, c)) for c in CSV_COLUMNS)
+    return ",".join([csv_cell(i)] + [csv_cell(getattr(record, c)) for c in CSV_COLUMNS[1:]])
 
 
 def python_float_baseline_step(x, g, cfg, state):
@@ -178,12 +178,12 @@ def every_step_baseline_run(x0, obj, cfg, max_iters):
     state = BaselineState.zeros(len(x0))
     x = np.array(x0, dtype=np.float64)
     records = []
-    for i in range(max_iters):
+    for _ in range(max_iters):
         g = obj.gradient(x)
         if norm(g) == 0.0:
             break
         x = python_float_baseline_step(x, g, cfg, state)
-        records.append(TrajectoryRecord(iter=i, f=obj.value(x), grad_norm=norm(g)))
+        records.append(TrajectoryRecord(f=obj.value(x), grad_norm=norm(g)))
     return records
 
 

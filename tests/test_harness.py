@@ -6,10 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dycent import harness, mlmodels, objective as objectives, optimizer
 from dycent.harness import (
@@ -397,6 +400,65 @@ class TestAutomaticStart:
         with pytest.raises(ConfigError, match="no automatic start"):
             run_experiment(RunConfig(objective=objective, optimizer="sgd"), out_dir=tmp_path)
         assert starts == []
+
+
+def numbered_f(out_dir) -> list[float]:
+    """The f column of the one run written to out_dir, after checking that its rows are numbered by position:
+    the iter column is 0..rows-1, the summary's iterations is the row count and iters_to_best is the first
+    row with the lowest f."""
+    (csv_path,) = Path(out_dir).glob("*.csv")
+    summary = json.loads(csv_path.with_suffix(".json").read_text())
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    f = [float(r["f"]) for r in rows]
+    assert [r["iter"] for r in rows] == [str(i) for i in range(len(rows))]
+    assert summary["iterations"] == len(rows)
+    assert summary["iters_to_best"] == (f.index(min(f)) if f else None)
+    return f
+
+
+class TestRowNumbering:
+    """A logged step's number is its index in the run's records; the CSV's iter
+    column, iterations and iters_to_best are all read off that index."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        objective=st.sampled_from(["toy_a", "toy_b", "quadratic"]),
+        opt=st.sampled_from(harness.OPTIMIZERS),
+        budget=st.integers(1, 40),
+        rate=st.sampled_from([1e-3, 1e-2, 0.3]),
+        seed=st.integers(0, 9),
+    )
+    @example(objective="toy_b", opt="dycent", budget=40, rate=1e-3, seed=0)  # rows 1..39 tie at the lowest f
+    @example(objective="toy_b", opt="dycent", budget=40, rate=1e-2, seed=0)  # stops on a zero gradient
+    def test_toy_runs(self, objective, opt, budget, rate, seed):
+        x0 = {"toy_a": "toy_a_init_perturbed", "toy_b": "toy_b_init", "quadratic": "auto"}[objective]
+        cfg = RunConfig(objective=objective, optimizer=opt, x0=x0, max_iters=budget, seed=seed,
+                        optimizer_params={"h" if opt == "dycent" else "lr": rate})
+        with tempfile.TemporaryDirectory() as out:
+            run_experiment(cfg, out_dir=out)
+            numbered_f(out)
+
+    def test_tied_lowest_f_names_its_first_row(self, tmp_path):
+        # sgd at lr 0.3 on toy_b settles within 40 steps, so the lowest f is logged on rows 12 to 39
+        cfg = RunConfig(objective="toy_b", optimizer="sgd", x0="toy_b_init", max_iters=40, optimizer_params={"lr": 0.3})
+        run_experiment(cfg, out_dir=tmp_path)
+        f = numbered_f(tmp_path)
+        assert f.count(min(f)) == 28 and f.index(min(f)) == 12
+
+    @pytest.mark.parametrize(
+        "run, steps, stop_reason",
+        [
+            # 5 rows in batches of 1 over 2 epochs: dycent stops on a zero gradient at its 10th step
+            ({"optimizer": "dycent", "batch_size": 1, "objective_params": {"n": 5}}, 9, "stationary_point"),
+            # 65 rows in batches of 32: each epoch ends on a one-row batch
+            ({"optimizer": "dycent", "batch_size": 32, "objective_params": {"n": 65, "hidden_dim": 1}}, 6, None),
+            ({"optimizer": "adam", "batch_size": 32, "objective_params": {"n": 65}}, 6, None),
+        ],
+    )
+    def test_epoch_runs(self, tmp_path, run, steps, stop_reason):
+        summary = run_experiment(RunConfig(objective="moons_mlp", epochs=2, **run), out_dir=tmp_path)
+        assert summary["stop_reason"] == stop_reason
+        assert len(numbered_f(tmp_path)) == steps
 
 
 class TestHSchedule:

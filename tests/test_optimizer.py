@@ -451,12 +451,14 @@ class TestRun:
 
 def counting_steps(n, k=None, error=None):
     """n steps that each add 1 to x and return their index as the item; step k raises error."""
-    def step(i, x):
-        if i == k:
-            raise error
-        return x + 1.0, i
+    def counting_step(i):
+        def step(x):
+            if i == k:
+                raise error
+            return x + 1.0, i
+        return step
 
-    return (step for _ in range(n))
+    return (counting_step(i) for i in range(n))
 
 
 class TestRunLoopEnds:
@@ -483,6 +485,17 @@ class TestRunLoopEnds:
         assert stop is error and vars(stop) == attributes  # returned as raised, nothing added
         assert items == list(range(k)) and x.tolist() == [float(k)] * 2
 
+    def test_a_step_is_handed_the_point_alone(self):
+        seen = []
+
+        def step(x):
+            seen.append(x.tolist())
+            return x + 1.0, len(seen)
+
+        items, stop, x = run_loop(np.zeros(2), (step for _ in range(3)))
+        assert (items, stop, x.tolist()) == ([1, 2, 3], None, [3.0, 3.0])
+        assert seen == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+
     def test_other_errors_propagate(self):
         with pytest.raises(ValueError, match="not a stop"):
             run_loop(np.zeros(2), counting_steps(10, 2, ValueError("not a stop")))
@@ -490,7 +503,7 @@ class TestRunLoopEnds:
     def test_zero_gradient_start_returns_the_stepper_error(self):
         x0 = np.array([-2.0, 0.0])
         state = state_with()
-        items, stop, x = run_loop(x0, ((lambda i, x: dycent_step(x, toy_a(), DycentConfig(), state)) for _ in range(5)))
+        items, stop, x = run_loop(x0, ((lambda x: dycent_step(x, toy_a(), DycentConfig(), state)) for _ in range(5)))
         assert items == [] and type(stop) is ZeroGradientError
         assert stop.gradient.tobytes() == toy_a().gradient(x0).tobytes() and x.tolist() == x0.tolist()
 
@@ -498,7 +511,7 @@ class TestRunLoopEnds:
         # toy_b from (3, 3) at seed 7 lands on a point with a zero gradient after 2 steps
         obj, state = toy_b(), state_with(seed=7)
         items, stop, x = run_loop(
-            np.array([3.0, 3.0]), ((lambda i, x: dycent_step(x, obj, DycentConfig(h=0.01), state)) for _ in range(50))
+            np.array([3.0, 3.0]), ((lambda x: dycent_step(x, obj, DycentConfig(h=0.01), state)) for _ in range(50))
         )
         assert len(items) == 2 and type(stop) is ZeroGradientError and x is items[-1].x_new
         assert stop.gradient.tobytes() == obj.gradient(x).tobytes() and not stop.gradient.any()
@@ -551,7 +564,7 @@ class TestStartAliasing:
     def test_run_loop_returns_the_last_step_array(self):
         obj = isotropic_quadratic(3)
         state = state_with(seed=2)
-        def step(i, x):
+        def step(x):
             return dycent_step(x, obj, DycentConfig(h=0.05), state)
         traces, stop, x = run_loop(np.array([0.3, -0.2, 0.1]), (step for _ in range(4)))
         assert stop is None and x is traces[-1].x_new

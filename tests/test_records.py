@@ -11,8 +11,8 @@ OPTIONAL_FLOATS = ("theta_deg", "d_raw", "d_used", "acc_train")
 
 
 def test_csv_columns_are_the_record_fields_in_order():
-    # csv_row hard-codes this order
-    assert CSV_COLUMNS == tuple(f.name for f in dataclasses.fields(TrajectoryRecord))
+    # csv_row hard-codes this order: the row's index, then the fields
+    assert CSV_COLUMNS == ("iter", *(f.name for f in dataclasses.fields(TrajectoryRecord)))
 
 
 def test_csv_row_matches_the_cell_by_cell_row():
@@ -25,5 +25,5 @@ def test_csv_row_matches_the_cell_by_cell_row():
             name: FLOATS[(i + 2 + k) % n] if on else None
             for k, (name, on) in enumerate(zip(OPTIONAL_FLOATS, present))
         }
-        record = TrajectoryRecord(iter=it, f=FLOATS[i], grad_norm=FLOATS[(i + 1) % n], doubled=doubled, **optional)
-        assert record.csv_row() == csv_row_by_cell(record), record
+        record = TrajectoryRecord(f=FLOATS[i], grad_norm=FLOATS[(i + 1) % n], doubled=doubled, **optional)
+        assert record.csv_row(it) == csv_row_by_cell(record, it), record
