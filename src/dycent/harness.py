@@ -449,9 +449,10 @@ def _fmt(v) -> str:
 def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
     """Constrained-mode runs on quadratics plus every theory check; writes JSON.
 
-    The sufficient-decrease (Armijo) check uses c1 = 1/(2L); start points
-    are drawn inside the unit ball, where that c1 is covered by the
-    decrease bound. The curvature pass rate is reported, not asserted.
+    theory.run_suite checks each objective at the constants the report states,
+    its lipschitz_bound L, c1 = 1/(2L), theory.C2 and theory.TOL; start points
+    are drawn inside the unit ball, where that c1 is covered by the decrease
+    bound. The curvature pass rate is reported, not asserted.
     """
     if seed < 0:
         raise ConfigError("seed must be >= 0")
@@ -465,13 +466,13 @@ def run_theory_suite(seed: int, out_dir: str | Path = ".") -> dict:
     armijo, curvature = [], []  # every step's pass/fail over all objectives
     per_objective = []
     for name, obj, n_starts, n_steps in suites:
-        L = obj.lipschitz_bound
+        L = obj.lipschitz_bound  # the report's echo; run_suite reads it from obj
         starts = []
         for _ in range(n_starts):
             direction = rng.standard_normal(obj.dim)
             direction /= norm(direction)
             starts.append(direction * rng.uniform(0.1, 0.95))
-        report, wolfe = theory.run_suite(obj, starts, n_steps, seed, c1=1.0 / (2.0 * L))
+        report, wolfe = theory.run_suite(obj, starts, n_steps, seed)
         min_margin = min(min_margin, report.min_decrease_margin)
         armijo += wolfe.armijo_pass
         curvature += wolfe.curvature_pass

@@ -107,6 +107,13 @@ def maybe_double(d: float, d_avg: float) -> tuple[float, bool]:
     return d, False
 
 
+def require_lipschitz(lipschitz: float | None) -> float:
+    """lipschitz itself; ValueError unless it is finite and > 0 (None included)."""
+    if lipschitz is None or not 0.0 < lipschitz < math.inf:
+        raise ValueError(f"lipschitz must be > 0 and finite, got {lipschitz}")
+    return lipschitz
+
+
 def dycent_step(
     x: ParamVector,
     obj: Objective,
@@ -130,8 +137,8 @@ def dycent_step(
     x is kept itself, so it must not be changed in place while the trace
     is in use.
     """
-    if lipschitz is not None and not 0.0 < lipschitz < math.inf:
-        raise ValueError(f"lipschitz must be > 0 and finite, got {lipschitz}")
+    if lipschitz is not None:
+        require_lipschitz(lipschitz)
     x1 = np.asarray(x, dtype=np.float64)
     grad1 = obj.gradient(x1)
     g1 = -grad1

@@ -13,15 +13,15 @@ Since theta cancels, dycent_step takes that step as ||grad|| / L itself,
 so a constrained run is gradient descent with step 1/L bit for bit, and
 both guarantees are that method's textbook ones.
 check_descent and wolfe_report check one run; run_suite runs and checks a
-sub-suite of starts, reading each run as it finishes and checking all their
-steps in one array pass. The gradient at each step's landing point is the
-gradient the next step took there; a run that stopped on a zero gradient
-hands over the one its stopping step took, so only the last landing point
-of a run that spent its budget is evaluated for the checks. At seed 0
-harness.run_theory_suite takes 21,268 gradients over 10,284 steps, 2.068067
-a step: 2 per step, 1 for each of the 200 isotropic runs' stopping steps and
-1 landing gradient for each of the 500 SPD runs; and 10,984 values, 1 per
-step and 1 start value per run.
+sub-suite of starts at the theory report's constants, reading each run as
+it finishes and checking all their steps in one array pass. The gradient at
+each step's landing point is the gradient the next step took there; a run
+that stopped on a zero gradient hands over the one its stopping step took,
+so only the last landing point of a run that spent its budget is evaluated
+for the checks. At seed 0 harness.run_theory_suite takes 21,268 gradients
+over 10,284 steps, 2.068067 a step: 2 per step, 1 for each of the 200
+isotropic runs' stopping steps and 1 landing gradient for each of the 500
+SPD runs; and 10,984 values, 1 per step and 1 start value per run.
 """
 
 import math
@@ -34,7 +34,7 @@ from .objective import Objective
 from .optimizer import StepTrace
 from .vecmath import ParamVector
 
-# The curvature constant and descent tolerance the checks default to and the report states.
+# The curvature constant and descent tolerance of the theory report, at which run_suite checks.
 C2 = 0.9
 TOL = 1e-10
 
@@ -138,8 +138,10 @@ def check_descent(trajectory: list[StepTrace], f0: float, L: float, tol: float =
     One array pass over the steps: np.vecdot gives each ||g1||^2 with
     np.dot's bits, and the margins are formed elementwise in the order a
     per-step loop forms them. A NaN margin is a violation; the minimum
-    margin skips it, and an empty trajectory has margin inf.
+    margin skips it, and an empty trajectory has margin inf. An L that is
+    not finite and > 0 raises ValueError before the run is read.
     """
+    optimizer.require_lipschitz(L)
     return _descent(_join([_read_run(trajectory, f0)]), L, tol)
 
 
@@ -165,45 +167,48 @@ def wolfe_report(trajectory: list[StepTrace], f0: float, obj: Objective, c1: flo
     return _wolfe(_join([_read_run(trajectory, f0, obj)]), c1, c2)
 
 
-def run_suite(
-    obj: Objective, starts, n_steps: int, seed: int, c1: float, c2: float = C2, tol: float = TOL
-) -> tuple[DescentReport, WolfeReport]:
+def run_suite(obj: Objective, starts, n_steps: int, seed: int) -> tuple[DescentReport, WolfeReport]:
     """Constrained runs on obj from each of starts, checked as check_descent and wolfe_report check one run.
 
     Run k takes n_steps steps at L = obj.lipschitz_bound with its own
-    generator, seeded seed + 1000 + k. Each run is read as it finishes,
-    its start value evaluated right after it, so no trace outlives its run.
-    A run that stopped on a zero gradient hands over the gradient its
-    stopping step took at its last landing point; only a run that spent
-    its budget has that landing gradient evaluated here. One descent pass
-    and one Wolfe pass then cover the rows of all runs, in order. Empty
-    runs add no rows.
+    generator, seeded seed + 1000 + k. Each run is read as it finishes, its
+    start value evaluated right after it, so no trace outlives its run. A
+    run that stopped on a zero gradient hands over the gradient its stopping
+    step took at its last landing point; only a run that spent its budget
+    has that landing gradient evaluated here. One descent pass and one Wolfe
+    pass then cover the rows of all runs, in order, at the theory report's
+    constants: L and TOL, c1 = 1/(2L) and C2. Empty runs add no rows. An L
+    that is not finite and > 0, or not above 1/(2 C2), raises ValueError
+    before any run.
     """
-    _require_wolfe_pair(c1, c2)
-    L = obj.lipschitz_bound
+    L = optimizer.require_lipschitz(obj.lipschitz_bound)
+    c1 = 1.0 / (2.0 * L)
+    _require_wolfe_pair(c1, C2)
     runs = []
     for k, x0 in enumerate(starts):
         # run_constrained is looked up here at each call, so a wrapper put on it reaches every run
-        traces, landing = run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
+        traces, landing = run_constrained(x0, obj, n_steps, seed=seed + 1000 + k)
         runs.append(_read_run(traces, obj.value(x0), obj, landing))
     rows = _join(runs)
-    return _descent(rows, L, tol), _wolfe(rows, c1, c2)
+    return _descent(rows, L, TOL), _wolfe(rows, c1, C2)
 
 
 def run_constrained(
-    x0: ParamVector, obj: Objective, L: float, max_iters: int, seed: int
+    x0: ParamVector, obj: Objective, max_iters: int, seed: int
 ) -> tuple[list[StepTrace], ParamVector | None]:
-    """Constrained mode of the stepper from x0: every step is exactly ||grad||/L long.
+    """Constrained mode of the stepper from x0: every step is exactly ||grad||/L long, L = obj.lipschitz_bound.
 
-    The probe distance 0.01 * ||grad|| / L keeps the measured angle near
-    arctan(0.01) on smooth objectives; the probe is recorded in each trace,
-    and no step reads it. Stops early at a stationary point;
-    a non-finite step raises its NonFiniteStepError.
+    An L that is not finite and > 0 (None included) raises ValueError
+    before any evaluation. The probe distance 0.01 * ||grad|| / L keeps the
+    measured angle near arctan(0.01) on smooth objectives; the probe is
+    recorded in each trace, and no step reads it. Stops early at a
+    stationary point; a non-finite step raises its NonFiniteStepError.
     Returns the traces and, for a run that stopped on a zero gradient, the
     gradient its stopping step took where the last step landed (at x0 if
     no step was taken); None for a run that spent its budget, or whose
     stop held no gradient (a zero probe gradient).
     """
+    L = optimizer.require_lipschitz(obj.lipschitz_bound)
     state = optimizer.DycentState(rng=np.random.default_rng(seed))
 
     def step(x):

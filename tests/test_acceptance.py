@@ -40,7 +40,7 @@ def constrained_quadratic_steps():
         for k in range(n_starts):
             x0 = rng.standard_normal(obj.dim)
             x0 *= rng.uniform(0.1, 0.95) / np.linalg.norm(x0)
-            traces, _ = theory.run_constrained(x0, obj, L, n_steps, seed=1000 + k)
+            traces, _ = theory.run_constrained(x0, obj, n_steps, seed=1000 + k)
             runs.append((obj, L, traces))
     elapsed = time.monotonic() - t0
     return runs, elapsed

@@ -235,7 +235,7 @@ def test_epoch_dycent_two_gradients_one_value_per_step(counted, tmp_path):
 def test_run_constrained_two_gradients_one_value_per_step():
     inner = spd_quadratic(5, seed=3)
     obj = CountingObjective(inner)
-    traces, landing = run_constrained(np.full(5, 0.5), obj, inner.lipschitz_bound, 15, seed=2)
+    traces, landing = run_constrained(np.full(5, 0.5), obj, 15, seed=2)
     assert len(traces) == 15 and landing is None
     assert obj.values == len(traces)
     assert obj.gradients == 2 * len(traces)
@@ -244,7 +244,7 @@ def test_run_constrained_two_gradients_one_value_per_step():
 @pytest.fixture(scope="module")
 def constrained_run():
     obj = spd_quadratic(5, seed=3)
-    return obj, run_constrained(np.full(5, 0.5), obj, obj.lipschitz_bound, 15, seed=2)[0]
+    return obj, run_constrained(np.full(5, 0.5), obj, 15, seed=2)[0]
 
 
 def test_wolfe_report_evaluates_only_the_last_landing_gradient(constrained_run):
@@ -312,12 +312,12 @@ def test_a_run_that_stops_on_a_zero_gradient_hands_it_to_the_checks():
     inner = isotropic_quadratic(5)
     starts = [np.array([0.3, -0.2, 0.1, 0.05, 0.4])]
     alone = CountingObjective(inner)
-    traces, landing = run_constrained(starts[0], alone, inner.lipschitz_bound, 10, seed=1000)
+    traces, landing = run_constrained(starts[0], alone, 10, seed=1000)
     # the step 1/L lands on the minimum, where the next step stops on a zero gradient
     assert len(traces) == 1 and landing.tolist() == [0.0] * 5
     assert alone.gradients == 2 * 1 + 1  # the stopping step's gradient included
     checked = CountingObjective(inner)
-    descent, wolfe = run_suite(checked, starts, 10, 0, c1=1.0 / (2.0 * inner.lipschitz_bound))
+    descent, wolfe = run_suite(checked, starts, 10, 0)
     assert wolfe.curvature_pass == [True]
     # the run's own gradients and none after its stopping step; one value for f(x0)
     assert (checked.gradients, checked.values) == (alone.gradients, alone.values + 1)

@@ -537,7 +537,7 @@ class TestRunLoopEnds:
     def test_stopped_constrained_run_frees_its_objective_without_the_cyclic_gc(self, no_cyclic_gc):
         quadratic = isotropic_quadratic(5)
         obj = weakref.ref(quadratic)
-        traces, landing = theory.run_constrained(0.5 * np.ones(5), quadratic, 1.0, 10, seed=0)
+        traces, landing = theory.run_constrained(0.5 * np.ones(5), quadratic, 10, seed=0)
         assert len(traces) == 1 and not landing.any()
         del quadratic, traces, landing
         assert obj() is None

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dycent.objective import AnalyticObjective, Objective, isotropic_quadratic, spd_quadratic, toy_b
+from dycent.objective import AnalyticObjective, Objective, Quadratic, isotropic_quadratic, spd_quadratic, toy_b
 from dycent.optimizer import DycentConfig, DycentState, StepTrace, dycent_step
 from dycent import theory
 from dycent.theory import (
@@ -43,44 +45,57 @@ def fabricate_trace(f_after, d_used, grad=np.array([1.0, 0.0])):
 class TestRunConstrained:
     def test_step_length_identity(self):
         obj = spd_quadratic(6, seed=5)
-        traces, _ = run_constrained(np.full(6, 0.4), obj, obj.lipschitz_bound, 15, seed=0)
+        traces, _ = run_constrained(np.full(6, 0.4), obj, 15, seed=0)
         assert len(traces) == 15
         for tr in traces:
             assert tr.d_used == float(np.linalg.norm(tr.g1)) / obj.lipschitz_bound
 
     def test_angle_stays_acute(self):
         obj = spd_quadratic(5, seed=8, condition=50.0)
-        traces, _ = run_constrained(np.full(5, 0.3), obj, obj.lipschitz_bound, 25, seed=1)
+        traces, _ = run_constrained(np.full(5, 0.3), obj, 25, seed=1)
         assert all(tr.theta < math.pi / 2 for tr in traces)
 
     @pytest.mark.parametrize("L", [0.0, math.inf, math.nan, -1.0])
     def test_refuses_a_lipschitz_that_is_not_finite_and_positive(self, L):
         obj = RecordedGradients(isotropic_quadratic(3))
+        obj.lipschitz_bound = L
         state = DycentState(rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="lipschitz must be > 0 and finite"):
             dycent_step(np.full(3, 0.5), obj, theory.CONSTRAINED_CONFIG, state, lipschitz=L)
         with pytest.raises(ValueError, match="lipschitz must be > 0 and finite"):
-            run_constrained(np.full(3, 0.5), obj, L, 10, seed=0)
+            run_constrained(np.full(3, 0.5), obj, 10, seed=0)
         assert obj.at == []  # refused before any evaluation
+
+    def test_refuses_an_objective_with_no_bound(self):
+        # without a bound there is no constrained step, and no unconstrained one is taken instead
+        obj = RecordedGradients(isotropic_quadratic(3))
+        obj.lipschitz_bound = None
+        with pytest.raises(ValueError, match="lipschitz must be > 0 and finite, got None"):
+            run_constrained(np.full(3, 0.5), obj, 3, seed=0)
+        assert obj.at == []
 
     def test_zero_probe_gradient_stops_with_no_step_and_no_gradient(self):
         # the gradient vanishes everywhere but at the start's bytes, so the
         # probe's angle is undefined and its error holds no gradient
         obj = gradient_only_at(np.array([0.6, -0.3]))
-        assert run_constrained(np.array([0.6, -0.3]), obj, 1.0, 10, seed=0) == ([], None)
+        assert run_constrained(np.array([0.6, -0.3]), obj, 10, seed=0) == ([], None)
 
 
 def gradient_only_at(x0):
-    """A 2-D objective whose gradient is (1, 2) at x0's bytes and zero everywhere else."""
+    """A 2-D objective with Lipschitz bound 1 whose gradient is (1, 2) at x0's bytes and zero everywhere else."""
     at = np.asarray(x0, dtype=np.float64).tobytes()
-    return AnalyticObjective(
+    obj = AnalyticObjective(
         2, lambda x: float(x.sum()), lambda x: np.array([1.0, 2.0]) if x.tobytes() == at else np.zeros(2)
     )
+    obj.lipschitz_bound = 1.0
+    return obj
 
 
-def reference_run_constrained(x0, obj, L, max_iters, seed):
-    """The constrained run written out as its own loop: probe at 0.01 * ||g|| / L,
-    then step ||g|| / L, to which h_max * cot(theta) at h_max = ||g|| * tan(theta) / L cancels."""
+def reference_run_constrained(x0, obj, max_iters, seed):
+    """The constrained run written out as its own loop at L = obj.lipschitz_bound: probe at
+    0.01 * ||g|| / L, then step ||g|| / L, to which h_max * cot(theta) at
+    h_max = ||g|| * tan(theta) / L cancels."""
+    L = obj.lipschitz_bound
     rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=np.float64)
     traces = []
@@ -127,8 +142,8 @@ class TestConstrainedOracle:
         for k in range(25):
             direction = rng.standard_normal(obj.dim)
             x0 = direction / np.linalg.norm(direction) * rng.uniform(0.1, 0.95)
-            got, landing = run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=seed + 1000 + k)
-            ref = reference_run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed + 1000 + k)
+            got, landing = run_constrained(x0, obj, n_steps, seed=seed + 1000 + k)
+            ref = reference_run_constrained(x0, obj, n_steps, seed + 1000 + k)
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
                 for name in ("x1", "x_new", "x2", "g1", "p1", "theta", "d_used", "doubled", "f_after"):
@@ -150,7 +165,7 @@ class TestCheckDescent:
         for k in range(100):
             x0 = rng.standard_normal(3)
             x0 *= rng.uniform(0.1, 0.95) / np.linalg.norm(x0)
-            traces, _ = run_constrained(x0, obj, 1.0, 10, seed=k)
+            traces, _ = run_constrained(x0, obj, 10, seed=k)
             report = check_descent(traces, obj.value(x0), 1.0, tol=1e-10)
             assert report.violations == 0
             assert report.min_decrease_margin >= -1e-10
@@ -168,6 +183,12 @@ class TestCheckDescent:
         assert report.violations >= 1
         assert report.min_decrease_margin < 0
 
+    @pytest.mark.parametrize("L", [None, 0.0, -1.0, math.inf, math.nan])
+    def test_refuses_an_L_that_is_not_finite_and_positive(self, L):
+        # at L = -1 the bound ||g||^2/(2L) would let f rise, and at L = 0 it would divide by zero
+        with pytest.raises(ValueError, match="lipschitz must be > 0 and finite"):
+            check_descent([fabricate_trace(f_after=0.5, d_used=0.3)], 1.0, L)
+
 
 def one_step_wolfe(tr, f0, obj, c1, c2=0.9):
     """wolfe_report's (Armijo, curvature) verdicts on the one-step trajectory [tr] that starts at value f0."""
@@ -179,7 +200,7 @@ class TestWolfeArmijo:
     def test_constrained_quadratic_step_passes(self):
         obj = isotropic_quadratic(4)
         x0 = np.full(4, 0.3)
-        for tr in run_constrained(x0, obj, 1.0, 5, seed=3)[0]:
+        for tr in run_constrained(x0, obj, 5, seed=3)[0]:
             assert one_step_wolfe(tr, obj.value(tr.x1), obj, c1=0.5)[0]
 
     def test_zero_step_passes_by_equality(self):
@@ -202,7 +223,7 @@ class TestWolfeArmijo:
 class TestWolfeCurvature:
     def test_landing_at_stationary_point_passes(self):
         obj = isotropic_quadratic(2)
-        (tr,), _ = run_constrained(np.array([0.6, 0.0]), obj, 1.0, 1, seed=4)
+        (tr,), _ = run_constrained(np.array([0.6, 0.0]), obj, 1, seed=4)
         # the constrained quadratic step lands at (numerically) zero gradient
         assert one_step_wolfe(tr, obj.value(tr.x1), obj, c1=1e-4)[1]
 
@@ -222,7 +243,7 @@ class TestWolfeCurvature:
 class TestWolfeReport:
     def test_rates_and_lengths(self):
         obj = spd_quadratic(4, seed=6)
-        traces, _ = run_constrained(np.full(4, 0.3), obj, obj.lipschitz_bound, 10, seed=5)
+        traces, _ = run_constrained(np.full(4, 0.3), obj, 10, seed=5)
         report = wolfe_report(traces, obj.value(traces[0].x1), obj, c1=1.0 / (2.0 * obj.lipschitz_bound))
         assert all(report.armijo_pass)
         assert len(report.armijo_pass) == len(traces)
@@ -260,7 +281,7 @@ def suite_starts(seed):
 def suite_trajectories(seed):
     """(objective, trajectory, start value) for every start of harness.run_theory_suite at seed."""
     for obj, x0, n_steps, probe_seed in suite_starts(seed):
-        yield obj, run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=probe_seed)[0], obj.value(x0)
+        yield obj, run_constrained(x0, obj, n_steps, seed=probe_seed)[0], obj.value(x0)
 
 
 class RecordedGradients(Objective):
@@ -330,7 +351,7 @@ class TestChecksMatchScalarLoops:
 
     def test_one_step(self):
         obj = spd_quadratic(8, seed=101, condition=10.0)
-        tr, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 1, seed=2)
+        tr, _ = run_constrained(np.full(8, 0.3), obj, 1, seed=2)
         at = assert_checks_match_scalar_loops(tr, obj.value(tr[0].x1), obj, obj.lipschitz_bound, 0.4)
         assert at == [tr[0].x_new.tobytes()]
 
@@ -338,7 +359,7 @@ class TestChecksMatchScalarLoops:
         # a NaN margin fails the decrease check as it fails the Armijo check;
         # the minimum margin skips it, so the theory JSON stays valid
         obj = spd_quadratic(8, seed=101, condition=10.0)
-        tr, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 1, seed=2)
+        tr, _ = run_constrained(np.full(8, 0.3), obj, 1, seed=2)
         assert check_descent(tr, math.nan, obj.lipschitz_bound) == DescentReport(1, math.inf)
         assert wolfe_report(tr, math.nan, obj, c1=0.4).armijo_pass == [False]
         assert_checks_match_scalar_loops(tr, math.nan, obj, obj.lipschitz_bound, 0.4)
@@ -363,7 +384,7 @@ class TestChecksMatchScalarLoops:
     def test_stationary_start(self):
         # a zero-gradient start logs no step, and the checks evaluate nothing
         obj = RecordedGradients(spd_quadratic(8, seed=101, condition=10.0))
-        traces, landing = run_constrained(np.zeros(8), obj, obj.obj.lipschitz_bound, 20, seed=1000)
+        traces, landing = run_constrained(np.zeros(8), obj, 20, seed=1000)
         assert traces == []
         assert landing.tolist() == [0.0] * 8  # the gradient the stopping step took at the start
         assert check_descent(traces, 0.0, obj.obj.lipschitz_bound) == DescentReport(0, math.inf)
@@ -373,7 +394,7 @@ class TestChecksMatchScalarLoops:
     @pytest.mark.parametrize("tol, c2", [(0.0, 0.5), (1e-3, 0.99), (-1.0, 0.2)])
     def test_tolerance_and_curvature_constant(self, tol, c2):
         obj = spd_quadratic(8, seed=202, condition=40.0)
-        traces, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
+        traces, _ = run_constrained(np.full(8, 0.3), obj, 10, seed=3)
         f0 = obj.value(traces[0].x1)
         f_before = [f0] + [t.f_after for t in traces[:-1]]
         got, want = check_descent(traces, f0, 2.0, tol), scalar_check_descent(traces, f_before, 2.0, tol)
@@ -396,20 +417,20 @@ class TestRefusesNonConsecutiveSteps:
 
     def test_gap(self):
         obj = spd_quadratic(8, seed=202, condition=40.0)
-        traces, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 10, seed=3)
+        traces, _ = run_constrained(np.full(8, 0.3), obj, 10, seed=3)
         assert len(traces) == 10
         assert_refused(traces[:7] + traces[8:], obj, 7)
 
     def test_landing_differs_from_next_start_only_in_the_sign_of_a_zero(self):
         obj = spd_quadratic(3, seed=7)
-        (a, b), _ = run_constrained(np.array([0.3, 0.2, 0.1]), obj, obj.lipschitz_bound, 2, seed=5)
+        (a, b), _ = run_constrained(np.array([0.3, 0.2, 0.1]), obj, 2, seed=5)
         a = dataclasses.replace(a, x_new=np.array([0.0, 0.25, -0.5]))
         b = dataclasses.replace(b, x1=np.array([-0.0, 0.25, -0.5]))
         assert_refused([a, b], obj, 1)
 
     def test_start_value_is_one_float(self):
         obj = spd_quadratic(2, seed=6)
-        traces, _ = run_constrained(np.array([0.6, 0.4]), obj, obj.lipschitz_bound, 2, seed=6)
+        traces, _ = run_constrained(np.array([0.6, 0.4]), obj, 2, seed=6)
         f0 = obj.value(traces[0].x1)
         assert check_descent(traces, np.float64(f0), 1.0) == check_descent(traces, f0, 1.0)
         recorded = RecordedGradients(obj)
@@ -477,7 +498,7 @@ def test_constrained_runs_are_the_probe_free_loop(seed):
     # the probe still runs and is recorded, but no byte of a run depends on it
     lengths = []
     for obj, x0, n_steps, probe_seed in suite_starts(seed):
-        got, landing = run_constrained(x0, obj, obj.lipschitz_bound, n_steps, seed=probe_seed)
+        got, landing = run_constrained(x0, obj, n_steps, seed=probe_seed)
         want, stop = probe_free_run(x0, obj, obj.lipschitz_bound, n_steps)
         assert len(got) == len(want)
         for tr, ref in zip(got, want):
@@ -503,25 +524,26 @@ def runs_on_inner(monkeypatch, runs=None):
     the recorder sees only the checks' gradients; logs each run's probe seed in runs."""
     inner_run = theory.run_constrained
 
-    def run(x0, obj, L, max_iters, seed):
+    def run(x0, obj, max_iters, seed):
         if runs is not None:
             runs.append(seed)
-        return inner_run(x0, obj.obj, L, max_iters, seed=seed)
+        return inner_run(x0, obj.obj, max_iters, seed=seed)
 
     monkeypatch.setattr(theory, "run_constrained", run)
 
 
-def per_run_checks(obj, starts, n_steps, seed, c1, c2=0.9, tol=1e-10):
-    """The sub-suite checked run by run with check_descent and wolfe_report, summed as the
-    harness summed it; returns (DescentReport, WolfeReport, landing points in order, steps per run,
-    whether each run stopped on a zero gradient)."""
+def per_run_checks(obj, starts, n_steps, seed):
+    """The sub-suite checked run by run with check_descent and wolfe_report at the report's
+    constants (L = obj.lipschitz_bound, c1 = 1/(2L), and their default tol and c2), summed as
+    the harness summed it; returns (DescentReport, WolfeReport, landing points in order, steps
+    per run, whether each run stopped on a zero gradient)."""
     L = obj.lipschitz_bound
     recorded = RecordedGradients(obj)
     violations, min_margin, armijo, curvature, lengths, stopped = 0, math.inf, [], [], [], []
     for k, x0 in enumerate(starts):
-        traces, landing = run_constrained(x0, obj, L, n_steps, seed=seed + 1000 + k)
+        traces, landing = run_constrained(x0, obj, n_steps, seed=seed + 1000 + k)
         f0 = obj.value(x0)
-        report, wolfe = check_descent(traces, f0, L, tol=tol), wolfe_report(traces, f0, recorded, c1=c1, c2=c2)
+        report, wolfe = check_descent(traces, f0, L), wolfe_report(traces, f0, recorded, c1=1.0 / (2.0 * L))
         violations += report.violations
         min_margin = min(min_margin, report.min_decrease_margin)
         armijo += wolfe.armijo_pass
@@ -531,66 +553,95 @@ def per_run_checks(obj, starts, n_steps, seed, c1, c2=0.9, tol=1e-10):
     return DescentReport(violations, min_margin), WolfeReport(armijo, curvature), recorded.at, lengths, stopped
 
 
+def assert_suite_matches_per_run_checks(obj, starts, n_steps, seed, runs=None):
+    """run_suite on obj reports what per_run_checks reports, field by field and the minimum
+    margin bit for bit, and evaluates the same landing points in the same order; returns
+    (steps per run, whether each run stopped on a zero gradient). Logs each probe seed in runs."""
+    want_d, want_w, want_at, lengths, stopped = per_run_checks(obj, starts, n_steps, seed)
+    recorded = RecordedGradients(obj)
+    with pytest.MonkeyPatch.context() as mp:
+        runs_on_inner(mp, runs)
+        got = run_suite(recorded, starts, n_steps, seed)
+    same_reports(got, (want_d, want_w))
+    # wolfe_report evaluates one landing gradient per run that has a step; run_suite
+    # leaves out the runs that stopped on a zero gradient, whose stop handed it over
+    assert len(want_at) == sum(1 for n in lengths if n)
+    evaluated = [not stop for n, stop in zip(lengths, stopped) if n]
+    assert recorded.at == [at for at, keep in zip(want_at, evaluated) if keep]
+    return lengths, stopped
+
+
+# the isotropic quadratic with L understated by 1e-6
+UNDERSTATED_L = Quadratic(2, None, lipschitz_bound=1.0 - 1e-6, name="understated_isotropic_quadratic")
+
+
+@st.composite
+def scaled_spd_sub_suites(draw):
+    """(objective, starts, step count, seed): an SPD quadratic of dimension 2-8 and condition
+    1-50 scaled to Lipschitz bound L in [0.6, 10], and 1-4 starts inside the unit ball."""
+    dim = draw(st.integers(2, 8))
+    base = spd_quadratic(dim, seed=draw(st.integers(0, 2**16)), condition=draw(st.floats(1.0, 50.0)))
+    L = draw(st.floats(0.6, 10.0))
+    obj = Quadratic(dim, (L / base.lipschitz_bound) * base.a, lipschitz_bound=L, name="scaled_spd_quadratic")
+    # the cube of half-width 0.99 / sqrt(dim) lies inside the unit ball; zero starts are stationary
+    side = 0.99 / math.sqrt(dim)
+    coordinate = st.floats(-side, side, allow_subnormal=False)
+    starts = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    return obj, [np.array(x) for x in starts], draw(st.integers(1, 20)), draw(st.integers(0, 10_000))
+
+
 class TestRunSuite:
     """run_suite checks a sub-suite's rows in one pass and reports what check_descent
     and wolfe_report report run by run."""
 
     @pytest.mark.parametrize("seed", [0, 203])
-    def test_matches_per_run_checks(self, seed, monkeypatch):
-        want = [per_run_checks(obj, starts, n, seed, 1.0 / (2.0 * obj.lipschitz_bound))
-                for obj, starts, n in sub_suites(seed)]
-        runs = []
-        runs_on_inner(monkeypatch, runs)
-        steps = stops = 0
-        for (obj, starts, n_steps), (want_d, want_w, want_at, lengths, stopped) in zip(sub_suites(seed), want):
-            recorded = RecordedGradients(obj)
-            got = run_suite(recorded, starts, n_steps, seed, c1=1.0 / (2.0 * obj.lipschitz_bound))
-            same_reports(got, (want_d, want_w))
-            # wolfe_report evaluates one landing gradient per run that has a step; run_suite
-            # leaves out the runs that stopped on a zero gradient, whose stop handed it over
-            assert len(want_at) == sum(1 for n in lengths if n)
-            evaluated = [not stop for n, stop in zip(lengths, stopped) if n]
-            assert recorded.at == [at for at, keep in zip(want_at, evaluated) if keep]
-            steps += sum(lengths)
-            stops += sum(stopped)
+    def test_matches_per_run_checks(self, seed):
+        runs, lengths, stopped = [], [], []
+        for obj, starts, n_steps in sub_suites(seed):
+            got_lengths, got_stopped = assert_suite_matches_per_run_checks(obj, starts, n_steps, seed, runs)
+            lengths += got_lengths
+            stopped += got_stopped
         assert runs == [seed + 1000 + k for _, starts, _ in sub_suites(seed) for k in range(len(starts))]
         assert len(runs) == 700
-        assert steps > 10_000
-        assert stops == 200  # every isotropic run, no SPD run
+        assert sum(lengths) > 10_000
+        assert sum(stopped) == 200  # every isotropic run, no SPD run
 
-    def test_tolerance_and_curvature_constant(self):
-        obj = spd_quadratic(8, seed=202, condition=40.0)
-        starts = [np.full(8, 0.3), np.full(8, -0.2), np.linspace(-0.5, 0.5, 8)]
-        for tol, c2 in [(0.0, 0.5), (1e-3, 0.99), (-1.0, 0.2)]:
-            got = run_suite(obj, starts, 10, 4, c1=0.01, c2=c2, tol=tol)
-            same_reports(got, per_run_checks(obj, starts, 10, 4, c1=0.01, c2=c2, tol=tol)[:2])
+    @settings(max_examples=100, deadline=None)
+    @given(scaled_spd_sub_suites())
+    # the first step's margin is about -5e-11 from (0.01, 0), inside TOL, and about -5e-9
+    # from (0.1, 0), a violation
+    @example((UNDERSTATED_L, [np.array([0.01, 0.0]), np.array([0.1, 0.0])], 1, 0))
+    def test_checks_at_the_report_constants(self, sub_suite):
+        # c1 = 1/(2L) stays below C2 for every L >= 0.6, so each drawn L is a valid pair
+        obj, starts, n_steps, seed = sub_suite
+        assert_suite_matches_per_run_checks(obj, starts, n_steps, seed)
 
     def test_empty_run_in_the_middle_is_skipped(self, monkeypatch):
         obj = spd_quadratic(8, seed=101, condition=10.0)
         starts = [np.full(8, 0.3), np.zeros(8), np.full(8, -0.4)]  # the zero start is stationary
-        want_d, want_w, want_at, lengths, stopped = per_run_checks(obj, starts, 20, 9, c1=0.05)
+        want_d, want_w, want_at, lengths, stopped = per_run_checks(obj, starts, 20, 9)
         assert lengths == [20, 0, 20] and stopped == [False, True, False]
         runs_on_inner(monkeypatch)
         recorded = RecordedGradients(obj)
-        same_reports(run_suite(recorded, starts, 20, 9, c1=0.05), (want_d, want_w))
+        same_reports(run_suite(recorded, starts, 20, 9), (want_d, want_w))
         assert len(want_w.armijo_pass) == 40
         assert recorded.at == want_at and len(want_at) == 2
 
     def test_only_empty_runs(self, monkeypatch):
         obj = RecordedGradients(isotropic_quadratic(3))
         runs_on_inner(monkeypatch)
-        got = run_suite(obj, [np.zeros(3), np.zeros(3)], 5, 0, c1=0.5)
+        got = run_suite(obj, [np.zeros(3), np.zeros(3)], 5, 0)
         assert got == (DescentReport(0, math.inf), WolfeReport(armijo_pass=[], curvature_pass=[]))
         assert obj.at == []
-        assert run_suite(obj, [], 5, 0, c1=0.5) == got
+        assert run_suite(obj, [], 5, 0) == got
 
     def test_run_that_does_not_join_up_is_refused(self, monkeypatch):
         obj = spd_quadratic(8, seed=202, condition=40.0)
         inner_run = theory.run_constrained
         first = []
 
-        def gapped_second_run(x0, obj, L, max_iters, seed):
-            traces, landing = inner_run(x0, obj.obj, L, max_iters, seed=seed)
+        def gapped_second_run(x0, obj, max_iters, seed):
+            traces, landing = inner_run(x0, obj.obj, max_iters, seed=seed)
             if not first:
                 first.append(traces[-1].x_new.tobytes())
                 return traces, landing
@@ -600,29 +651,40 @@ class TestRunSuite:
         recorded = RecordedGradients(obj)
         starts = [np.full(8, 0.3), np.full(8, -0.3), np.full(8, 0.1)]
         with pytest.raises(ValueError, match="step 7 does not start where step 6 landed"):
-            run_suite(recorded, starts, 10, 3, c1=0.01)
+            run_suite(recorded, starts, 10, 3)
         # the first run's landing gradient, none for the refused run, and no third run
         assert recorded.at == first
 
-    @pytest.mark.parametrize("c1, c2", [(0.0, 0.9), (0.5, 0.5), (0.5, 1.0)])
-    def test_rejects_invalid_constant_pair_before_any_run(self, c1, c2, monkeypatch):
+    def test_rejects_invalid_constant_pair_before_any_run(self, monkeypatch):
+        # L = 0.5 makes c1 = 1/(2L) = 1, not below C2
         runs = []
         runs_on_inner(monkeypatch, runs)
+        obj = RecordedGradients(Quadratic(2, np.diag([0.5, 0.25]), lipschitz_bound=0.5, name="q"))
         with pytest.raises(ValueError, match="0 < c1 < c2 < 1"):
-            run_suite(RecordedGradients(isotropic_quadratic(2)), [np.ones(2)], 3, 0, c1=c1, c2=c2)
-        assert runs == []
+            run_suite(obj, [np.ones(2)], 3, 0)
+        assert runs == [] and obj.at == []
+
+    @pytest.mark.parametrize("L", [None, 0.0, -1.0, math.inf, math.nan])
+    def test_refuses_a_bound_that_is_not_finite_and_positive_before_any_run(self, L, monkeypatch):
+        runs = []
+        runs_on_inner(monkeypatch, runs)
+        obj = RecordedGradients(isotropic_quadratic(2))
+        obj.lipschitz_bound = L
+        with pytest.raises(ValueError, match="lipschitz must be > 0 and finite"):
+            run_suite(obj, [np.ones(2)], 3, 0)
+        assert runs == [] and obj.at == []
 
 
 class TestStartAliasing:
     def test_caller_start_is_copied_once(self):
         obj = spd_quadratic(5, seed=3)
         x0 = np.full(5, 0.5)
-        traces, _ = run_constrained(x0, obj, obj.lipschitz_bound, 10, seed=2)
+        traces, _ = run_constrained(x0, obj, 10, seed=2)
         x0[:] = 9.0
         assert traces[0].x1.tolist() == [0.5] * 5
 
     def test_each_step_starts_on_the_array_the_step_before_returned(self):
         obj = spd_quadratic(8, seed=101, condition=10.0)
-        traces, _ = run_constrained(np.full(8, 0.3), obj, obj.lipschitz_bound, 20, seed=1)
+        traces, _ = run_constrained(np.full(8, 0.3), obj, 20, seed=1)
         assert len(traces) == 20
         assert all(nxt.x1 is tr.x_new for tr, nxt in zip(traces, traces[1:]))
