@@ -385,7 +385,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, pre
 def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     """Run several optimizers head to head on one objective and start.
 
-    Runs each config once, writes a CSV and an aligned-text table, and returns the table's text.
+    Runs each config once, writes a CSV and an aligned-text table, and returns a dict: "rows" (one
+    per run), "table" (the text table), "files" (the CSV and text paths) and "runs" (each run's summary).
     """
     if not cfgs:
         raise ConfigError("comparison needs at least one run config")

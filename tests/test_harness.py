@@ -403,10 +403,15 @@ class TestAutomaticStart:
 
 
 def numbered_f(out_dir) -> list[float]:
-    """The f column of the one run written to out_dir, after checking that its rows are numbered by position:
-    the iter column is 0..rows-1, the summary's iterations is the row count and iters_to_best is the first
-    row with the lowest f."""
+    """The f column of the one run written to out_dir, after trajectory_f's checks."""
     (csv_path,) = Path(out_dir).glob("*.csv")
+    return trajectory_f(csv_path)
+
+
+def trajectory_f(csv_path) -> list[float]:
+    """The f column of a run's trajectory CSV, after checking that its rows are numbered by position: the
+    iter column is 0..rows-1, the summary's iterations is the row count and iters_to_best is the first row
+    with the lowest f."""
     summary = json.loads(csv_path.with_suffix(".json").read_text())
     rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     f = [float(r["f"]) for r in rows]
@@ -459,6 +464,20 @@ class TestRowNumbering:
         summary = run_experiment(RunConfig(objective="moons_mlp", epochs=2, **run), out_dir=tmp_path)
         assert summary["stop_reason"] == stop_reason
         assert len(numbered_f(tmp_path)) == steps
+
+    @pytest.mark.parametrize(
+        "config, iters, runs",
+        [("toy_a_compare.ini", 3, 9), ("toy_b_compare.ini", 3, 9), ("moons_dycent.ini", 81, 2)],
+        # 81 epochs are the fewest in which the moons sections' decay at epoch 80 applies
+        ids=["toy_a", "toy_b", "moons-81-epochs"],
+    )
+    def test_shipped_comparisons(self, tmp_path, config, iters, runs):
+        args = ["compare", "--config", str(CONFIGS / config), "--iters", str(iters), "--out", str(tmp_path)]
+        assert cli.main(args) == cli.EXIT_OK
+        summaries = sorted(tmp_path.glob("*.json"))
+        assert len(summaries) == runs
+        for path in summaries:
+            trajectory_f(path.with_suffix(".csv"))
 
 
 class TestHSchedule:
@@ -1051,6 +1070,7 @@ class TestCli:
             "h_decay_factor = 10\nh_decay_at_epoch = 1\n",
             "objective = moons_mlp\noptimizer = sgd\nbatch_size = 32\nepochs = 2\n"
             "h_decay_factor = 10\nh_decay_at_epoch = 2\n",
+            "objective = moons_mlp\noptimizer = sgd\nepochs = 2\nbatch_size = 32\nh_decay_factor = 10\n",
             "objective = moons_mlp\noptimizer = dycent\nepochs = 2\nbatch_size = 32\nn = 64\nh = 1e-300\n"
             "h_decay_factor = 1e300\nh_decay_at_epoch = 1\n",
             "objective = moons_mlp\noptimizer = adam\nepochs = 2\nbatch_size = 32\nn = 64\nlr = 1e-300\n"
@@ -1068,8 +1088,9 @@ class TestCli:
         ],
         ids=[
             "x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d", "batch-no-epochs", "schedule-no-epochs",
-            "schedule-past-last-epoch", "h-decays-to-0", "lr-decays-to-0", "lr-decays-to-inf", "duplicate-section",
-            "duplicate-key", "line-without-equals", "oversized-objective", "clamp-removed", "init-mode-removed",
+            "schedule-past-last-epoch", "half-a-schedule", "h-decays-to-0", "lr-decays-to-0", "lr-decays-to-inf",
+            "duplicate-section", "duplicate-key", "line-without-equals", "oversized-objective", "clamp-removed",
+            "init-mode-removed",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, section):
