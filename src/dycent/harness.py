@@ -324,7 +324,8 @@ def write_trajectory_csv(path: Path, records: list[TrajectoryRecord]) -> None:
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, prepared=None) -> dict:
-    """Execute one run; writes <prefix>-<hash>.csv/.json and returns the summary.
+    """Execute one run; writes <prefix>-<hash>.csv/.json and returns the summary, which adds the two paths
+    as "files": the JSON holds no path, so its bytes depend only on the config and the platform.
 
     annotate(records), if given, returns entries to add to the summary.
     prepared, if given, is _prepare(cfg)'s unused result. A run stopped by
@@ -354,8 +355,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, pre
     accs = [r.acc_train for r in records if r.acc_train is not None]
     best_idx = int(np.argmin(f_values)) if f_values else None
     final_f, best_f = (f_values[-1], f_values[best_idx]) if f_values else (None, None)
-    stopped_early = stop_reason is not None
-    if not stopped_early and final_f - best_f > DIVERGENCE_FACTOR * max(1.0, abs(best_f)):
+    if stop_reason is None and final_f - best_f > DIVERGENCE_FACTOR * max(1.0, abs(best_f)):
         stop_reason = "diverged"
         error = DivergedError(f"run diverged: final f {final_f:.6g} is more than {DIVERGENCE_FACTOR:g} "
                               f"times max(1, |best f|) above best f {best_f:.6g}")
@@ -368,15 +368,14 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, pre
         "iters_to_best": best_idx,
         "final_grad_norm": records[-1].grad_norm if records else None,
         "final_train_accuracy": accs[-1] if accs else None,
-        "stopped_early": stopped_early,
         "stop_reason": stop_reason,
-        "files": {"trajectory_csv": str(csv_path), "summary_json": str(json_path)},
     }
     if annotate is not None:
         summary.update(annotate(records))
 
     write_trajectory_csv(csv_path, records)
     json_path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    summary["files"] = {"trajectory_csv": str(csv_path), "summary_json": str(json_path)}
     if error is not None:
         raise error
     return summary
@@ -385,8 +384,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path = ".", annotate=None, pre
 def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
     """Run several optimizers head to head on one objective and start.
 
-    Runs each config once, writes a CSV and an aligned-text table, and returns a dict: "rows" (one
-    per run), "table" (the text table), "files" (the CSV and text paths) and "runs" (each run's summary).
+    Runs each config once, writes a CSV (iters_to_best an integer cell) and an aligned-text table, and returns
+    a dict: "rows" (one per run), "table" (the text), "files" (the CSV and text paths) and "runs" (the summaries).
     """
     if not cfgs:
         raise ConfigError("comparison needs at least one run config")
@@ -405,7 +404,7 @@ def run_comparison(cfgs: list[RunConfig], out_dir: str | Path = ".") -> dict:
             "optimizer": c.optimizer,
             "final_f": s["final_f"],
             "best_f": s["best_f"],
-            "iters_to_best": None if s["iters_to_best"] is None else float(s["iters_to_best"]),
+            "iters_to_best": s["iters_to_best"],
             "final_accuracy": s["final_train_accuracy"],
         }
         for c, s in zip(cfgs, summaries)
@@ -589,24 +588,24 @@ def parse_config_file(path: str | Path) -> list[RunConfig]:
         run_kwargs: dict = {"output_prefix": section}
         opt_params: dict = {}
         obj_params: dict = {}
-        for key, raw in parser.items(section):
-            if key == "x0":
-                raw = raw.strip()
-                run_kwargs["x0"] = (
-                    raw if raw in X0_PRESETS or raw == "auto"
-                    else tuple(_parse_value(key, c, float) for c in raw.split(","))
-                )
-                continue
-            for params, types in ((run_kwargs, _RUN_KEYS), (opt_params, _OPT_KEYS), (obj_params, _OBJ_KEYS)):
-                if key in types:
-                    params[key] = _parse_value(key, raw, types[key])
-                    break
-            else:
-                valid = sorted(_RUN_KEYS.keys() | _OPT_KEYS.keys() | _OBJ_KEYS.keys())
-                raise ConfigError(f"[{section}] unknown key {key!r}; valid keys: {valid}")
-        if "objective" not in run_kwargs or "optimizer" not in run_kwargs:
-            raise ConfigError(f"[{section}] needs at least 'objective' and 'optimizer'")
-        try:
+        try:  # every error of a section's keys and values starts with its name
+            for key, raw in parser.items(section):
+                if key == "x0":
+                    raw = raw.strip()
+                    run_kwargs["x0"] = (
+                        raw if raw in X0_PRESETS or raw == "auto"
+                        else tuple(_parse_value(key, c, float) for c in raw.split(","))
+                    )
+                    continue
+                for params, types in ((run_kwargs, _RUN_KEYS), (opt_params, _OPT_KEYS), (obj_params, _OBJ_KEYS)):
+                    if key in types:
+                        params[key] = _parse_value(key, raw, types[key])
+                        break
+                else:
+                    valid = sorted(_RUN_KEYS.keys() | _OPT_KEYS.keys() | _OBJ_KEYS.keys())
+                    raise ConfigError(f"unknown key {key!r}; valid keys: {valid}")
+            if "objective" not in run_kwargs or "optimizer" not in run_kwargs:
+                raise ConfigError("needs at least 'objective' and 'optimizer'")
             configs.append(RunConfig(optimizer_params=opt_params, objective_params=obj_params, **run_kwargs))
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {exc}") from None

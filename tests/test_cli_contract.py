@@ -4,7 +4,9 @@ Each drawn file runs through cli.main as `run` or `compare`, with
 --iters 1 to 3, in a temporary directory. Whatever the file holds, the
 exit code is one of the documented four, no exception escapes, an exit
 2 (a config error) writes no file, and every JSON written is strict JSON,
-NaN and Infinity refused.
+NaN and Infinity refused, that holds no path and no `stopped_early`. A
+`run` that exits 2 names the section at fault: its stderr starts with
+`error[config]: [` and that section's name.
 
 Files are drawn two ways. Edge values over all 17 config keys reach the
 checks of each key; sections built per objective reach runs, where a
@@ -150,15 +152,19 @@ def assert_contract(names, sections, command, iters):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "cfg.ini", Path(tmp) / "out"
         write_config(config, names, sections)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main([command, "--config", str(config), "--iters", str(iters), "--out", str(out)])
         assert code in EXIT_CODES
         written = sorted(out.iterdir()) if out.exists() else []
         if code == cli.EXIT_CONFIG:
             assert written == []
+            if command == "run":
+                assert any(err.getvalue().startswith(f"error[config]: [{name}] ") for name in names[: len(sections)])
         for path in written:
             if path.suffix == ".json":
-                json.loads(path.read_text(), parse_constant=refuse_constant)
+                summary = json.loads(path.read_text(), parse_constant=refuse_constant)
+                assert "files" not in summary and "stopped_early" not in summary
         return code
 
 

@@ -73,7 +73,7 @@ def run_counted(counted, tmp_path, **kwargs):
     except harness.DivergedError:
         (path,) = tmp_path.glob("*.json")
         summary = json.loads(path.read_text())
-    assert not summary["stopped_early"]  # a full run, no stationary stop
+    assert summary["stop_reason"] in (None, "diverged") and "stopped_early" not in summary  # a full run
     (obj,) = counted
     return summary["iterations"], obj
 

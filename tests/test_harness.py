@@ -132,8 +132,7 @@ class TestRunExperiment:
             max_iters=100, optimizer_params={"lr": 1e-2}, output_prefix="ta",
         )
         summary = run_experiment(cfg, out_dir=tmp_path)
-        assert summary["stopped_early"]
-        assert summary["stop_reason"] == "zero_gradient_start"
+        assert summary["stop_reason"] == "zero_gradient_start" and "stopped_early" not in summary
         assert summary["iterations"] == 0
         assert summary["final_f"] is None
 
@@ -158,7 +157,8 @@ class TestRunExperiment:
             run_experiment(cfg, out_dir=tmp_path)
         (json_path,) = tmp_path.glob("r-*.json")
         summary = json.loads(json_path.read_text())
-        assert (summary["stop_reason"], summary["stopped_early"], summary["iterations"]) == ("diverged", False, 1000)
+        assert (summary["stop_reason"], summary["iterations"]) == ("diverged", 1000)
+        assert "stopped_early" not in summary and "files" not in summary
         assert summary["final_f"] - summary["best_f"] > harness.DIVERGENCE_FACTOR * max(1.0, abs(summary["best_f"]))
 
     def test_run_that_ends_above_its_start_after_descending_is_not_diverged(self, tmp_path):
@@ -250,21 +250,21 @@ class TestRunExperiment:
         summary = run_experiment(cfg, out_dir=tmp_path)
         assert config_hash(harness._prepare(cfg)[2]) in summary["files"]["trajectory_csv"]
 
-    def test_one_hidden_unit_and_a_one_row_last_batch_keep_their_bytes(self, tmp_path, monkeypatch, capsys):
+    def test_one_hidden_unit_and_a_one_row_last_batch_keep_their_bytes(self, tmp_path, capsys):
         # 65 rows in batches of 32 end each epoch on one row, and one hidden unit
         # gives products of inner dimension 1, which the MLP takes by @
-        monkeypatch.chdir(tmp_path)
-        Path("one.ini").write_text(
+        config, out = tmp_path / "one.ini", tmp_path / "out"
+        config.write_text(
             "[one-unit]\nobjective = moons_mlp\noptimizer = dycent\n"
             "epochs = 2\nbatch_size = 32\nn = 65\nhidden_dim = 1\n"
         )
-        assert cli.main(["run", "--config", "one.ini", "--out", "out"]) == cli.EXIT_OK
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path("out").iterdir())}
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
         assert digests == {
             "one-unit-89faabb093.csv": "b6bd87e81f6f742e64b27aba07c18d93ec198fe37f49fb20b9994e65f2af980f",
             "one-unit-89faabb093.json": "318ba436c210b0a29fb26f78c1d242953e82746015a5d2782e28557713dfa6e1",
         }
-        assert len(Path("out/one-unit-89faabb093.csv").read_text().splitlines()) == 1 + 2 * 3
+        assert len((out / "one-unit-89faabb093.csv").read_text().splitlines()) == 1 + 2 * 3
 
     @pytest.mark.parametrize(
         "prefix, settings, steps, stop_reason, digests",
@@ -291,45 +291,44 @@ class TestRunExperiment:
                 "51b111d1aebcc95f1cebe8a5b81d9a688e5671dddb1ab32a18ab697fd1635899")),
         ],
     )
-    def test_epoch_runs_keep_their_bytes(self, tmp_path, monkeypatch, prefix, settings, steps, stop_reason, digests):
-        monkeypatch.chdir(tmp_path)
+    def test_epoch_runs_keep_their_bytes(self, tmp_path, prefix, settings, steps, stop_reason, digests):
         cfg = RunConfig(**{
             "objective": "moons_mlp", "epochs": 2, "objective_params": {"n": 5}, "output_prefix": prefix, **settings,
         })
-        summary = run_experiment(cfg, out_dir="out")
+        summary = run_experiment(cfg, out_dir=tmp_path)
         assert (summary["iterations"], summary["stop_reason"]) == (steps, stop_reason)
         got = tuple(hashlib.sha256(Path(summary["files"][f]).read_bytes()).hexdigest()
                     for f in ("trajectory_csv", "summary_json"))
         assert got == digests
 
-    def test_epoch_run_stopped_by_a_non_finite_value_keeps_its_bytes(self, tmp_path, monkeypatch):
+    def test_epoch_run_stopped_by_a_non_finite_value_keeps_its_bytes(self, tmp_path):
         # sgd at lr 1e30 overflows on the 6th step, the first batch of epoch 3: the 5 steps
         # before it are written, and the last of them, in mid-epoch, gets no accuracy
-        monkeypatch.chdir(tmp_path)
-        Path("nf.ini").write_text(
+        config, out = tmp_path / "nf.ini", tmp_path / "out"
+        config.write_text(
             "[non-finite]\nobjective = moons_mlp\noptimizer = sgd\nepochs = 4\nbatch_size = 32\nn = 64\nlr = 1e30\n"
         )
-        assert cli.main(["run", "--config", "nf.ini", "--out", "out"]) == cli.EXIT_NUMERICAL
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path("out").iterdir())}
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_NUMERICAL
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
         assert digests == {
             "non-finite-9487f7310c.csv": "5f0337c65cc58a8a987fa749f13ab93662480866f88ff8db5024309000707d6f",
             "non-finite-9487f7310c.json": "62c272cbeb9e0a2474f00eb32f8494b77b3965906ff329498c0d806abb744f43",
         }
-        rows = list(csv.DictReader(Path("out/non-finite-9487f7310c.csv").read_text().splitlines()))
+        rows = list(csv.DictReader((out / "non-finite-9487f7310c.csv").read_text().splitlines()))
         assert [r["acc_train"] != "" for r in rows] == [False, True, False, True, False]
 
-    def test_full_batch_runs_keep_their_bytes(self, tmp_path, monkeypatch):
+    def test_full_batch_runs_keep_their_bytes(self, tmp_path):
         # without epochs every step pins all rows, so a step's first gradient
         # reuses the forward pass of the value taken where the step before landed
-        monkeypatch.chdir(tmp_path)
-        Path("fb.ini").write_text(
+        config, out = tmp_path / "fb.ini", tmp_path / "out"
+        config.write_text(
             "[DEFAULT]\nobjective = moons_mlp\nmax_iters = 40\n"
             "[fb-dycent]\noptimizer = dycent\n"
             "[fb-adam]\noptimizer = adam\nlr = 0.01\n"
             "[fb-one-unit]\noptimizer = sgd\nhidden_dim = 1\nn = 7\nlr = 0.5\n"
         )
-        assert cli.main(["run", "--config", "fb.ini", "--out", "out"]) == cli.EXIT_OK
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path("out").iterdir())}
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
         assert digests == {
             "fb-adam-d22f106811.csv": "bc92c16fda2978e1783f8bde708f2ce3a0115f4915957d889b47b350fcaedaae",
             "fb-adam-d22f106811.json": "72a231296915981f04a5f678363e5131aee001d9684bdf27a8ec29d9bfe766e6",
@@ -338,7 +337,7 @@ class TestRunExperiment:
             "fb-one-unit-b546716ee6.csv": "2335cf16198124f41aa34e32548abe79112ea5dfdb07cbdc18e29927420a9822",
             "fb-one-unit-b546716ee6.json": "36ee75211dcc9fee8f2549143c3de22bc4e7cd6f25ee0dd2a1e059c23459bfc4",
         }
-        for path in Path("out").glob("*.json"):
+        for path in out.glob("*.json"):
             summary = json.loads(path.read_text())
             assert (summary["iterations"], summary["stop_reason"]) == (40, None)
 
@@ -580,19 +579,17 @@ class TestRunComparison:
         assert [s["config"]["max_iters"] for s in result["runs"]] == [1000, 1000]  # ignored, so echoed at its default
         assert [s["iterations"] for s in result["runs"]] == [4, 4]
 
-    def test_an_epoch_sections_max_iters_leaves_its_files_as_they_are(self, tmp_path, monkeypatch):
-        # the summaries hold their paths, so each run writes to out/ in a directory of its own
+    def test_an_epoch_sections_max_iters_leaves_its_files_as_they_are(self, tmp_path):
         section = "objective = moons_mlp\noptimizer = adam\nepochs = 2\nbatch_size = 32\nn = 64\n"
+        config = tmp_path / "m.ini"
         written = []
         for name, extra in (("three", "max_iters = 3\n"), ("many", "max_iters = 500\n"), ("unset", "")):
-            (tmp_path / name).mkdir()
-            monkeypatch.chdir(tmp_path / name)
-            Path("m.ini").write_text("[m]\n" + section + extra)
-            assert cli.main(["run", "--config", "m.ini", "--out", "out"]) == cli.EXIT_OK
-            written.append({p.name: p.read_bytes() for p in Path("out").iterdir()})
+            config.write_text("[m]\n" + section + extra)
+            assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / name)]) == cli.EXIT_OK
+            written.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
         assert written[0] == written[1] == written[2] and len(written[0]) == 2
-        Path("both.ini").write_text(f"[a]\n{section}max_iters = 3\n[b]\n{section}max_iters = 500\n")
-        assert cli.main(["compare", "--config", "both.ini", "--out", "both"]) == cli.EXIT_OK
+        config.write_text(f"[a]\n{section}max_iters = 3\n[b]\n{section}max_iters = 500\n")
+        assert cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "both")]) == cli.EXIT_OK
 
     def test_starts_compared_as_resolved(self, tmp_path):
         # (1, 1) is the quadratic's automatic start
@@ -985,7 +982,7 @@ class TestCli:
         assert "error[numerical]: value at the new point is not finite (nan)" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         summary, rows = partial_outputs(tmp_path)
-        assert (summary["iterations"], summary["stop_reason"], summary["stopped_early"]) == (0, "non_finite", True)
+        assert (summary["iterations"], summary["stop_reason"]) == (0, "non_finite") and "stopped_early" not in summary
         assert rows == []
 
     def test_run_checks_every_section_before_the_first_run(self, tmp_path, capsys):
@@ -1014,7 +1011,7 @@ class TestCli:
         assert proc.returncode == cli.EXIT_NUMERICAL
         assert "error[numerical]" in proc.stderr and "Warning" not in proc.stderr
         summary, rows = partial_outputs(tmp_path)
-        assert summary["stop_reason"] == "non_finite" and summary["stopped_early"]
+        assert summary["stop_reason"] == "non_finite" and "stopped_early" not in summary
         assert 0 < summary["iterations"] == len(rows) < 50
         assert all(math.isfinite(float(r["f"])) and math.isfinite(float(r["grad_norm"])) for r in rows)
         assert summary["final_f"] == float(rows[-1]["f"])
@@ -1074,12 +1071,14 @@ class TestCli:
             # removed settings; the summary still echoes their one value
             "objective = toy_b\noptimizer = dycent\nx0 = toy_b_init\nmax_iters = 5\nclamp_nonnegative_step = on\n",
             "objective = toy_b\noptimizer = dycent\nx0 = toy_b_init\nmax_iters = 5\nd_avg_init_mode = zero\n",
+            "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nlr = abc\n",
+            "objective = toy_b\noptimizer = sgd\nx0 = toy_b_init\nseed = 1.5\n",
         ],
         ids=[
             "x0-unparsable", "x0-nan", "percent", "activation", "dycent-1d", "batch-no-epochs", "schedule-no-epochs",
             "schedule-past-last-epoch", "half-a-schedule", "h-decays-to-0", "lr-decays-to-0", "lr-decays-to-inf",
             "duplicate-section", "duplicate-key", "line-without-equals", "oversized-objective", "clamp-removed",
-            "init-mode-removed",
+            "init-mode-removed", "lr-unparsable", "seed-unparsable",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, section):
@@ -1091,6 +1090,14 @@ class TestCli:
         for removed in ("clamp_nonnegative_step", "d_avg_init_mode", "activation"):
             if removed in section:
                 assert f"unknown key {removed!r}" in proc.stderr
+        # a value that does not parse is named with its section, as every section's error is
+        for line, stderr in (
+            ("x0 = 1,zz", "error[config]: [r] x0: expected a number, got 'zz'\n"),
+            ("lr = abc", "error[config]: [r] lr: expected a number, got 'abc'\n"),
+            ("seed = 1.5", "error[config]: [r] seed: expected an integer, got '1.5'\n"),
+        ):
+            if line in section:
+                assert proc.stderr == stderr
 
     @pytest.mark.parametrize(
         "content", [b"objective = toy_b\noptimizer = sgd\n", b"\xff\xfe[r]\nobjective = toy_b\n"],

@@ -4,9 +4,8 @@ the theory report at seeds 1 to 11, 201 and 203 to 205.
 Covers `compare` on the three shipped configs (per-run CSV/JSON and the
 comparison CSV/TXT), `theory` and `angles`. A change meant to keep
 behaviour must leave every digest as it is; one that moves a trajectory,
-even in its last bit, fails here. The summary JSONs embed their own
-paths, so each command runs with its working directory in tmp_path and
-writes to the relative directory `out`.
+even in its last bit, fails here. No file holds a path, so the digests
+hold under any `--out`, relative or absolute.
 
 The digests hold for one float64 platform: numpy 2.4.6 dispatching its
 AVX-512 code (X86_V4 among the SIMD extensions numpy.show_runtime()
@@ -189,15 +188,29 @@ def _digests(out: Path) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_output_digests_at_seed_0(name, tmp_path, monkeypatch, capsys):
+def test_output_digests_at_seed_0(name, tmp_path, capsys):
     argv, expected = EXPECTED[name]
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(argv + ["--seed", "0", "--out", "out"]) == cli.EXIT_OK
+    assert cli.main(argv + ["--seed", "0", "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert _digests(tmp_path / "out") == expected
 
 
 @pytest.mark.parametrize("seed", sorted(THEORY_DIGESTS))
-def test_theory_digests(seed, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["theory", "--seed", str(seed), "--out", "out"]) == cli.EXIT_OK
+def test_theory_digests(seed, tmp_path, capsys):
+    assert cli.main(["theory", "--seed", str(seed), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert _digests(tmp_path / "out") == {f"theory-{seed}.json": THEORY_DIGESTS[seed]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "--config", str(CONFIGS / "toy_b_compare.ini"), "--iters", "3"], ["angles", "--iters", "2"]],
+    ids=["compare", "angles"],
+)
+def test_every_file_is_the_same_under_any_out(argv, tmp_path, monkeypatch, capsys):
+    # a relative, a nested relative and an absolute --out give the same names and bytes
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for out in ("out", "x/y", str(tmp_path / "abs")):
+        assert cli.main(argv + ["--out", out]) == cli.EXIT_OK
+        written.append({p.name: p.read_bytes() for p in sorted((tmp_path / out).iterdir())})
+    assert written[0] == written[1] == written[2]
+    assert len(written[0]) == (2 * 9 + 2 if argv[0] == "compare" else 2)
