@@ -262,7 +262,7 @@ class TestRunExperiment:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
         assert digests == {
             "one-unit-89faabb093.csv": "b6bd87e81f6f742e64b27aba07c18d93ec198fe37f49fb20b9994e65f2af980f",
-            "one-unit-89faabb093.json": "318ba436c210b0a29fb26f78c1d242953e82746015a5d2782e28557713dfa6e1",
+            "one-unit-89faabb093.json": "b22e05991ae37997b099d7324e97e6acdd687e7870bec7d05e60b8bfa0a42dbc",
         }
         assert len((out / "one-unit-89faabb093.csv").read_text().splitlines()) == 1 + 2 * 3
 
@@ -272,23 +272,23 @@ class TestRunExperiment:
             # 5 rows in batches of 1 and of 8: an epoch of one-row batches, and one of a single short batch
             ("n5-b1-adam", {"optimizer": "adam", "batch_size": 1}, 10, None, (
                 "c555e21c2c2f05bcf3821f21bc9c5ed354a3ba7ad117a8893f06d7eeeff3a03b",
-                "5a51969e9397d420f410fae6c6e44602031b5e76831f0f384392e53cb88317fa")),
+                "de469474023674d55855610d320d31124ffc4df74fb09756e44f4553bf9b6f4e")),
             ("n5-b1-dycent", {"optimizer": "dycent", "batch_size": 1}, 9, "stationary_point", (
                 "c19bb06565cc71faee6af0a4c4f49f7001ee5f5ebc88c74d7b522e0a090b9661",
-                "ed2c21b416916c8025322311e64d61d2c0bd7776bf211a7e0d85b9f1b0e1afe6")),
+                "6b2f21e987ec45246c56dfae8ccc7cec89420d536632ea2f71200b26ad6a7bbe")),
             ("n5-b8-adam", {"optimizer": "adam", "batch_size": 8}, 2, None, (
                 "572163c82f198d3ae5ded24f20f4419eb40b4a95036b435e646372db337e8e75",
-                "792f8aaceb0932c46b9e6c003c27f798d77d0262d10bd40aa8bf2eda8024f712")),
+                "8de3d3ea017ec6fe6604e1fb81812a374d5c3526ad777d21b9e44793b2547340")),
             ("n5-b8-dycent", {"optimizer": "dycent", "batch_size": 8}, 2, None, (
                 "4aa00f2d9f27fd56f3755ea32bcf407fddda16494148ec5357b10d05acb80572",
-                "d61ffc8b5064ee2946c1a99491977ac36caeec487a3f7c659862aefd0af2c405")),
+                "c1e09228542c89b4e2d12ac968d022dee244c966a0224b4295076e7d3513ce83")),
             # 200 rows in batches of 7, the last of each epoch 4 rows, h decayed from the second epoch
             ("n200-b7", {
                 "optimizer": "dycent", "batch_size": 7, "epochs": 3, "h_decay_factor": 10.0, "h_decay_at_epoch": 1,
                 "objective_params": {}, "optimizer_params": {"h": 0.002, "epsilon": 0.02},
             }, 87, None, (
                 "97273ba1a4bf0b20bab904b4f2ee1ef2b075e753515c618d6dd9e79f532cac1b",
-                "51b111d1aebcc95f1cebe8a5b81d9a688e5671dddb1ab32a18ab697fd1635899")),
+                "bd971dea1809d356c42e3bf43beb2cf95a22452fb3d10d010e19c6cf5df7b160")),
         ],
     )
     def test_epoch_runs_keep_their_bytes(self, tmp_path, prefix, settings, steps, stop_reason, digests):
@@ -312,7 +312,7 @@ class TestRunExperiment:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
         assert digests == {
             "non-finite-9487f7310c.csv": "5f0337c65cc58a8a987fa749f13ab93662480866f88ff8db5024309000707d6f",
-            "non-finite-9487f7310c.json": "62c272cbeb9e0a2474f00eb32f8494b77b3965906ff329498c0d806abb744f43",
+            "non-finite-9487f7310c.json": "1d5d7e57c66af429dfb165e609b8be7317c61cea30d47d4e209e296ce6e014a3",
         }
         rows = list(csv.DictReader((out / "non-finite-9487f7310c.csv").read_text().splitlines()))
         assert [r["acc_train"] != "" for r in rows] == [False, True, False, True, False]
@@ -331,11 +331,11 @@ class TestRunExperiment:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
         assert digests == {
             "fb-adam-d22f106811.csv": "bc92c16fda2978e1783f8bde708f2ce3a0115f4915957d889b47b350fcaedaae",
-            "fb-adam-d22f106811.json": "72a231296915981f04a5f678363e5131aee001d9684bdf27a8ec29d9bfe766e6",
+            "fb-adam-d22f106811.json": "c408862fb92704c641170fbe0d975fd393e2d114e3745db4a59dca70fd2ba420",
             "fb-dycent-d1128c25da.csv": "5c2ac71e348262c9a6d61e345ce3021ef8569621021e9d73a2ecf73d800668d8",
-            "fb-dycent-d1128c25da.json": "9499fef8766b829da4e3c0ef9c9a25b55240db2a431067d98fa46f507472f64b",
+            "fb-dycent-d1128c25da.json": "54c35d17d70f25b293e6467962c203aa66ef31850f18a6c43aba3d922c39011e",
             "fb-one-unit-b546716ee6.csv": "2335cf16198124f41aa34e32548abe79112ea5dfdb07cbdc18e29927420a9822",
-            "fb-one-unit-b546716ee6.json": "36ee75211dcc9fee8f2549143c3de22bc4e7cd6f25ee0dd2a1e059c23459bfc4",
+            "fb-one-unit-b546716ee6.json": "bcf7c8bef86a33d860d7a33b1bc7b68eece46c71012373de4b0d65a4e17088a5",
         }
         for path in out.glob("*.json"):
             summary = json.loads(path.read_text())

@@ -42,43 +42,43 @@ EXPECTED = {
             "toya-adabelief-005d59a8c9.csv":
                 "79173ccb277de450e616aee09280cc8c92a04c3f9e5ccc4e54093f8162a3f06c",
             "toya-adabelief-005d59a8c9.json":
-                "f10ac5a5675b1bde958c6660736c4a19dcebf47d033807d3b8034a90f79eaeb9",
+                "95a999f24d54b34dbbe10e55bd30b1777d6ab6ac1b76feeabd5039170b0f253e",
             "toya-adam-8fd1f0e780.csv":
                 "e989bdbffd7ccccb6fbbe7fc15df5f61486a94b9b32a01ddd11f871ca884d100",
             "toya-adam-8fd1f0e780.json":
-                "9d31f7e3b42f8a33cbb65f7c4c6a20f11e174c8553fd19e605338764433772f8",
+                "25953152806e8f15cc45d202a4287bba92a0bd5f5824ae049f5a82e238ee20b8",
             "toya-angulargrad-cos-0c3002876f.csv":
                 "51270d2cfd735fd43f9753d7f6be3a7bfaa8715fbeaa755e7984013d007578ad",
             "toya-angulargrad-cos-0c3002876f.json":
-                "a4b0327479be3e918a54b0c134d612b866d3138335f52485e0918858965ad172",
+                "616684d9eca3f6ac724fefeedeea9f6e922798f9e9435ae39530a1beb39a00ab",
             "toya-angulargrad-tan-0eb31a463e.csv":
                 "e12fc68529f5462b13bac8efddf596569f9009702cc625ff396db27aea60b815",
             "toya-angulargrad-tan-0eb31a463e.json":
-                "ed6435ef745b2346973f97e751efbb08e8e46a45a6f45091be4122c7a177766f",
+                "1540b8e123d401bdfc397edf6ff9687cd3d4cdc5e73426808754c91086e86127",
             "toya-diffgrad-c95852408b.csv":
                 "9c388096535e448fd259f6ae9255f537599f181e380583b03f81cf75e6865d64",
             "toya-diffgrad-c95852408b.json":
-                "e69e896ebcb87d53fbaa2304786fad08e618dcd9624a9330233238ea0b31d8b7",
+                "4b4295d8844dc5eddd035f5528915dc0aba5284799e1a4d59c1813b4d1b00239",
             "toya-dycent-comparison-41c573cc14.csv":
-                "e1e2eb2edc63afc4feb8ca0b582aab664de6f9bc050979223029036e7490f2d9",
+                "6d3baea3c238320f2f53ce8f8b896b21b42d594bfa798787a330e02fba37c042",
             "toya-dycent-comparison-41c573cc14.txt":
                 "403efd3f70edd8fc1b1ce19479e724146562030526dcef64bf6c60d56a68021d",
             "toya-dycent-e7086e68f3.csv":
                 "66658d2618b8d5af528a859370700ea02b7029c26dce6c218dc042a24f0ceb15",
             "toya-dycent-e7086e68f3.json":
-                "45485e31dc302346823f22418b40a71d289fee8780643c3250cf098b6cd2db7a",
+                "1bc898c3bb368a6ca2d2894debd7bfd29fe256e9981c5e7a78ce147003d196a2",
             "toya-rmsprop-64f964f1bd.csv":
                 "062149547de4bb20e6e6ece4e1d84857e904d49fb1b252b86238e469d2171f6a",
             "toya-rmsprop-64f964f1bd.json":
-                "9feeb589b5f2050e062571355595dcaca408689d36bb8e17ff374fffb3411ef7",
+                "6c242ca7076deb943969269d14817a92c2eca3b3811b93aea09b9c016381fc69",
             "toya-sgd-8d085d4757.csv":
                 "1f43361e3ccfb8e2a37e85d832a9eaa65c026efad8ed73cadb2f90ee03a5bd5c",
             "toya-sgd-8d085d4757.json":
-                "8f186efc907d68797789278fd38d790f7f3ea812132cbdef2a42479f2e7d9fc7",
+                "c52e458ec1c0f5f8bbb85fb5df9ee32185e60e5ef20c3f8094e5247a7b6d2639",
             "toya-sgdm-6e01551358.csv":
                 "703d7552e60bf1168d38fbb3312321f518317f9969a43c94008ec5b3d44ea0c6",
             "toya-sgdm-6e01551358.json":
-                "236d14ac59e14c6b6214d7a305e0cec8bd1a70c82d2bf4a13204f4355d8b7d1e",
+                "19f0f3708fb92724a0e9fa2beafe3c04fa0cac1fdc59dffba1e8e417ec28eb53",
         },
     ),
     "toy_b_compare": (
@@ -87,43 +87,43 @@ EXPECTED = {
             "toyb-adabelief-12cbb6ef93.csv":
                 "9aa8b7413d0a30d1039521f021163b148f04870d67f522793d9d8198f139135a",
             "toyb-adabelief-12cbb6ef93.json":
-                "3ab394c2d817568418701cf692f461b048cbc18690a2dca760e98e1708069fbf",
+                "39d714182f386d1b889dd60ad5d69367d2254f622cf80bfa671e54da7bbe42d0",
             "toyb-adam-a59e6d08fd.csv":
                 "fca6558f526acffc55f06a1bee3e37601376cce1f3c7d1d1481a5ea8a93c986f",
             "toyb-adam-a59e6d08fd.json":
-                "d8c0d6dbce9acf8b1030205ed43b399009905e54e83db20449b95133f88e79ea",
+                "71d26de02637f137296c4a0943d2ebd73c0447a6934f8475bdd3ca3722375f91",
             "toyb-angulargrad-cos-e9f218541a.csv":
                 "1501f47b9ce7339ce043e0c6fd797d90240289e0a5b27431d212e7be39238d09",
             "toyb-angulargrad-cos-e9f218541a.json":
-                "09d1c6ad179d1c8606e73d0ea19649cf3bddbe1b186ae0ba4417e81d9d9e0105",
+                "2be22660844c4abb76936787e9b2c3a9a16b2aca60cd89994d36108bea4a5b8b",
             "toyb-angulargrad-tan-60d52b9e30.csv":
                 "2c4025f052b2e351fdf3d5d071038d4450d4e671f79cae68c1d57226765a86a3",
             "toyb-angulargrad-tan-60d52b9e30.json":
-                "f26b1b65e5569dcdc55a70a9ae13cabc8fb881978f9897740d4487898968edc9",
+                "d99b4d713e7f5e12b03d5acb578d2a5bf16615eb30564eafad4687519d83bd75",
             "toyb-diffgrad-00d271df09.csv":
                 "0188a2bd4f7fb9ffaca88e9cb5108f83c49367e4190c6da819bd537fc914f2be",
             "toyb-diffgrad-00d271df09.json":
-                "a9c72a8160f2e13830cd2dc92e6193211491e2d94d4283627032cd9e11e45fc1",
+                "0552b6c1ca8b9f34a8c6a7f24c2083ba503ecb2592cc170b361e3fd4bd4c22cc",
             "toyb-dycent-c7969d05af.csv":
                 "a1d7c41cff121b112d4dd6acdeee2f10b732438ef2b4a375313df0112db36fcd",
             "toyb-dycent-c7969d05af.json":
-                "4a06837c719d796b31d8423be2c00545d9649b47aa9a1c808710077c22ef1af5",
+                "1f15da36073f1a6111ad0c40d16acef7ef044981711f6619554b8b5b334dc911",
             "toyb-dycent-comparison-1945750993.csv":
-                "1110ef2cf340f59b34e8f89b675d482bf15cf060e198888395fae94a467a9d48",
+                "6250fe4e1cf9feb8dcf396ee5f25159c6dcc9dbbe4eedd4c48fc58d8867190cf",
             "toyb-dycent-comparison-1945750993.txt":
                 "dbbba43d21642b9dcf1cd915ac5bfb33eaa8918bc481d043c399978d7a89fc5c",
             "toyb-rmsprop-c1899f9256.csv":
                 "deac12d9325d9899d813c3f20c9a3cfeec54cb2683ea2f9b9da39a24fc74970e",
             "toyb-rmsprop-c1899f9256.json":
-                "b51ff262457a8d2a3bc52c4e55b54a65d5950947a0eba34d19bc0e8e597840a8",
+                "405645d356d610e8fae5001246de2cabc9a805e024074aad3ea69d400c66264f",
             "toyb-sgd-ceb6df9337.csv":
                 "cebf46ff731edaf09925af4629dfd9d449f12df828e285612fa8f2d20f51de5b",
             "toyb-sgd-ceb6df9337.json":
-                "6b17913fe34629dcb77bf5fd2c8ea1b08b10bc973173dc631d69c154c74e9595",
+                "949adc899e450c22299a81e17822ce9eae6481654b86eb21c91871d8da778b83",
             "toyb-sgdm-0cd6981fef.csv":
                 "a4f438f4dae0dca10dc3c35f3f82d6262996ef9d13cf0fb0b8c7a6fe54ca3533",
             "toyb-sgdm-0cd6981fef.json":
-                "23824414c6be1b79686534fc18012e802a2b62e88c8ee6ce62d18be2b08788dc",
+                "694e29308071c57b14d5290647be6816aa652b2ad59ede29ce8273fbe8d22edb",
         },
     ),
     "moons_compare": (
@@ -132,15 +132,15 @@ EXPECTED = {
             "moons-adam-a865733347.csv":
                 "813bdfec0126ee15866102111238e7b8b26a20b3ca54b6a69ca44fc88b756a9d",
             "moons-adam-a865733347.json":
-                "9f1166c254a7f8673c71bcf100fc7bdd5e6e2ac9d797463282a562ff3c415c17",
+                "688722b5149f2d75f685cafe70d220186e538a5b2f69db08c8c313f67a39190e",
             "moons-dycent-comparison-88099c2b91.csv":
-                "a2dbf8e845e3d59bfe6b24ddaa796f4148ff2d3c5ca5f3a1dfda002dbbd345dd",
+                "4c98c01c7a17ff97a4ce16c211860d3e5327f4ca202505e38230fb844d2fdaf1",
             "moons-dycent-comparison-88099c2b91.txt":
                 "57928ec31d9724f80f1dff6007ad825c03d661f9225e31b1b471157c7bbc6ee0",
             "moons-dycent-e5952d4977.csv":
                 "df49703aad0f0a45e01869def8764fe6575e25379142ddaef3308f4f7126f8e3",
             "moons-dycent-e5952d4977.json":
-                "d347b091f7576eb8b74901b9b7ed057899f8d09a9acf7c0f1107c549dcdc1b7a",
+                "5968aa0755071d7d7dd4be0215bb75448a617261ec6c3485b0fbd70b218236e1",
         },
     ),
     "theory": (
@@ -156,7 +156,7 @@ EXPECTED = {
             "angles-dbe2609215.csv":
                 "ffc91f3bc1323465090a9f35f656af4bf525affd553aadda6a337b9bef221e33",
             "angles-dbe2609215.json":
-                "1131935ad17891a0bda992ad2c8e11e84a5c03909e350aa45e4d438dc88fd40f",
+                "65645e4cc45683fb8cf9227b1fe7ea2748a8a65ea2462a37bd6b50bbae907ab2",
         },
     ),
 }
