@@ -50,8 +50,7 @@ MOVED = {
 def run_at(level: str | None, commands: list[list[str]], tmp_path: Path) -> tuple[dict[str, bytes], set[str]]:
     """(the bytes of every file the commands write, by name; numpy's enabled CPU
     features) with numpy held to level, or at its default dispatch for None. Every command runs
-    in its own subprocess and working directory, all at once, and writes to the relative
-    directory `out`, as the summary JSONs embed their paths."""
+    in its own subprocess and working directory, all at once, and writes to `out` there."""
     env = {k: v for k, v in os.environ.items() if k not in CPU_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if level is not None:
